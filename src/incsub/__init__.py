@@ -28,9 +28,9 @@ from .cyclic import CyclicState, cyclic_cycle, run_cyclic, run_cyclic_batch
 from .markov import (EqualProbability, MarkovState, MinEqualNeighbor,
                      PeriodicTopology, RandomEdgeTopology, StaticTopology,
                      TransitionMatrix, WeightedMetropolisHastings,
-                     build_transition, make_scheme, make_topology, markov_step,
-                     run_markov, run_markov_batch, sample_next_agent,
-                     validate_transition)
+                     adjacency_from_edges, build_transition, make_scheme,
+                     make_topology, markov_step, run_markov, run_markov_batch,
+                     sample_next_agent, validate_transition)
 from .analysis import (BoundReport, BoundVerdict, OptimalWindow, RateConstants,
                        aggregate_verdicts, cyclic_bound, delta_window,
                        markov_bound, max_uniform_deviation, optimal_T,

@@ -175,6 +175,35 @@ class ExperimentConfig:
 
 
 # -- builders -----------------------------------------------------------------
+#
+# Builders turn every bad entry into a ConfigError naming its dotted path, so
+# a bad config stops with exit code 2 before any tick runs.
+
+_MISSING = object()
+
+
+def _number(spec, section, key, default=_MISSING, minimum=None):
+    """``spec[key]`` as a float; ``minimum`` is inclusive."""
+    field = f"{section}.{key}"
+    raw = spec.get(key, default)
+    if raw is _MISSING:
+        raise ConfigError("missing required entry", field=field)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected a number, got {raw!r}", field=field) from None
+    if minimum is not None and not value >= minimum:
+        raise ConfigError(f"must be >= {minimum}, got {value}", field=field)
+    return value
+
+
+def _construct(section, cls, *args):
+    """``cls(*args)``, with the constructor's range checks as ConfigErrors."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field=section) from None
+
 
 def build_set(spec, default_dim=None):
     kind = spec.get("kind")
@@ -186,7 +215,8 @@ def build_set(spec, default_dim=None):
                                   field="problem.set")
             lower = [lower] * default_dim
             upper = [upper] * default_dim
-        return Box(np.asarray(lower, float), np.asarray(upper, float))
+        return _construct("problem.set", Box, np.asarray(lower, float),
+                          np.asarray(upper, float))
     if kind == "ball":
         center = spec.get("center", 0.0)
         if np.isscalar(center):
@@ -194,12 +224,14 @@ def build_set(spec, default_dim=None):
                 raise ConfigError("scalar ball center needs a known dimension",
                                   field="problem.set")
             center = [center] * default_dim
-        return Ball(np.asarray(center, float), float(spec["radius"]))
+        return _construct("problem.set", Ball, np.asarray(center, float),
+                          _number(spec, "problem.set", "radius"))
     if kind == "simplex":
         dim = int(spec.get("dim", default_dim or 0))
         if dim < 1:
             raise ConfigError("simplex needs a dimension", field="problem.set.dim")
-        return Simplex(float(spec.get("scale", 1.0)), dim)
+        return _construct("problem.set", Simplex,
+                          _number(spec, "problem.set", "scale", 1.0), dim)
     raise ConfigError(f"unknown set kind {kind!r}", field="problem.set.kind")
 
 
@@ -221,6 +253,8 @@ def build_problem(spec):
             raise ConfigError("regression fixture needs features and samples",
                               field="problem")
         n = len(features[0])
+        if "set" not in spec:
+            raise ConfigError("missing required entry", field="problem.set")
         fset = build_set(spec["set"], default_dim=n)
         locations = list(range(len(features)))
         feats = [np.asarray(f, float) for f in features]
@@ -258,22 +292,29 @@ def build_problem(spec):
 def build_schedule(spec):
     kind = spec.get("kind")
     if kind == "constant":
-        return Constant(float(spec["alpha"]))
+        return _construct("schedule.alpha", Constant,
+                          _number(spec, "schedule", "alpha"))
     if kind == "powerlaw":
-        return PowerLaw(float(spec.get("a", 1.0)), float(spec.get("p", 1.0)))
+        return _construct("schedule", PowerLaw,
+                          _number(spec, "schedule", "a", 1.0),
+                          _number(spec, "schedule", "p", 1.0))
     raise ConfigError(f"unknown schedule kind {kind!r}", field="schedule.kind")
 
 
 def build_noise(spec):
     kind = spec.get("kind", "none")
+
+    def level(key):  # noise magnitudes are nonnegative
+        return _number(spec, "noise", key, minimum=0.0)
+
     if kind == "none":
         return NoNoise()
     if kind == "gaussian":
-        return GaussianNoise(float(spec["sigma"]))
+        return GaussianNoise(level("sigma"))
     if kind == "biased_gaussian":
-        return BiasedGaussianNoise(float(spec["bias"]), float(spec["sigma"]))
+        return BiasedGaussianNoise(level("bias"), level("sigma"))
     if kind == "bounded_uniform":
-        return BoundedUniformNoise(float(spec["radius"]))
+        return BoundedUniformNoise(level("radius"))
     raise ConfigError(f"unknown noise kind {kind!r}", field="noise.kind")
 
 
@@ -281,6 +322,8 @@ def build_topology(spec, m):
     kind = spec.get("kind")
     if kind in ("ring", "path", "complete"):
         return make_topology("static", m, graph=kind)
+    if kind == "periodic" and "phases" not in spec:
+        raise ConfigError("missing required entry", field="topology.phases")
     params = {k: v for k, v in spec.items() if k != "kind"}
     return make_topology(kind, m, **params)
 

@@ -35,10 +35,20 @@ from .trace import fmt_float
 from .version import __version__
 
 
-def _supremum(fn, horizon, *args):
-    """sup over k >= 1 of a declared moment sequence (sampled for callables)."""
-    probe = [1] if horizon < 1 else [1, max(1, horizon // 2), horizon]
-    return max(fn(k, *args) if args else fn(k) for k in probe)
+_SUP_CHUNK = 1 << 10  # iterations per call of a moment sequence
+
+
+def _supremum(fn, horizon):
+    """sup over 1 <= k <= max(horizon, 1) of a declared moment sequence.
+
+    ``fn`` is called with arrays of consecutive k that cover the horizon;
+    the noise models answer with one value per k for a callable sequence
+    and with a single number for a constant one, so non-monotone sequences
+    get their true sup.
+    """
+    last = max(horizon, 1)
+    return max(float(np.max(fn(np.arange(k, min(k + _SUP_CHUNK, last + 1)))))
+               for k in range(1, last + 1, _SUP_CHUNK))
 
 
 def _run_chunk(flat_config, seeds):
@@ -79,7 +89,8 @@ def _run_all(config, seeds, jobs):
 def _effective_rate(topology, scheme, m):
     """Envelope constants; an exactly uniform static chain mixes in one step."""
     if topology.is_static:
-        p = scheme.matrix(topology.neighbors(0))
+        adj = topology.adjacency(0)
+        p = scheme.matrix(adj, adj.sum(axis=1))
         if np.allclose(p, 1.0 / m, atol=1e-12):
             return RateConstants.uniform()
     return rate_constants(scheme.uniform_eta(topology), m, topology.window)
@@ -231,7 +242,7 @@ def validate_only(config):
         else:
             ticks = range(min(max(config.horizon, 1), 4 * topology.window))
         for k in ticks:
-            build_transition(scheme, topology.neighbors(k))
+            build_transition(scheme, topology.adjacency(k))
     return problem
 
 

@@ -52,35 +52,46 @@ def complete_edges(m):
     return [(i, j) for i in range(m) for j in range(i + 1, m)]
 
 
-def neighbors_from_edges(m, edges):
-    """Symmetric neighbor sets (sorted index arrays) from an undirected edge list."""
-    sets = [set() for _ in range(m)]
-    for i, j in edges:
+def adjacency_from_edges(m, edges):
+    """Symmetric ``(m, m)`` boolean adjacency of an undirected edge list."""
+    e = np.asarray(edges, dtype=int).reshape(-1, 2)
+    bad = (e[:, 0] == e[:, 1]) | ((e < 0) | (e >= m)).any(axis=1)
+    if bad.any():
+        i, j = e[np.argmax(bad)]
         if i == j:
             raise TopologyError(f"self-loop ({i},{i}) not allowed in a neighbor graph")
-        if not (0 <= i < m and 0 <= j < m):
-            raise TopologyError(f"edge ({i},{j}) outside agent range [0, {m})")
-        sets[i].add(j)
-        sets[j].add(i)
-    return [np.array(sorted(s), dtype=int) for s in sets]
+        raise TopologyError(f"edge ({i},{j}) outside agent range [0, {m})")
+    adj = np.zeros((m, m), dtype=bool)
+    adj[e[:, 0], e[:, 1]] = True
+    adj[e[:, 1], e[:, 0]] = True
+    return adj
 
 
-def _connected(m, edges):
-    if m == 1:
-        return True
-    adj = neighbors_from_edges(m, edges)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(int(j))
-                stack.append(int(j))
-    return len(seen) == m
+def _connected(adj):
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[:1] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+def _frozen(adj):
+    adj.flags.writeable = False
+    return adj
+
+
+def _max_degree(adj):
+    return int(adj.sum(axis=-1).max(initial=0))
 
 
 # -- topology sequences -------------------------------------------------------
+#
+# Every topology serves each instant k as an (m, m) boolean adjacency
+# matrix: entry (i, j) is true when j is a neighbor of i.  The matrix is
+# symmetric with a false diagonal (staying put is the diagonal mass of the
+# transition matrix, not an edge).
 
 @dataclass(frozen=True)
 class StaticTopology:
@@ -92,16 +103,17 @@ class StaticTopology:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(sorted(set(map(tuple, self.edges)))))
-        object.__setattr__(self, "_neighbors", neighbors_from_edges(self.m, self.edges))
+        object.__setattr__(self, "_adjacency",
+                           _frozen(adjacency_from_edges(self.m, self.edges)))
 
-    def neighbors(self, k):
-        return self._neighbors
+    def adjacency(self, k):
+        return self._adjacency
 
     def max_degree(self):
-        return max((len(nb) for nb in self._neighbors), default=0)
+        return _max_degree(self._adjacency)
 
     def validate(self):
-        if not _connected(self.m, self.edges):
+        if not _connected(self._adjacency):
             raise TopologyError("static topology must be a connected graph")
 
     @property
@@ -121,27 +133,25 @@ class PeriodicTopology:
     def __post_init__(self):
         phases = tuple(tuple(sorted(set(map(tuple, p)))) for p in self.phases)
         object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "_neighbors",
-                           [neighbors_from_edges(self.m, p) for p in phases])
+        object.__setattr__(self, "_adjacency", _frozen(np.array(
+            [adjacency_from_edges(self.m, p) for p in phases], dtype=bool)))
 
     @property
     def period(self):
         return len(self.phases)
 
-    def neighbors(self, k):
-        return self._neighbors[k % self.period]
+    def adjacency(self, k):
+        return self._adjacency[k % self.period]
 
     def max_degree(self):
-        return max((len(nb) for phase in self._neighbors for nb in phase), default=0)
+        return _max_degree(self._adjacency)
 
     def validate(self):
         if self.window < 1:
             raise TopologyError("window must be >= 1")
         for k in range(self.period):
-            union = set()
-            for j in range(self.window):
-                union.update(self.phases[(k + j) % self.period])
-            if not _connected(self.m, union):
+            phases = [(k + j) % self.period for j in range(self.window)]
+            if not _connected(self._adjacency[phases].any(axis=0)):
                 raise TopologyError(
                     f"union of phases over window starting at {k} is not connected")
 
@@ -159,7 +169,9 @@ class RandomEdgeTopology:
     (k mod window) is always present at tick k, so every window's union
     contains the full ring and is connected by construction.  Every other
     base edge is included independently with ``inclusion_prob``, realized
-    deterministically from ``seed`` and the tick index.
+    deterministically from ``seed`` and the tick index: optional edge j (in
+    sorted order) is present at tick k when column j of the tick's row of
+    topology-domain uniforms is below ``inclusion_prob``.
     """
 
     m: int
@@ -178,13 +190,16 @@ class RandomEdgeTopology:
         if self.window < 1:
             raise TopologyError("window must be >= 1")
         object.__setattr__(self, "base_edges", base)
-        ring_list = sorted(ring)
-        groups = [[] for _ in range(self.window)]
-        for idx, e in enumerate(ring_list):
-            groups[idx % self.window].append(e)
-        object.__setattr__(self, "_ring_groups", [tuple(g) for g in groups])
-        object.__setattr__(self, "_optional",
-                           tuple(e for e in base if e not in ring))
+        groups = np.zeros((self.window, self.m, self.m), dtype=bool)
+        for idx, (i, j) in enumerate(sorted(ring)):
+            groups[idx % self.window, [i, j], [j, i]] = True
+        optional = np.array([e for e in base if e not in ring], dtype=int).reshape(-1, 2)
+        object.__setattr__(self, "_base_degree",
+                           _max_degree(adjacency_from_edges(self.m, base)))
+        object.__setattr__(self, "_ring_groups", _frozen(groups))
+        # flat cell indices of (i, j) and (j, i) for each optional edge
+        object.__setattr__(self, "_optional_cells",
+                           (optional @ [self.m, 1], optional @ [1, self.m]))
         object.__setattr__(self, "_draw_cache", {})
 
     def _inclusion_row(self, k):
@@ -192,29 +207,27 @@ class RandomEdgeTopology:
         draws = self._draw_cache.get(block)
         if draws is None:
             gen = block_generator(self.seed, DOMAIN_TOPOLOGY, block)
-            draws = gen.random((BLOCK, max(len(self._optional), 1)))
+            draws = gen.random((BLOCK, max(len(self._optional_cells[0]), 1)))
             self._draw_cache.clear()  # keep only the active block
             self._draw_cache[block] = draws
         return draws[off]
 
-    def edges_at(self, k):
-        edges = list(self._ring_groups[k % self.window])
-        if self._optional and self.inclusion_prob > 0:
-            row = self._inclusion_row(k)
-            edges.extend(e for j, e in enumerate(self._optional)
-                         if row[j] < self.inclusion_prob)
-        return edges
-
-    def neighbors(self, k):
-        return neighbors_from_edges(self.m, self.edges_at(k))
+    def adjacency(self, k):
+        adj = self._ring_groups[k % self.window].copy()
+        ij, ji = self._optional_cells
+        if len(ij) and self.inclusion_prob > 0:
+            on = self._inclusion_row(k) < self.inclusion_prob
+            cells = adj.reshape(-1)
+            cells[ij[on]] = True
+            cells[ji[on]] = True
+        return adj
 
     def max_degree(self):
-        return max((len(nb) for nb in neighbors_from_edges(self.m, self.base_edges)),
-                   default=0)
+        return self._base_degree
 
     def validate(self):
         # Connectivity is structural: each window's union contains the ring.
-        if self.m >= 2 and not _connected(self.m, ring_edges(self.m)):
+        if not _connected(self._ring_groups.any(axis=0)):
             raise TopologyError("agent ring must be connected")
 
     @property
@@ -255,6 +268,13 @@ def make_topology(kind, m, **params):
 
 
 # -- transition matrices ------------------------------------------------------
+#
+# Each scheme maps an adjacency matrix ``adj`` and its degree vector
+# ``deg = adj.sum(axis=1)`` to a full matrix in a few array expressions, and
+# its analytic entry floor ``eta`` to a function of ``deg`` alone.  The
+# ``_exact_entries`` methods restate each rule in rational arithmetic over
+# neighbor lists; validation derives those lists only for the rare entries
+# that sit within float rounding of the floor.
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -271,16 +291,10 @@ class TransitionMatrix:
         return np.cumsum(self.entries, axis=1)
 
 
-def _check_symmetric(neighbors):
-    m = len(neighbors)
-    sets = [set(int(j) for j in nb) for nb in neighbors]
-    for i in range(m):
-        if i in sets[i]:
-            raise SchemeViolationError(f"agent {i} lists itself as a neighbor")
-        for j in sets[i]:
-            if i not in sets[j]:
-                raise SchemeViolationError(
-                    f"asymmetric neighbors: {j} in N_{i} but {i} not in N_{j}")
+def _stay_put(p):
+    """Fill the diagonal with what each row's hand-offs leave over."""
+    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+    return p
 
 
 class EqualProbability:
@@ -288,16 +302,14 @@ class EqualProbability:
 
     name = "equal"
 
-    def matrix(self, neighbors):
-        m = len(neighbors)
-        p = np.zeros((m, m))
-        for i, nb in enumerate(neighbors):
-            p[i, nb] = 1.0 / m
-            p[i, i] = 1.0 - len(nb) / m
+    def matrix(self, adj, deg):
+        m = len(deg)
+        p = np.where(adj, 1.0 / m, 0.0)
+        np.fill_diagonal(p, 1.0 - deg / m)
         return p
 
-    def eta(self, neighbors):
-        return 1.0 / len(neighbors)
+    def eta(self, deg):
+        return 1.0 / len(deg)
 
     def uniform_eta(self, topology):
         return 1.0 / topology.m
@@ -318,22 +330,12 @@ class MinEqualNeighbor:
 
     name = "min_equal"
 
-    def matrix(self, neighbors):
-        m = len(neighbors)
-        deg = np.array([len(nb) for nb in neighbors], dtype=float)
-        p = np.zeros((m, m))
-        for i, nb in enumerate(neighbors):
-            if len(nb):
-                w = np.minimum(1.0 / (deg[i] + 1.0), 1.0 / (deg[nb] + 1.0))
-                p[i, nb] = w
-                p[i, i] = 1.0 - w.sum()
-            else:
-                p[i, i] = 1.0
-        return p
+    def matrix(self, adj, deg):
+        inv = 1.0 / (deg + 1.0)
+        return _stay_put(np.where(adj, np.minimum.outer(inv, inv), 0.0))
 
-    def eta(self, neighbors):
-        max_deg = max((len(nb) for nb in neighbors), default=0)
-        return 1.0 / (max_deg + 1.0)
+    def eta(self, deg):
+        return 1.0 / (deg.max(initial=0) + 1.0)
 
     def uniform_eta(self, topology):
         return 1.0 / (topology.max_degree() + 1.0)
@@ -359,55 +361,48 @@ class WeightedMetropolisHastings:
     own factor in (0, 1).  Double stochasticity requires the factors of
     neighboring agents to match; building a matrix from mismatched factors
     raises a scheme violation.  A scalar weight applies to all agents.
+    The factors are checked once, here; their count is checked against the
+    agent count of each matrix.
     """
 
     name = "weighted_mh"
 
     def __init__(self, weights):
-        self.weights = weights
-
-    def _weight_array(self, m):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim == 0:
-            w = np.full(m, float(w))
-        if w.shape != (m,):
+        w = np.asarray(weights, dtype=float)
+        if w.ndim > 1 or w.size == 0:
             raise SchemeViolationError(
-                f"need one weight per agent ({m}), got shape {w.shape}")
+                f"need a scalar weight or one weight per agent, got shape {w.shape}")
         if np.any(w <= 0) or np.any(w >= 1):
             raise SchemeViolationError("weights must lie strictly in (0, 1)")
-        return w
+        self.weights = weights
+        self._w = w
+        self._floor = float(np.min(np.minimum(w, 1.0 - w)))
 
-    def matrix(self, neighbors):
-        m = len(neighbors)
-        w = self._weight_array(m)
-        deg = np.array([len(nb) for nb in neighbors], dtype=float)
-        safe_deg = np.maximum(deg, 1.0)
-        p = np.zeros((m, m))
-        for i, nb in enumerate(neighbors):
-            if len(nb):
-                pair = np.minimum(1.0 / safe_deg[i], 1.0 / safe_deg[nb])
-                p[i, nb] = w[i] * pair
-                p[i, i] = 1.0 - (w[i] * pair).sum()
-            else:
-                p[i, i] = 1.0
-        return p
+    def _row_factors(self, m):
+        """The factors as a column (one per row) or a scalar."""
+        if not self._w.ndim:
+            return self._w
+        if self._w.shape != (m,):
+            raise SchemeViolationError(
+                f"need one weight per agent ({m}), got shape {self._w.shape}")
+        return self._w[:, None]
 
-    def eta(self, neighbors):
-        m = len(neighbors)
-        w = self._weight_array(m)
-        degs = [len(nb) for nb in neighbors if len(nb)]
-        if not degs:
-            return float(np.min(np.minimum(w, 1.0 - w)))
-        return float(np.min(np.minimum(w, 1.0 - w)) / max(degs))
+    def matrix(self, adj, deg):
+        inv = 1.0 / np.maximum(deg, 1.0)
+        pair = self._row_factors(len(deg)) * np.minimum.outer(inv, inv)
+        return _stay_put(np.where(adj, pair, 0.0))
+
+    def eta(self, deg):
+        return self._floor / max(int(deg.max(initial=0)), 1)
 
     def uniform_eta(self, topology):
-        w = self._weight_array(topology.m)
-        return float(np.min(np.minimum(w, 1.0 - w)) / max(topology.max_degree(), 1))
+        self._row_factors(topology.m)
+        return self._floor / max(topology.max_degree(), 1)
 
     def _exact_entries(self, neighbors):
         m = len(neighbors)
-        w = self._weight_array(m)
-        wf = [Fraction(x) for x in w]
+        self._row_factors(m)  # one factor per agent, or a scalar
+        wf = [Fraction(x) for x in np.broadcast_to(self._w, (m,))]
         deg = [len(nb) for nb in neighbors]
         ent = {}
         for i, nb in enumerate(neighbors):
@@ -439,70 +434,83 @@ def make_scheme(kind, **params):
     raise SchemeViolationError(f"unknown scheme kind {kind!r}")
 
 
-def validate_transition(p, neighbors, eta, scheme=None):
+def _check_symmetric(adj):
+    """Neighbor-relation contract: no agent is its own neighbor, and
+    j in N_i exactly when i in N_j."""
+    if adj.diagonal().any():
+        i = int(np.argmax(adj.diagonal()))
+        raise SchemeViolationError(f"agent {i} lists itself as a neighbor")
+    if (adj != adj.T).any():
+        i, j = np.argwhere(adj & ~adj.T)[0]
+        raise SchemeViolationError(
+            f"asymmetric neighbors: {j} in N_{i} but {i} not in N_{j}")
+
+
+def validate_transition(p, adj, eta, scheme=None):
     """Assert the probability-matrix contract; raises SchemeViolationError.
 
-    Checks: entries in [0,1]; rows and columns sum to 1 within 1e-12;
-    strictly positive diagonal; every positive entry at least ``eta``;
-    zeros wherever the sparsity pattern demands them.  Entries within
-    float rounding of the eta floor are re-checked in exact rational
-    arithmetic when the scheme provides it.
+    ``adj`` is the instant's ``(m, m)`` boolean adjacency.  Checks: the
+    adjacency is symmetric with no self-loops; entries in [0,1]; rows and
+    columns sum to 1 within 1e-12; strictly positive diagonal; every
+    positive entry at least ``eta``; zeros off the adjacency pattern.
+    Entries within float rounding of the eta floor are re-checked in exact
+    rational arithmetic when the scheme provides it.
     """
-    m = len(neighbors)
-    if p.shape != (m, m):
-        raise SchemeViolationError(f"matrix shape {p.shape} does not match {m} agents")
-    if np.any(p < 0) or np.any(p > 1):
+    adj = np.asarray(adj, dtype=bool)
+    m = len(adj)
+    if adj.shape != (m, m) or p.shape != (m, m):
+        raise SchemeViolationError(
+            f"matrix shape {p.shape} does not match adjacency shape {adj.shape}")
+    _check_symmetric(adj)
+    if not (p.min() >= 0 and p.max() <= 1):  # false for NaN entries too
         raise SchemeViolationError("entries must lie in [0, 1]")
     rows = p.sum(axis=1)
     cols = p.sum(axis=0)
-    if np.max(np.abs(rows - 1.0)) > _STOCHASTIC_TOL:
-        i = int(np.argmax(np.abs(rows - 1.0)))
-        raise SchemeViolationError(f"row {i} sums to {rows[i]!r}, not 1")
-    if np.max(np.abs(cols - 1.0)) > _STOCHASTIC_TOL:
-        j = int(np.argmax(np.abs(cols - 1.0)))
+    if abs(rows - 1.0).max() > _STOCHASTIC_TOL:
+        i = int(np.argmax(abs(rows - 1.0)))
+        raise SchemeViolationError(f"row {i} sums to {float(rows[i])!r}, not 1")
+    if abs(cols - 1.0).max() > _STOCHASTIC_TOL:
+        j = int(np.argmax(abs(cols - 1.0)))
         raise SchemeViolationError(
-            f"column {j} sums to {cols[j]!r}, not 1 (matrix is not doubly stochastic)")
-    diag = np.diag(p)
-    if np.any(diag <= 0):
+            f"column {j} sums to {float(cols[j])!r}, not 1 (matrix is not doubly stochastic)")
+    diag = p.diagonal()
+    if (diag <= 0).any():
         i = int(np.flatnonzero(diag <= 0)[0])
         raise SchemeViolationError(f"agent {i} has non-positive self probability")
-    allowed = np.zeros((m, m), dtype=bool)
-    for i, nb in enumerate(neighbors):
-        allowed[i, nb] = True
-        allowed[i, i] = True
-    if np.any(p[~allowed] != 0.0):
-        bad = np.argwhere((p != 0.0) & ~allowed)[0]
-        raise SchemeViolationError(
-            f"entry {tuple(bad)} is positive but {bad[1]} is not a neighbor of {bad[0]}")
     positive = p > 0
+    stray = positive & ~adj
+    if np.count_nonzero(stray) > m:  # beyond the (positive) diagonal
+        np.fill_diagonal(stray, False)
+        i, j = np.argwhere(stray)[0]
+        raise SchemeViolationError(
+            f"entry ({i}, {j}) is positive but {j} is not a neighbor of {i}")
     short = positive & (p < eta)
-    if np.any(short):
+    if short.any():
         borderline = short & (p > eta - 1e-9)
         if scheme is not None and np.array_equal(short, borderline):
-            ent, eta_exact = scheme._exact_entries(neighbors)
+            ent, eta_exact = scheme._exact_entries([np.flatnonzero(r) for r in adj])
             for i, j in np.argwhere(short):
                 if ent.get((int(i), int(j)), Fraction(0)) < eta_exact:
                     raise SchemeViolationError(
-                        f"entry ({i},{j}) = {p[i, j]!r} is below the scheme floor")
+                        f"entry ({i},{j}) = {float(p[i, j])!r} is below the scheme floor")
         else:
             i, j = np.argwhere(short)[0]
             raise SchemeViolationError(
-                f"entry ({i},{j}) = {p[i, j]!r} is below the scheme floor {eta!r}")
+                f"entry ({i},{j}) = {float(p[i, j])!r} is below the scheme floor {float(eta)!r}")
 
 
-def build_transition(scheme, neighbors, m=None):
-    """Transition matrix for the instantaneous neighbor structure.
+def build_transition(scheme, adj):
+    """Validated :class:`TransitionMatrix` for one instant's adjacency.
 
-    ``neighbors`` is one sorted index array per agent; the sets must be
-    symmetric.  Returns a validated :class:`TransitionMatrix` carrying the
-    scheme's analytic entry floor for that structure.
+    ``adj`` is the ``(m, m)`` boolean adjacency matrix (symmetric, false
+    diagonal).  The result carries the scheme's analytic entry floor for
+    that structure.
     """
-    if m is not None and len(neighbors) != m:
-        raise DimensionMismatchError(f"expected {m} neighbor sets, got {len(neighbors)}")
-    _check_symmetric(neighbors)
-    p = scheme.matrix(neighbors)
-    eta = scheme.eta(neighbors)
-    validate_transition(p, neighbors, eta, scheme)
+    adj = np.asarray(adj, dtype=bool)
+    deg = adj.sum(axis=1)
+    p = scheme.matrix(adj, deg)
+    eta = scheme.eta(deg)
+    validate_transition(p, adj, eta, scheme)
     return TransitionMatrix(p, float(eta))
 
 
@@ -547,12 +555,13 @@ class _TransitionProvider:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        neighbors = self.topology.neighbors(k)
+        adj = self.topology.adjacency(k)
         if self.validate:
-            tm = build_transition(self.scheme, neighbors)
+            tm = build_transition(self.scheme, adj)
         else:
-            tm = TransitionMatrix(self.scheme.matrix(neighbors),
-                                  self.scheme.eta(neighbors))
+            deg = adj.sum(axis=1)
+            tm = TransitionMatrix(self.scheme.matrix(adj, deg),
+                                  self.scheme.eta(deg))
         value = (tm.entries, tm.cumulative())
         if self._phases is not None:
             self._cache[key] = value

@@ -5,7 +5,9 @@ bound on the norm of the conditional mean of the error at iteration k, and
 ``rms_bound(k, dim)``, an upper bound on the root second moment.  The
 declared bounds always satisfy mean_bound <= rms_bound (equality only in
 the error-free case), and they are what the error-bound calculators in
-:mod:`incsub.analysis` consume.
+:mod:`incsub.analysis` consume.  Both also take an array of
+iterations and then give one value per entry (a single float when the
+sequence is constant), so a supremum over a horizon sees every k.
 
 Draws are organized in iteration-indexed blocks on a counter-based stream
 (see :mod:`incsub.streams`): the error for (iteration k, agent i) is a fixed
@@ -25,8 +27,14 @@ from .streams import BLOCK, DOMAIN_NOISE, block_generator, block_index, block_of
 Sequence = Union[float, Callable[[int], float]]
 
 
-def _seq_at(value: Sequence, k: int) -> float:
-    return float(value(k)) if callable(value) else float(value)
+def _seq_at(value: Sequence, k):
+    """The sequence at iteration k (an int), or at each entry of an array
+    of iterations; a constant sequence gives one float either way."""
+    if not callable(value):
+        return float(value)
+    if np.ndim(k) == 0:
+        return float(value(k))
+    return np.array([float(value(int(i))) for i in k])
 
 
 def _seq_block(value: Sequence, start: int, count: int) -> np.ndarray:
@@ -101,7 +109,8 @@ class BiasedGaussianNoise:
     def rms_bound(self, k, dim):
         b = _seq_at(self.bias, k)
         s = _seq_at(self.sigma, k)
-        return float(np.sqrt(b * b + dim * s * s))
+        rms = np.sqrt(b * b + dim * s * s)
+        return rms if np.ndim(rms) else float(rms)
 
     @property
     def is_zero(self):

@@ -28,7 +28,7 @@ def geometric_envelope_holds(scheme, topology, horizon=200, tol=1e-10):
     rc = isb.rate_constants(scheme.uniform_eta(topology), m, topology.window)
     prod = None
     for k in range(horizon + 1):
-        tm = isb.build_transition(scheme, topology.neighbors(k))
+        tm = isb.build_transition(scheme, topology.adjacency(k))
         prod = tm.entries if prod is None else prod @ tm.entries
         dev = isb.max_uniform_deviation(prod)
         if dev > rc.b * rc.beta**k + tol:

@@ -16,7 +16,7 @@ from helpers import (brute_force_window, geometric_envelope_holds,
                      random_symmetric_topology)
 from incsub.config import ExperimentConfig
 from incsub.harness import run_experiment
-from incsub.markov import neighbors_from_edges
+from incsub.markov import adjacency_from_edges
 
 SIGMA_FOR_HALF_RMS = 0.5 / np.sqrt(2.0)  # nu = sigma * sqrt(n) = 0.5 at n = 2
 
@@ -224,11 +224,11 @@ def test_criterion_7_scheme_validity_on_random_topologies():
     built = 0
     for _ in range(1000):
         m, edges = random_symmetric_topology(rng)
-        nb = neighbors_from_edges(m, edges)
+        adj = adjacency_from_edges(m, edges)
         weight = rng.uniform(0.05, 0.95)
         for scheme in (isb.EqualProbability(), isb.MinEqualNeighbor(),
                        isb.WeightedMetropolisHastings(weight)):
-            isb.build_transition(scheme, nb)  # validates internally
+            isb.build_transition(scheme, adj)  # validates internally
             built += 1
     report(7, built == 3000,
            f"{built}/3000 scheme matrices passed doubly-stochastic, "

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import incsub as isb
 from helpers import brute_force_window, geometric_envelope_holds
-from incsub.markov import neighbors_from_edges, ring_edges
+from incsub.markov import adjacency_from_edges, ring_edges
 
 
 class TestRateConstants:
@@ -48,9 +48,9 @@ class TestPhiProduct:
         m = 4
         scheme = isb.MinEqualNeighbor()
         topo_edges = ring_edges(m)
-        nb = neighbors_from_edges(m, topo_edges)
-        rc = isb.rate_constants(scheme.eta(nb), m, 1)
-        mats = [isb.build_transition(scheme, nb) for _ in range(50)]
+        adj = adjacency_from_edges(m, topo_edges)
+        rc = isb.rate_constants(scheme.eta(adj.sum(axis=1)), m, 1)
+        mats = [isb.build_transition(scheme, adj) for _ in range(50)]
         prod = isb.phi_product(mats)
         assert isb.max_uniform_deviation(prod) <= rc.b * rc.beta**50 + 1e-12
         # double stochasticity survives the product up to rounding

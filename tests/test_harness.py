@@ -1,13 +1,16 @@
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from incsub import ExperimentConfig
 from incsub.cli import main as cli_main
 from incsub.config import parse_config_text
 from incsub.errors import ConfigError
-from incsub.harness import compare_bounds, run_experiment
+from incsub.harness import _supremum, compare_bounds, run_experiment
+from incsub.noise import BiasedGaussianNoise, GaussianNoise
 
 CYCLIC_CFG = """
 algorithm = cyclic
@@ -242,3 +245,80 @@ class TestCli:
                   "--seed", "2"])
         assert (out_a / "trace_0.csv").read_text() != \
             (out_b / "trace_0.csv").read_text()
+
+
+def write_config(path, flat):
+    path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in flat.items()))
+    return str(path)
+
+
+class TestFailFast:
+    """Bad builder inputs stop with exit code 2 before any tick runs."""
+
+    @pytest.mark.parametrize("verb", ["run", "validate", "bounds"])
+    def test_missing_constant_step(self, tmp_path, capsys, verb):
+        flat = parse_config_text(MARKOV_CFG)
+        del flat["schedule.alpha"]
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert "schedule.alpha: missing required entry" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "validate", "bounds"])
+    def test_negative_noise_level(self, tmp_path, capsys, verb):
+        flat = parse_config_text(MARKOV_CFG)
+        flat["noise.sigma"] = -1
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert "noise.sigma: must be >= 0.0, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, value, field", [
+        ("schedule.alpha", "fast", "schedule.alpha"),
+        ("schedule.alpha", 0.0, "schedule.alpha"),
+        ("noise.kind", "bounded_uniform", "noise.radius"),
+        ("problem.set", {"kind": "ball", "center": 0.0}, "problem.set.radius"),
+        ("problem.set", {"kind": "ball", "center": 0.0, "radius": -2.0},
+         "problem.set"),
+    ])
+    def test_other_bad_entries_name_their_field(self, tmp_path, capsys, entry,
+                                                value, field):
+        flat = parse_config_text(MARKOV_CFG)
+        flat[entry] = value
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        assert cli_main(["validate", "--config", cfg]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+
+
+class TestSupremum:
+    def test_non_monotone_callable_sigma(self):
+        # peaks near k = 16 and is low at k = 1, 50 and 100
+        noise = GaussianNoise(lambda k: 0.2 + 0.1 * math.sin(k / 10.0))
+        horizon = 100
+        every_k = [noise.rms_bound(k, 2) for k in range(1, horizon + 1)]
+        sup = _supremum(lambda k: noise.rms_bound(k, 2), horizon)
+        assert sup == max(every_k)
+        assert sup > max(noise.rms_bound(k, 2) for k in (1, 50, 100))
+
+    def test_non_monotone_callable_bias(self):
+        noise = BiasedGaussianNoise(lambda k: 0.5 if k == 7 else 0.1, 0.2)
+        assert _supremum(noise.mean_bound, 100) == 0.5
+        assert _supremum(lambda k: noise.rms_bound(k, 3), 100) == \
+            noise.rms_bound(7, 3)
+
+    def test_callable_over_several_chunks(self):
+        # the peak sits in the last partial chunk of iterations
+        horizon = 3 * (1 << 10) + 5
+        noise = BiasedGaussianNoise(lambda k: 1.0 if k == horizon - 2 else 0.0, 0.0)
+        assert _supremum(noise.mean_bound, horizon) == 1.0
+        assert _supremum(noise.mean_bound, horizon - 3) == 0.0
+
+    def test_constant_sequences_and_empty_horizon(self):
+        noise = BiasedGaussianNoise(0.1, 0.2)
+        assert _supremum(noise.mean_bound, 10**6) == 0.1
+        assert _supremum(lambda k: noise.rms_bound(k, 2), 0) == \
+            noise.rms_bound(1, 2)
+        assert isinstance(_supremum(GaussianNoise(0.3).mean_bound, 5), float)
+        assert np.isscalar(GaussianNoise(0.3).rms_bound(np.arange(1, 4), 2))

@@ -5,7 +5,7 @@ import incsub as isb
 from helpers import random_symmetric_topology
 from incsub.errors import SchemeViolationError, TopologyError
 from incsub.markov import (_TransitionProvider, _next_from_uniform,
-                           neighbors_from_edges, path_edges, ring_edges)
+                           adjacency_from_edges, path_edges, ring_edges)
 from incsub.streams import init_generator
 
 
@@ -21,18 +21,18 @@ class ZeroStep:
 
 class TestTransitionSchemes:
     def test_equal_probability_complete_graph(self):
-        nb = neighbors_from_edges(3, [(0, 1), (0, 2), (1, 2)])
+        nb = adjacency_from_edges(3, [(0, 1), (0, 2), (1, 2)])
         tm = isb.build_transition(isb.EqualProbability(), nb)
         assert np.allclose(tm.entries, np.full((3, 3), 1 / 3))
         assert tm.eta == pytest.approx(1 / 3)
 
     def test_min_equal_two_agents(self):
-        nb = neighbors_from_edges(2, [(0, 1)])
+        nb = adjacency_from_edges(2, [(0, 1)])
         tm = isb.build_transition(isb.MinEqualNeighbor(), nb)
         assert np.allclose(tm.entries, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_equal_probability_path(self):
-        nb = neighbors_from_edges(3, path_edges(3))
+        nb = adjacency_from_edges(3, path_edges(3))
         tm = isb.build_transition(isb.EqualProbability(), nb)
         expect = np.array([[2 / 3, 1 / 3, 0.0],
                            [1 / 3, 1 / 3, 1 / 3],
@@ -42,7 +42,7 @@ class TestTransitionSchemes:
         assert np.allclose(tm.entries.sum(axis=1), 1.0, atol=1e-12)
 
     def test_weighted_mh_ring(self):
-        nb = neighbors_from_edges(4, ring_edges(4))
+        nb = adjacency_from_edges(4, ring_edges(4))
         tm = isb.build_transition(isb.WeightedMetropolisHastings(0.5), nb)
         assert np.allclose(tm.entries.sum(axis=0), 1.0, atol=1e-12)
         assert np.allclose(np.diag(tm.entries), 0.5)
@@ -55,7 +55,7 @@ class TestTransitionSchemes:
         rng = np.random.default_rng(99)
         for _ in range(200):
             m, edges = random_symmetric_topology(rng)
-            tm = isb.build_transition(scheme, neighbors_from_edges(m, edges))
+            tm = isb.build_transition(scheme, adjacency_from_edges(m, edges))
             # build_transition already validates; re-assert the key facts
             p = tm.entries
             assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
@@ -64,22 +64,22 @@ class TestTransitionSchemes:
             assert np.all(p[p > 0] >= tm.eta - 1e-15)
 
     def test_unequal_mh_weights_break_double_stochasticity(self):
-        nb = neighbors_from_edges(2, [(0, 1)])
+        nb = adjacency_from_edges(2, [(0, 1)])
         with pytest.raises(SchemeViolationError, match="doubly stochastic"):
             isb.build_transition(isb.WeightedMetropolisHastings([0.3, 0.7]), nb)
 
     def test_asymmetric_neighbors_rejected(self):
-        nb = [np.array([1]), np.array([], dtype=int)]
+        nb = np.array([[False, True], [False, False]])  # 1 in N_0, 0 not in N_1
         with pytest.raises(SchemeViolationError, match="asymmetric"):
             isb.build_transition(isb.EqualProbability(), nb)
 
     def test_validate_transition_catches_bad_matrices(self):
-        nb = neighbors_from_edges(2, [(0, 1)])
+        nb = adjacency_from_edges(2, [(0, 1)])
         with pytest.raises(SchemeViolationError, match="row"):
             isb.validate_transition(np.array([[0.4, 0.5], [0.5, 0.5]]), nb, 0.1)
         with pytest.raises(SchemeViolationError, match="self probability"):
             isb.validate_transition(np.array([[0.0, 1.0], [1.0, 0.0]]), nb, 0.1)
-        sparse_nb = [np.array([1]), np.array([0]), np.array([], dtype=int)]
+        sparse_nb = adjacency_from_edges(3, [(0, 1)])
         hop = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
         with pytest.raises(SchemeViolationError, match="not a neighbor"):
             isb.validate_transition(hop, sparse_nb, 0.1)
@@ -139,13 +139,13 @@ class TestTopologies:
         again = isb.make_topology("random_edges", 5, base="complete",
                                   inclusion_prob=0.3, window=2, seed=7)
         for k in range(20):
-            assert topo.edges_at(k) == again.edges_at(k)
-        ring = set(ring_edges(5))
+            assert np.array_equal(topo.adjacency(k), again.adjacency(k))
+        ring = adjacency_from_edges(5, ring_edges(5))
         for k in range(10):
-            union = set()
+            union = np.zeros((5, 5), dtype=bool)
             for j in range(topo.window):
-                union.update(topo.edges_at(k + j))
-            assert ring <= union
+                union |= topo.adjacency(k + j)
+            assert np.all(union[ring])
 
     def test_random_edges_require_ring_in_base(self):
         with pytest.raises(TopologyError):
