@@ -18,18 +18,17 @@ from .errors import (CertificateError, ConfigError, DimensionMismatchError,
 from .sets import Ball, Box, Halfspaces, Simplex, project
 from .schedules import Constant, PowerLaw, step_size
 from .noise import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
-                    NoNoise, NoiseStream, noisy_subgradient)
-from .objectives import (ComponentObjective, LinearUtility, LogUtility,
-                         SqrtUtility, absolute_value, quadratic_distance,
-                         regression_component, utility_component)
+                    NoNoise, NoiseStream)
+from .objectives import (LinearUtility, LogUtility, QuadraticFamily,
+                         RegressionFamily, SqrtUtility, UtilityFamily)
 from .problems import (OptimumCertificate, ProblemInstance, grid_search,
                        make_allocation, make_quadratic_suite, make_regression)
 from .cyclic import CyclicState, cyclic_cycle, run_cyclic, run_cyclic_batch
-from .markov import (EqualProbability, MarkovState, MinEqualNeighbor,
+from .markov import (EqualProbability, MinEqualNeighbor,
                      PeriodicTopology, RandomEdgeTopology, StaticTopology,
                      TransitionMatrix, WeightedMetropolisHastings,
                      adjacency_from_edges, build_transition, make_scheme,
-                     make_topology, markov_step, run_markov, run_markov_batch,
+                     make_topology, run_markov, run_markov_batch,
                      sample_next_agent, validate_transition)
 from .analysis import (BoundReport, BoundVerdict, OptimalWindow, RateConstants,
                        aggregate_verdicts, cyclic_bound, delta_window,

@@ -27,6 +27,7 @@ from .errors import ConfigError
 from .markov import make_scheme, make_topology
 from .noise import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
                     NoNoise)
+from .objectives import LinearUtility, LogUtility, SqrtUtility
 from .problems import make_allocation, make_quadratic_suite, make_regression
 from .schedules import Constant, PowerLaw
 from .sets import Ball, Box, Simplex
@@ -182,111 +183,176 @@ class ExperimentConfig:
 _MISSING = object()
 
 
-def _number(spec, section, key, default=_MISSING, minimum=None):
-    """``spec[key]`` as a float; ``minimum`` is inclusive."""
+def _number(spec, section, key, default=_MISSING, minimum=None, kind=float):
+    """``spec[key]`` as a float, or as an int with ``kind=int`` (a float
+    must then be integral); ``minimum`` is inclusive."""
     field = f"{section}.{key}"
     raw = spec.get(key, default)
     if raw is _MISSING:
         raise ConfigError("missing required entry", field=field)
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected a number, got {raw!r}", field=field) from None
+        value = kind(raw)
+        if kind is int and isinstance(raw, float) and value != raw:
+            raise ValueError(raw)
+    except (TypeError, ValueError, OverflowError):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"expected {expected}, got {raw!r}", field=field) from None
     if minimum is not None and not value >= minimum:
         raise ConfigError(f"must be >= {minimum}, got {value}", field=field)
     return value
 
 
-def _construct(section, cls, *args):
-    """``cls(*args)``, with the constructor's range checks as ConfigErrors."""
+def _floats(raw, field):
+    """``raw`` as a float array; any non-number in it is a ConfigError."""
     try:
-        return cls(*args)
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("expected numbers", field=field) from None
+
+
+def _check_keys(spec, section, allowed):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"expected an object, got {spec!r}", field=section)
+    for key in sorted(spec):
+        if key not in allowed:
+            raise ConfigError(f"unknown entry; expected one of "
+                              f"{', '.join(sorted(allowed))}",
+                              field=f"{section}.{key}")
+
+
+def _construct(section, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, with its range checks as ConfigErrors."""
+    try:
+        return cls(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc), field=section) from None
 
 
+_SET_KEYS = {"box": {"kind", "lower", "upper"},
+             "ball": {"kind", "center", "radius"},
+             "simplex": {"kind", "scale", "dim"}}
+
+
 def build_set(spec, default_dim=None):
-    kind = spec.get("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _SET_KEYS:
+        raise ConfigError(f"unknown set kind {kind!r}", field="problem.set.kind")
+    _check_keys(spec, "problem.set", _SET_KEYS[kind])
+
+    def vector(key, default=_MISSING):
+        field = f"problem.set.{key}"
+        raw = spec.get(key, default)
+        if raw is _MISSING:
+            raise ConfigError("missing required entry", field=field)
+        value = _floats(raw, field)
+        if value.ndim == 0:
+            if default_dim is None:
+                raise ConfigError(f"a scalar {key} needs a known dimension",
+                                  field="problem.set")
+            value = np.full(default_dim, float(value))
+        if value.ndim != 1:
+            raise ConfigError("expected a number or a list of numbers", field=field)
+        return value
+
     if kind == "box":
-        lower, upper = spec.get("lower"), spec.get("upper")
-        if np.isscalar(lower):
-            if default_dim is None:
-                raise ConfigError("scalar box bounds need a known dimension",
-                                  field="problem.set")
-            lower = [lower] * default_dim
-            upper = [upper] * default_dim
-        return _construct("problem.set", Box, np.asarray(lower, float),
-                          np.asarray(upper, float))
+        return _construct("problem.set", Box, vector("lower"), vector("upper"))
     if kind == "ball":
-        center = spec.get("center", 0.0)
-        if np.isscalar(center):
-            if default_dim is None:
-                raise ConfigError("scalar ball center needs a known dimension",
-                                  field="problem.set")
-            center = [center] * default_dim
-        return _construct("problem.set", Ball, np.asarray(center, float),
+        return _construct("problem.set", Ball, vector("center", 0.0),
                           _number(spec, "problem.set", "radius"))
-    if kind == "simplex":
-        dim = int(spec.get("dim", default_dim or 0))
-        if dim < 1:
-            raise ConfigError("simplex needs a dimension", field="problem.set.dim")
-        return _construct("problem.set", Simplex,
-                          _number(spec, "problem.set", "scale", 1.0), dim)
-    raise ConfigError(f"unknown set kind {kind!r}", field="problem.set.kind")
+    dim = _number(spec, "problem.set", "dim", default_dim or 0, kind=int)
+    if dim < 1:
+        raise ConfigError("simplex needs a dimension", field="problem.set.dim")
+    return _construct("problem.set", Simplex,
+                      _number(spec, "problem.set", "scale", 1.0), dim)
+
+
+def _grid_resolution(spec, default):
+    if spec.get("grid_resolution") is None:
+        return default
+    value = _number(spec, "problem", "grid_resolution")
+    if not value > 0:
+        raise ConfigError(f"must be > 0, got {value}",
+                          field="problem.grid_resolution")
+    return value
+
+
+_FIXTURE_KEYS = {
+    "quadratic": {"fixture", "m", "n", "spread", "set", "centers",
+                  "centers_seed", "grid_resolution"},
+    "regression": {"fixture", "features", "samples", "set", "grid_resolution"},
+    "allocation": {"fixture", "utilities", "set", "grid_resolution"},
+}
+_UTILITY_KEYS = {"log": {"kind", "weight"}, "sqrt": {"kind", "floor"},
+                 "linear": {"kind", "slope", "cap"}}
+
+
+def _utility(spec, section):
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _UTILITY_KEYS:
+        raise ConfigError(f"unknown utility kind {kind!r}", field=f"{section}.kind")
+    _check_keys(spec, section, _UTILITY_KEYS[kind])
+    if kind == "log":
+        return _construct(section, LogUtility, _number(spec, section, "weight", 1.0))
+    if kind == "sqrt":
+        return _construct(section, SqrtUtility, _number(spec, section, "floor", 1e-4))
+    cap = None if spec.get("cap") is None else _number(spec, section, "cap")
+    return _construct(section, LinearUtility,
+                      _number(spec, section, "slope", 1.0), cap)
 
 
 def build_problem(spec):
     fixture = spec.get("fixture")
+    if fixture not in _FIXTURE_KEYS:
+        raise ConfigError(f"unknown fixture {fixture!r}", field="problem.fixture")
+    _check_keys(spec, "problem", _FIXTURE_KEYS[fixture])
     if fixture == "quadratic":
-        m = int(spec.get("m", 1))
-        n = int(spec.get("n", 1))
+        m = _number(spec, "problem", "m", 1, minimum=1, kind=int)
+        n = _number(spec, "problem", "n", 1, minimum=1, kind=int)
         fset = build_set(spec.get("set", {"kind": "box", "lower": -1.0, "upper": 1.0}),
                          default_dim=n)
-        return make_quadratic_suite(
-            m, n, float(spec.get("spread", 1.0)), fset,
-            centers=spec.get("centers"), seed=int(spec.get("centers_seed", 0)),
-            grid_resolution=spec.get("grid_resolution"))
+        centers = None
+        if spec.get("centers") is not None:
+            centers = _floats(spec["centers"], "problem.centers")
+            if centers.size != m * n:
+                raise ConfigError(f"expected m * n = {m * n} numbers, got "
+                                  f"{centers.size}", field="problem.centers")
+        return _construct(
+            "problem", make_quadratic_suite, m, n,
+            _number(spec, "problem", "spread", 1.0, minimum=0.0), fset,
+            centers=centers,
+            seed=_number(spec, "problem", "centers_seed", 0, minimum=0, kind=int),
+            grid_resolution=_grid_resolution(spec, None))
     if fixture == "regression":
-        features = spec.get("features")
-        samples = spec.get("samples")
-        if features is None or samples is None:
+        if spec.get("features") is None or spec.get("samples") is None:
             raise ConfigError("regression fixture needs features and samples",
                               field="problem")
-        n = len(features[0])
+        features = _floats(spec["features"], "problem.features")
+        if features.ndim != 2 or features.size == 0:
+            raise ConfigError("expected a nonempty list of equal-length rows",
+                              field="problem.features")
+        raw_samples = spec["samples"]
+        if not isinstance(raw_samples, list) or len(raw_samples) != len(features):
+            raise ConfigError(f"expected one list of samples per row of "
+                              f"problem.features ({len(features)})",
+                              field="problem.samples")
+        samples = [np.atleast_1d(_floats(r, f"problem.samples[{i}]"))
+                   for i, r in enumerate(raw_samples)]
         if "set" not in spec:
             raise ConfigError("missing required entry", field="problem.set")
-        fset = build_set(spec["set"], default_dim=n)
-        locations = list(range(len(features)))
-        feats = [np.asarray(f, float) for f in features]
-        return make_regression(locations, lambda s: feats[s], fset,
-                               samples=[np.asarray(r, float) for r in samples],
-                               grid_resolution=float(spec.get("grid_resolution", 1e-3)))
-    if fixture == "allocation":
-        from .objectives import LinearUtility, LogUtility, SqrtUtility
-
-        specs = spec.get("utilities")
-        if not specs:
-            raise ConfigError("allocation fixture needs a utilities list",
-                              field="problem.utilities")
-        utilities = []
-        for u in specs:
-            kind = u.get("kind")
-            if kind == "log":
-                utilities.append(LogUtility(float(u.get("weight", 1.0))))
-            elif kind == "sqrt":
-                utilities.append(SqrtUtility(float(u.get("floor", 1e-4))))
-            elif kind == "linear":
-                utilities.append(LinearUtility(float(u.get("slope", 1.0)),
-                                               u.get("cap")))
-            else:
-                raise ConfigError(f"unknown utility kind {kind!r}",
-                                  field="problem.utilities")
-        fset = build_set(spec.get("set", {"kind": "simplex", "scale": 1.0,
-                                          "dim": len(utilities)}),
-                         default_dim=len(utilities))
-        return make_allocation(utilities, fset,
-                               grid_resolution=float(spec.get("grid_resolution", 1e-3)))
-    raise ConfigError(f"unknown fixture {fixture!r}", field="problem.fixture")
+        fset = build_set(spec["set"], default_dim=features.shape[1])
+        return _construct("problem", make_regression, list(range(len(features))),
+                          lambda s: features[s], fset, samples=samples,
+                          grid_resolution=_grid_resolution(spec, 1e-3))
+    specs = spec.get("utilities")
+    if not isinstance(specs, list) or not specs:
+        raise ConfigError("allocation fixture needs a utilities list",
+                          field="problem.utilities")
+    utilities = [_utility(u, f"problem.utilities[{i}]") for i, u in enumerate(specs)]
+    fset = build_set(spec.get("set", {"kind": "simplex", "scale": 1.0,
+                                      "dim": len(utilities)}),
+                     default_dim=len(utilities))
+    return _construct("problem", make_allocation, utilities, fset,
+                      grid_resolution=_grid_resolution(spec, 1e-3))
 
 
 def build_schedule(spec):

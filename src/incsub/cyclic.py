@@ -60,8 +60,8 @@ def cyclic_cycle(state, problem, noise_stream, schedule):
     z = state.x[None, :].copy()
     subs = [z[0].copy()]
     skip_noise = getattr(noise_stream.model, "is_zero", False)
-    for i, comp in enumerate(problem.components):
-        g = comp.subgradient_many(z)
+    for i in range(problem.m):
+        g = problem.subgradient_for_agents(z, i)
         if not skip_noise:
             g = g + noise_stream.draw(it, i)[None, :]
         z = fset.project_many(z - alpha * g)
@@ -182,7 +182,6 @@ def run_cyclic_batch(problem, noise, schedule, x0, cycles, seeds, *, stride=1,
         return traces
 
     skip_noise = getattr(noise, "is_zero", False)
-    components = problem.components
     nblocks = (cycles + BLOCK - 1) // BLOCK
     for b in range(nblocks):
         start_it = b * BLOCK + 1
@@ -200,7 +199,7 @@ def run_cyclic_batch(problem, noise, schedule, x0, cycles, seeds, *, stride=1,
                 handoffs = [x_batch.copy()]
             try:
                 for i in range(m):
-                    g = components[i].subgradient_many(x_batch)
+                    g = problem.subgradient_for_agents(x_batch, i)
                     if eps is not None:
                         g = g + eps[:, off, i, :]
                     x_batch = fset.project_many(x_batch - alpha * g)

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, NonFiniteError,
                      SchemeViolationError, TopologyError)
-from .noise import NoiseStream
 from .streams import (BLOCK, DOMAIN_TOPOLOGY, block_generator,
                       chain_uniform_block, init_generator)
 from .trace import RunTrace, record_indices
@@ -527,13 +526,6 @@ def _next_from_uniform(cum_row, u):
 
 # -- engine -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarkovState:
-    k: int
-    x: np.ndarray
-    agent: int
-
-
 class _TransitionProvider:
     """Per-tick (P, cumP), cached for static and periodic sequences."""
 
@@ -566,32 +558,6 @@ class _TransitionProvider:
         if self._phases is not None:
             self._cache[key] = value
         return value
-
-
-def markov_step(state, problem, noise_stream, schedule, topology, scheme, seed,
-                provider=None):
-    """Advance one tick: draw the next agent, then one projected step.
-
-    The next agent is drawn from row ``state.agent`` of the transition
-    matrix built from the topology at time k *before* the subgradient is
-    evaluated, and the subgradient is evaluated at the current iterate.
-    Draws replay the batch runner exactly for the same seed.
-    """
-    it = state.k + 1
-    if provider is None:
-        provider = _TransitionProvider(topology, scheme)
-    _, cum = provider.at(state.k)
-    u = chain_uniform_block(seed, (it - 1) // BLOCK)[(it - 1) % BLOCK]
-    nxt = _next_from_uniform(cum[state.agent], u)
-    alpha = schedule.step(it)
-    x = state.x[None, :]
-    g = problem.components[nxt].subgradient_many(x)
-    if not getattr(noise_stream.model, "is_zero", False):
-        g = g + noise_stream.draw(it, 0)[None, :]
-    x = problem.feasible_set.project_many(x - alpha * g)
-    if not np.isfinite(x).all():
-        raise NonFiniteError(f"non-finite iterate at tick {it}")
-    return MarkovState(it, x[0], nxt)
 
 
 def run_markov(problem, noise, schedule, topology, scheme, x0, ticks, seed, *,
@@ -766,8 +732,3 @@ def run_markov_batch(problem, noise, schedule, topology, scheme, x0, ticks,
             visits[r] += np.bincount(agent_buf[r], minlength=m)
 
     return build_traces(x_batch)
-
-
-def make_markov_noise_stream(noise, problem, seed):
-    """Stream matching the batch runner's draws for one replication."""
-    return NoiseStream(noise, seed, 1, problem.n)

@@ -194,14 +194,3 @@ class NoiseStream:
             return np.zeros(self.dim)
         return data[block_offset(k), agent, :]
 
-
-def noisy_subgradient(objective, stream, x, k, agent=0):
-    """Exact subgradient of ``objective`` at x plus one noise draw.
-
-    The draw is indexed by (iteration k, agent) on the stream's seed, so
-    repeated calls with the same arguments return the same vector.  The
-    caller is responsible for x being feasible.
-    """
-    g = objective.subgradient(x)
-    eps = stream.draw(k, agent)
-    return g + eps

@@ -1,146 +1,101 @@
-"""Convex component objectives with exact subgradient oracles.
+"""Objective families: all m agents' convex components as stacked parameters.
 
-A ``ComponentObjective`` bundles an evaluator, a subgradient oracle, and a
-claimed bound on subgradient norms over the feasible set.  The bundled
-callables are trusted; the test suite checks the subgradient inequality
-and the norm bound by sampling, as the contracts require.
+The problem is min_x f(x) = f_1(x) + ... + f_m(x) over a convex set, where
+agent i knows only f_i.  The engines need two operations on that sum, and
+each fixture's family provides them for every agent at once:
 
-Vectorized entry points (``evaluate_many`` / ``subgradient_many``) operate
-on ``(N, n)`` batches and fall back to a row loop when no fast form was
-supplied.  All shipped families provide fast forms whose row-wise results
-are bit-identical to their scalar forms.
+- ``evaluate_many(X)``: f at each row of an ``(N, n)`` batch;
+- ``subgradient_many(X, agents)``: row r is a subgradient of
+  f_{agents[r]} at X[r]; ``agents`` is an index array of length N, or one
+  int for all rows.
+
+Each family also has ``m``, ``n`` and ``bounds``, the array of
+C_i >= sup_{x in X} ||g_i(x)|| over the feasible set it was built for,
+exact on the bounded set variants.
+
+Every row's result depends on that row alone: the families use elementwise
+products and sums along an axis, never a BLAS matrix-vector product, whose
+rounding can change with the number of rows.  A replication's iterates are
+therefore the same alone, in a batch or in a worker process, and a grid
+search finds the same point whatever its chunk size.  Temporaries are
+O(N m), never O(N m n).
+
+Shipped families: ``QuadraticFamily`` (distances to centers),
+``RegressionFamily`` (per-sensor mean squared residuals of a linear model)
+and ``UtilityFamily`` (negated concave per-coordinate utilities).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .sets import farthest_distance, linear_range
+from .sets import coordinate_range, farthest_distance, linear_range
 
 
-@dataclass(frozen=True)
-class ComponentObjective:
-    """One agent's convex function f_i with subgradient oracle and bound C_i."""
+def _dot(xs, p):
+    """sum_j xs[..., j] * p[..., j] with broadcasting, added in coordinate order."""
+    total = xs[..., 0] * p[..., 0]
+    for j in range(1, xs.shape[-1]):
+        total += xs[..., j] * p[..., j]
+    return total
 
-    evaluate: Callable[[np.ndarray], float]
-    subgradient: Callable[[np.ndarray], np.ndarray]
-    bound: float
-    dim: int
-    label: str = ""
-    evaluate_many_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    subgradient_many_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def __post_init__(self):
-        if not self.bound >= 0:
-            raise ValueError(f"subgradient bound must be >= 0, got {self.bound}")
+class QuadraticFamily:
+    """f_i(x) = ||x - c_i||^2 with gradient 2 (x - c_i); centers stacked (m, n).
+
+    The sum is evaluated in closed form, m ||x - cbar||^2 plus the centers'
+    spread around their centroid cbar.  C_i = 2 max_{x in X} ||x - c_i||.
+    """
+
+    def __init__(self, centers, feasible_set):
+        self.centers = np.array(centers, dtype=float, ndmin=2)
+        self.m, self.n = self.centers.shape
+        self.centroid = self.centers.mean(axis=0)
+        d = self.centers - self.centroid
+        self.offset = float(np.einsum("ij,ij->", d, d))
+        self.bounds = np.array([2.0 * farthest_distance(feasible_set, c)
+                                for c in self.centers])
 
     def evaluate_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.shape[-1] != self.dim:
-            raise DimensionMismatchError(
-                f"{self.label or 'objective'}: points of dim {self.dim} expected, "
-                f"got shape {xs.shape}")
-        if self.evaluate_many_fn is not None:
-            return self.evaluate_many_fn(xs)
-        return np.array([self.evaluate(x) for x in xs])
+        d = xs - self.centroid
+        return self.m * np.einsum("ij,ij->i", d, d) + self.offset
 
-    def subgradient_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if self.subgradient_many_fn is not None:
-            return self.subgradient_many_fn(xs)
-        return np.stack([self.subgradient(x) for x in xs])
+    def subgradient_many(self, xs, agents):
+        return 2.0 * (xs - self.centers[agents])
 
 
-# -- shipped families -------------------------------------------------------
+class RegressionFamily:
+    """f_i(x) = (phi_i @ x - rbar_i)^2 + var_i, sensor i's mean squared residual.
 
-def quadratic_distance(center, feasible_set=None, bound=None, label=""):
-    """f(x) = ||x - center||^2 with gradient 2 (x - center).
-
-    The norm bound is 2 * max_{x in X} ||x - center||, computed exactly for
-    the bounded set variants when ``feasible_set`` is given.
+    ``features`` stacks the rows phi_i (m, n); ``rbar`` and ``var`` are the
+    mean and population variance of sensor i's samples r_ik, since
+    mean_k (r_ik - phi_i @ x)^2 = (phi_i @ x - rbar_i)^2 + var_i.
+    C_i = 2 ||phi_i|| max_{x in X} |phi_i @ x - rbar_i|.
     """
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    if bound is None:
-        if feasible_set is None:
-            raise ValueError("need a feasible set (or explicit bound) to bound gradients")
-        bound = 2.0 * farthest_distance(feasible_set, c)
 
-    # scalar paths delegate to the batch forms: the engines require the two
-    # to agree bit-for-bit, and reductions like einsum round differently
-    def ev_many(xs):
-        d = xs - c
-        return np.einsum("ij,ij->i", d, d)
+    def __init__(self, features, rbar, var, feasible_set):
+        self.features = np.array(features, dtype=float, ndmin=2)
+        self.m, self.n = self.features.shape
+        self.rbar = np.asarray(rbar, dtype=float).reshape(self.m)
+        self.var = np.asarray(var, dtype=float).reshape(self.m)
+        bounds = []
+        for phi, rb in zip(self.features, self.rbar):
+            lo, hi = linear_range(feasible_set, phi)
+            span = max(abs(lo - rb), abs(hi - rb))
+            bounds.append(2.0 * float(np.linalg.norm(phi)) * span)
+        self.bounds = np.array(bounds)
 
-    def grad_many(xs):
-        return 2.0 * (xs - c)
+    def evaluate_many(self, xs):
+        t = _dot(xs[:, None, :], self.features) - self.rbar
+        return (t * t + self.var).sum(axis=1)
 
-    def ev(x):
-        return float(ev_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def grad(x):
-        return grad_many(np.asarray(x, dtype=float)[None, :])[0]
-
-    return ComponentObjective(ev, grad, float(bound), c.shape[0],
-                              label or "quadratic", ev_many, grad_many)
-
-
-def absolute_value(label="abs"):
-    """Scalar f(x) = |x| with the subgradient convention sign(x), 0 at 0."""
-
-    def ev_many(xs):
-        return np.abs(xs[:, 0])
-
-    def grad_many(xs):
-        return np.sign(xs)
-
-    def ev(x):
-        return float(ev_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def grad(x):
-        return grad_many(np.asarray(x, dtype=float)[None, :])[0]
-
-    return ComponentObjective(ev, grad, 1.0, 1, label, ev_many, grad_many)
-
-
-def regression_component(features, samples, feasible_set, label=""):
-    """Mean squared residual of a linear model on one agent's samples.
-
-    f(x) = mean_k (r_k - features @ x)^2, a convex quadratic.  Internally
-    reduced to (features @ x - rbar)^2 + sample variance.  The norm bound
-    2 ||features|| * max_{x in X} |features @ x - rbar| is exact on the
-    bounded set variants.
-    """
-    phi = np.atleast_1d(np.asarray(features, dtype=float))
-    r = np.atleast_1d(np.asarray(samples, dtype=float))
-    if r.size == 0:
-        raise ValueError("an agent with zero samples has no objective")
-    rbar = float(r.mean())
-    residual_var = float(np.mean((r - rbar) ** 2))
-
-    lo, hi = linear_range(feasible_set, phi)
-    span = max(abs(lo - rbar), abs(hi - rbar))
-    bound = 2.0 * float(np.linalg.norm(phi)) * span
-
-    def ev_many(xs):
-        t = xs @ phi - rbar
-        return t * t + residual_var
-
-    def grad_many(xs):
-        t = xs @ phi - rbar
+    def subgradient_many(self, xs, agents):
+        phi = self.features[agents]
+        t = _dot(xs, phi) - self.rbar[agents]
         return 2.0 * t[:, None] * phi
-
-    def ev(x):
-        return float(ev_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def grad(x):
-        return grad_many(np.asarray(x, dtype=float)[None, :])[0]
-
-    return ComponentObjective(ev, grad, bound, phi.shape[0],
-                              label or "regression", ev_many, grad_many)
 
 
 # -- concave utilities for allocation problems ------------------------------
@@ -222,31 +177,35 @@ class LinearUtility:
         return float(self.slope_value)
 
 
-def utility_component(utility, coord, dim, feasible_set, label=""):
-    """Minimization component f(x) = -U(x_coord) for a concave utility U.
+class UtilityFamily:
+    """f_i(x) = -U_i(x_i) for a concave utility U_i of coordinate i (n = m).
 
-    The subgradient is -U'(x_coord) e_coord; its norm bound is the maximum
-    slope of U over the coordinate's range on the set.
+    C_i is the largest slope of U_i over coordinate i's range on the set.
+    Each utility is its own function, so the sum and the slopes take one
+    call per agent.
     """
-    from .sets import coordinate_range
 
-    lo, hi = coordinate_range(feasible_set, coord)
-    bound = float(utility.max_slope(lo, hi))
-    basis = np.zeros(dim)
-    basis[coord] = 1.0
+    def __init__(self, utilities, feasible_set):
+        self.utilities = tuple(utilities)
+        self.m = self.n = len(self.utilities)
+        self.bounds = np.array(
+            [float(u.max_slope(*coordinate_range(feasible_set, j)))
+             for j, u in enumerate(self.utilities)])
+        self._basis = np.eye(self.n)
 
-    def ev_many(xs):
-        return -np.asarray(utility.value(xs[:, coord]), dtype=float)
+    def evaluate_many(self, xs):
+        total = -np.asarray(self.utilities[0].value(xs[:, 0]), dtype=float)
+        for j in range(1, self.m):
+            total -= np.asarray(self.utilities[j].value(xs[:, j]), dtype=float)
+        return total
 
-    def grad_many(xs):
-        slopes = np.asarray(utility.slope(xs[:, coord]), dtype=float)
-        return -slopes[:, None] * basis
-
-    def ev(x):
-        return float(ev_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def grad(x):
-        return grad_many(np.asarray(x, dtype=float)[None, :])[0]
-
-    return ComponentObjective(ev, grad, bound, dim,
-                              label or f"-U(x_{coord})", ev_many, grad_many)
+    def subgradient_many(self, xs, agents):
+        agents = np.asarray(agents)
+        if agents.ndim == 0:
+            a = int(agents)
+            slopes = self.utilities[a].slope(xs[:, a])
+        else:
+            every = np.stack([np.asarray(u.slope(xs[:, j]), dtype=float)
+                              for j, u in enumerate(self.utilities)], axis=1)
+            slopes = every[np.arange(len(xs)), agents]
+        return -np.asarray(slopes, dtype=float)[:, None] * self._basis[agents]

@@ -1,26 +1,29 @@
 """Sum-structured problem fixtures with certified optima.
 
-Every fixture is a sum f = f_1 + ... + f_m of convex components over a
-feasible set, together with an ``OptimumCertificate`` that records how the
-optimal value was obtained: a closed form, a brute-force lattice search at
-a stated resolution, or unknown.  Grid certificates are the desk-scale
-oracle of record, so they are only offered for dimension <= 3.
+Every fixture is a sum f = f_1 + ... + f_m of convex components, given as
+one objective family (see ``objectives``), over a feasible set, together
+with an ``OptimumCertificate`` that records how the optimal value was
+obtained: a closed form, a brute-force lattice search at a stated
+resolution, or unknown.  Grid certificates are the desk-scale oracle of
+record, so they are only offered for dimension <= 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import CertificateError, DimensionMismatchError
-from .objectives import (quadratic_distance, regression_component,
-                         utility_component)
-from .sets import Ball, Box, Simplex
+from .objectives import QuadraticFamily, RegressionFamily, UtilityFamily
+from .sets import Ball, Box, Simplex, coordinate_range
 
 GRID_MAX_DIM = 3
-_CHUNK = 1 << 20
+# Lattice points per evaluation.  A row's value does not depend on the chunk,
+# so the chunk sets only memory: an m=50 family's (chunk, m) temporaries are
+# about 13 MB each.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -48,66 +51,52 @@ class OptimumCertificate:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """m convex components over a feasible set, plus an optimum certificate."""
+    """An objective family's sum over a feasible set, plus an optimum certificate.
 
-    components: tuple
+    ``f_many`` and ``subgradient_for_agents`` are the engines' two entry
+    points; both delegate to the family.
+    """
+
+    family: object
     feasible_set: object
     optimum: OptimumCertificate
     name: str = "problem"
-    # Optional fused evaluators used by the engines; when present they are
-    # the canonical forms (the generic sums are only a fallback).
-    sum_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    agent_subgradients: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if len(self.components) < 1:
+        if self.family.m < 1:
             raise ValueError("a problem needs at least one component")
-        dims = {c.dim for c in self.components}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"components disagree on dimension: {dims}")
-        (n,) = dims
-        set_dim = getattr(self.feasible_set, "dim", n)
-        if set_dim != n:
+        set_dim = getattr(self.feasible_set, "dim", self.n)
+        if set_dim != self.n:
             raise DimensionMismatchError(
-                f"feasible set dimension {set_dim} != component dimension {n}")
+                f"feasible set dimension {set_dim} != component dimension {self.n}")
 
     @property
     def m(self):
-        return len(self.components)
+        return self.family.m
 
     @property
     def n(self):
-        return self.components[0].dim
+        return self.family.n
 
     @property
     def bounds(self):
-        return np.array([c.bound for c in self.components])
+        return self.family.bounds
 
     def f_many(self, xs):
         xs = np.asarray(xs, dtype=float)
         squeeze = xs.ndim == 1
         if squeeze:
             xs = xs[None, :]
-        if self.sum_evaluator is not None:
-            vals = self.sum_evaluator(xs)
-        else:
-            vals = self.components[0].evaluate_many(xs).copy()
-            for c in self.components[1:]:
-                vals += c.evaluate_many(xs)
+        vals = self.family.evaluate_many(xs)
         return float(vals[0]) if squeeze else vals
 
     def f(self, x):
         return self.f_many(x)
 
     def subgradient_for_agents(self, xs, agents):
-        """Per-row subgradient of component agents[r] at xs[r]."""
-        if self.agent_subgradients is not None:
-            return self.agent_subgradients(xs, agents)
-        out = np.empty_like(xs)
-        for a in np.unique(agents):
-            rows = agents == a
-            out[rows] = self.components[a].subgradient_many(xs[rows])
-        return out
+        """Row r is a subgradient of f_{agents[r]} at xs[r]; one int ``agents``
+        serves every row."""
+        return self.family.subgradient_many(xs, agents)
 
     def check_certificate(self):
         """Re-verify f(witness) ~ f_star; raises CertificateError on drift."""
@@ -197,11 +186,15 @@ def grid_search(f_many, feasible_set, resolution):
     return best_val, best_x
 
 
-def _grid_certificate(problem_f_many, feasible_set, resolution, c_sum, notes=None):
-    val, x = grid_search(problem_f_many, feasible_set, resolution)
-    tol = float(c_sum) * resolution * feasible_set.dim
+def _grid_certificate(family, feasible_set, resolution, notes=None):
+    val, x = grid_search(family.evaluate_many, feasible_set, resolution)
+    tol = float(sum(family.bounds)) * resolution * feasible_set.dim
     return OptimumCertificate(val, x, "grid", tolerance=tol,
                               resolution=resolution, notes=notes or {})
+
+
+def _value(family, x):
+    return float(family.evaluate_many(x[None, :])[0])
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -223,39 +216,23 @@ def make_quadratic_suite(m, n, spread, feasible_set, *, centers=None, seed=0,
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         radii = spread * rng.random(m) ** (1.0 / n)
         centers = v * radii[:, None]
-    centers = np.asarray(centers, dtype=float).reshape(m, n)
+    family = QuadraticFamily(np.asarray(centers, dtype=float).reshape(m, n),
+                             feasible_set)
 
-    comps = tuple(quadratic_distance(centers[i], feasible_set, label=f"quad_{i}")
-                  for i in range(m))
-    centroid = centers.mean(axis=0)
-    offset = float(np.einsum("ij,ij->", centers - centroid, centers - centroid))
-
-    def fused(xs):
-        d = xs - centroid
-        return m * np.einsum("ij,ij->i", d, d) + offset
-
-    def agent_grads(xs, agents):
-        return 2.0 * (xs - centers[agents])
-
-    witness = feasible_set.project_many(centroid)
-    dummy = ProblemInstance(comps, feasible_set,
-                            OptimumCertificate(None, None, "unknown"),
-                            sum_evaluator=fused)
+    witness = feasible_set.project_many(family.centroid)
+    f_witness = _value(family, witness)
     if grid_resolution is None:
-        f_star = dummy.f(witness)
-        cert = OptimumCertificate(f_star, witness, "closed_form",
-                                  tolerance=1e-9 * (1.0 + abs(f_star)))
+        cert = OptimumCertificate(f_witness, witness, "closed_form",
+                                  tolerance=1e-9 * (1.0 + abs(f_witness)))
     else:
-        cert = _grid_certificate(dummy.f_many, feasible_set, grid_resolution,
-                                 sum(c.bound for c in comps))
+        cert = _grid_certificate(family, feasible_set, grid_resolution)
         # The projected centroid is exact; keep whichever point is better.
-        if dummy.f(witness) <= cert.f_star:
-            cert = OptimumCertificate(dummy.f(witness), witness, "grid",
+        if f_witness <= cert.f_star:
+            cert = OptimumCertificate(f_witness, witness, "grid",
                                       tolerance=cert.tolerance,
                                       resolution=grid_resolution,
                                       notes={"refined_by": "projected centroid"})
-    prob = ProblemInstance(comps, feasible_set, cert, name=f"quadratic_m{m}_n{n}",
-                           sum_evaluator=fused, agent_subgradients=agent_grads)
+    prob = ProblemInstance(family, feasible_set, cert, name=f"quadratic_m{m}_n{n}")
     prob.check_certificate()
     return prob
 
@@ -280,6 +257,9 @@ def make_regression(sensor_locations, basis, feasible_set, *, samples=None,
         raise ValueError("need at least one sensor")
     feats = [np.atleast_1d(np.asarray(basis(s), dtype=float)) for s in locations]
     n = feats[0].shape[0]
+    if any(p.shape != (n,) for p in feats):
+        raise DimensionMismatchError(
+            f"sensor features disagree on dimension: {sorted({p.shape for p in feats})}")
 
     if samples is None:
         if x_true is None or samples_per_agent is None:
@@ -295,20 +275,18 @@ def make_regression(sensor_locations, basis, feasible_set, *, samples=None,
         if r.size == 0:
             raise ValueError(f"sensor {i} has zero samples")
 
-    comps = tuple(regression_component(feats[i], samples[i], feasible_set,
-                                       label=f"sensor_{i}")
-                  for i in range(m))
-    prob_tmp = ProblemInstance(comps, feasible_set,
-                               OptimumCertificate(None, None, "unknown"))
+    rbar = [float(r.mean()) for r in samples]
+    var = [float(np.mean((r - rb) ** 2)) for r, rb in zip(samples, rbar)]
+    family = RegressionFamily(np.stack(feats), rbar, var, feasible_set)
 
     normal = sum(np.outer(p, p) for p in feats)
-    rhs = sum(float(r.mean()) * p for p, r in zip(feats, samples))
+    rhs = sum(rb * p for p, rb in zip(feats, rbar))
     sol, _, rank, _ = np.linalg.lstsq(normal, rhs, rcond=None)
     rank_deficient = rank < n
 
     notes = {"rank_deficient": True} if rank_deficient else {}
     if not rank_deficient and feasible_set.contains(sol):
-        f_star = prob_tmp.f(sol)
+        f_star = _value(family, sol)
         cert = OptimumCertificate(f_star, sol, "closed_form",
                                   tolerance=1e-9 * (1.0 + abs(f_star)), notes=notes)
     else:
@@ -316,11 +294,9 @@ def make_regression(sensor_locations, basis, feasible_set, *, samples=None,
             raise ValueError(
                 "closed form unavailable (infeasible or rank-deficient) and the "
                 f"grid oracle is limited to dim <= {GRID_MAX_DIM}")
-        cert = _grid_certificate(prob_tmp.f_many, feasible_set, grid_resolution,
-                                 sum(c.bound for c in comps), notes=notes)
+        cert = _grid_certificate(family, feasible_set, grid_resolution, notes=notes)
 
-    prob = ProblemInstance(comps, feasible_set, cert,
-                           name=f"regression_m{m}_n{n}")
+    prob = ProblemInstance(family, feasible_set, cert, name=f"regression_m{m}_n{n}")
     prob.check_certificate()
     return prob
 
@@ -351,8 +327,6 @@ def make_allocation(utilities, feasible_set, *, grid_resolution=1e-3,
     coordinate range.  The optimum is certified by lattice search
     (dimension <= 3); larger instances get an "unknown" certificate.
     """
-    from .sets import coordinate_range
-
     m = len(utilities)
     if m < 1:
         raise ValueError("need at least one utility")
@@ -367,17 +341,12 @@ def make_allocation(utilities, feasible_set, *, grid_resolution=1e-3,
         lo, hi = coordinate_range(feasible_set, j)
         _check_concave_increasing(u, lo, hi, rng)
 
-    comps = tuple(utility_component(u, j, m, feasible_set, label=f"utility_{j}")
-                  for j, u in enumerate(utilities))
-    prob_tmp = ProblemInstance(comps, feasible_set,
-                               OptimumCertificate(None, None, "unknown"))
-
+    family = UtilityFamily(utilities, feasible_set)
     if m <= GRID_MAX_DIM:
-        cert = _grid_certificate(prob_tmp.f_many, feasible_set, grid_resolution,
-                                 sum(c.bound for c in comps))
+        cert = _grid_certificate(family, feasible_set, grid_resolution)
     else:
         cert = OptimumCertificate(None, None, "unknown")
 
-    prob = ProblemInstance(comps, feasible_set, cert, name=f"allocation_m{m}")
+    prob = ProblemInstance(family, feasible_set, cert, name=f"allocation_m{m}")
     prob.check_certificate()
     return prob

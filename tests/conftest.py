@@ -19,6 +19,18 @@ def quad_m5_box():
 
 
 @pytest.fixture(scope="session")
+def regr_m5_box():
+    # five sensors fitting three coefficients: the regression counterpart
+    # of quad_m5_box for batching and determinism tests
+    gen = np.random.default_rng(7)
+    feats = gen.normal(size=(5, 3))
+    samples = feats @ np.array([0.5, -0.3, 0.8]) + 0.1 * gen.normal(size=(4, 5))
+    return isb.make_regression(range(5), lambda s: feats[s],
+                               isb.Box(np.full(3, -2.0), np.full(3, 2.0)),
+                               samples=list(samples.T))
+
+
+@pytest.fixture(scope="session")
 def ring5():
     return isb.make_topology("static", 5, graph="ring")
 

@@ -47,3 +47,25 @@ def random_symmetric_topology(rng, max_m=8):
             if rng.random() < 0.4:
                 edges.add((i, j))
     return m, sorted(edges)
+
+
+class CallbackFamily:
+    """Test-only objective family built from plain callables.
+
+    ``evaluate(xs)`` gives f at each row of ``xs``; ``subgradient(xs,
+    agents)`` gives row r's subgradient of f_{agents[r]}, as the shipped
+    families' ``evaluate_many``/``subgradient_many`` do.
+    """
+
+    def __init__(self, n, bounds, evaluate, subgradient):
+        self.n = n
+        self.bounds = np.asarray(bounds, dtype=float)
+        self.m = len(self.bounds)
+        self.evaluate_many = evaluate
+        self.subgradient_many = subgradient
+
+
+def absolute_value():
+    """One agent with f(x) = |x| in one dimension; subgradient sign(x), 0 at 0."""
+    return CallbackFamily(1, [1.0], lambda xs: np.abs(xs[:, 0]),
+                          lambda xs, agents: np.sign(xs))

@@ -1,4 +1,4 @@
-"""Naive per-neighbor transition builder, the reference for the engine.
+"""Naive references for the engine: per-neighbor transitions, per-agent objectives.
 
 The engine builds each instant's transition matrix from a boolean
 adjacency matrix in a few array expressions.  This module keeps the
@@ -6,12 +6,17 @@ straightforward form of the same rules: neighbor index lists built edge by
 edge, a set-based symmetry check, and one Python loop per matrix row.  The
 random-edge sequence is re-derived here from the topology's parameters and
 its own draws from the topology stream, not from the engine's cache.
+
+The objective families evaluate all agents at once on stacked parameters;
+``component`` writes each agent's f_i and g_i as plain Python over one
+point, from the same parameters.
 """
 
 import numpy as np
 
 from incsub.errors import SchemeViolationError, TopologyError
 from incsub.markov import PeriodicTopology, RandomEdgeTopology, ring_edges
+from incsub.objectives import QuadraticFamily, RegressionFamily, UtilityFamily
 from incsub.streams import BLOCK, DOMAIN_TOPOLOGY, block_generator
 
 
@@ -109,3 +114,46 @@ def build(scheme, neighbors):
     """(matrix, eta) after the neighbor-list symmetry check."""
     check_symmetric(neighbors)
     return matrix(scheme, neighbors), eta(scheme, neighbors)
+
+
+def component(family, i):
+    """(f_i, g_i) of agent ``i`` of a shipped family, as plain-Python
+    functions of one point; g_i returns a list."""
+    if isinstance(family, QuadraticFamily):
+        c = family.centers[i].tolist()
+
+        def f(x):
+            return sum((xd - cd) ** 2 for xd, cd in zip(x, c))
+
+        def g(x):
+            return [2.0 * (xd - cd) for xd, cd in zip(x, c)]
+    elif isinstance(family, RegressionFamily):
+        p = family.features[i].tolist()
+        rbar, var = float(family.rbar[i]), float(family.var[i])
+
+        def residual(x):
+            return sum(xd * pd for xd, pd in zip(x, p)) - rbar
+
+        def f(x):
+            return residual(x) ** 2 + var
+
+        def g(x):
+            t = residual(x)
+            return [2.0 * t * pd for pd in p]
+    elif isinstance(family, UtilityFamily):
+        u = family.utilities[i]
+
+        def f(x):
+            return -float(u.value(x[i]))
+
+        def g(x):
+            return [-float(u.slope(x[i])) if j == i else 0.0
+                    for j in range(family.n)]
+    else:
+        raise TypeError(f"no reference for {type(family).__name__}")
+    return f, g
+
+
+def total(family, x):
+    """sum_i f_i(x), one agent at a time."""
+    return sum(component(family, i)[0](x) for i in range(family.m))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import incsub as isb
+from helpers import CallbackFamily, absolute_value
 from incsub.cyclic import make_cyclic_noise_stream
 from incsub.errors import NonFiniteError
 
@@ -39,8 +40,7 @@ def reference_one_agent_subgradient(x0, alpha_fn, steps, lo, hi):
 
 
 def test_single_subgradient_step_on_abs():
-    comps = (isb.absolute_value(),)
-    prob = isb.ProblemInstance(comps, isb.Box([-1.0], [1.0]),
+    prob = isb.ProblemInstance(absolute_value(), isb.Box([-1.0], [1.0]),
                                isb.OptimumCertificate(0.0, np.array([0.0]),
                                                       "closed_form"))
     tr = isb.run_cyclic(prob, isb.NoNoise(), isb.Constant(0.5),
@@ -56,8 +56,7 @@ def test_two_agent_cycle_matches_reference(quad_m2_line):
 
 
 def test_many_cycles_match_reference_on_abs():
-    comps = (isb.absolute_value(),)
-    prob = isb.ProblemInstance(comps, isb.Box([-1.0], [1.0]),
+    prob = isb.ProblemInstance(absolute_value(), isb.Box([-1.0], [1.0]),
                                isb.OptimumCertificate(0.0, np.array([0.0]),
                                                       "closed_form"))
     sched = isb.PowerLaw(0.3, 1.0)
@@ -100,14 +99,15 @@ def test_traces_are_deterministic(quad_m5_box):
         assert ta.meta["final_x"] == tb.meta["final_x"]
 
 
-def test_batch_lane_equals_solo_run(quad_m5_box):
-    batch = isb.run_cyclic_batch(quad_m5_box, isb.GaussianNoise(0.3),
-                                 isb.PowerLaw(1.0, 0.8), np.array([0.5, 0.5]),
-                                 300, [11, 12, 13], stride=30)
-    solo = isb.run_cyclic(quad_m5_box, isb.GaussianNoise(0.3),
-                          isb.PowerLaw(1.0, 0.8), np.array([0.5, 0.5]),
-                          300, 12, stride=30)
-    assert batch[1].to_csv() == solo.to_csv()
+def test_batch_lane_equals_solo_run(quad_m5_box, regr_m5_box):
+    for prob in (quad_m5_box, regr_m5_box):
+        x0 = np.full(prob.n, 0.5)
+        batch = isb.run_cyclic_batch(prob, isb.GaussianNoise(0.3),
+                                     isb.PowerLaw(1.0, 0.8), x0,
+                                     300, [11, 12, 13], stride=30)
+        solo = isb.run_cyclic(prob, isb.GaussianNoise(0.3),
+                              isb.PowerLaw(1.0, 0.8), x0, 300, 12, stride=30)
+        assert batch[1].to_csv() == solo.to_csv(), prob.name
 
 
 def test_every_subiterate_is_feasible(quad_m5_box):
@@ -125,18 +125,15 @@ def test_every_subiterate_is_feasible(quad_m5_box):
 
 def test_ring_order_is_respected(quad_m5_box):
     calls = []
+    inner = quad_m5_box.family
 
-    def wrap(idx, comp):
-        def recorded(xs):
-            calls.append(idx)
-            return comp.subgradient_many(xs)
-        return isb.ComponentObjective(comp.evaluate, comp.subgradient,
-                                      comp.bound, comp.dim, comp.label,
-                                      comp.evaluate_many_fn, recorded)
+    def recorded(xs, agent):
+        calls.append(agent)
+        return inner.subgradient_many(xs, agent)
 
-    comps = tuple(wrap(i, c) for i, c in enumerate(quad_m5_box.components))
-    prob = isb.ProblemInstance(comps, quad_m5_box.feasible_set,
-                               quad_m5_box.optimum)
+    prob = isb.ProblemInstance(
+        CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, recorded),
+        quad_m5_box.feasible_set, quad_m5_box.optimum)
     isb.run_cyclic(prob, isb.NoNoise(), isb.Constant(0.05),
                    np.array([0.0, 0.0]), 7, seed=0)
     assert calls == list(range(5)) * 7
@@ -145,18 +142,15 @@ def test_ring_order_is_respected(quad_m5_box):
 def test_hand_off_points_feed_next_agent(quad_m2_line):
     # agent i's subgradient is evaluated exactly at the previous hand-off
     seen = []
+    inner = quad_m2_line.family
 
-    def wrap(comp):
-        def recorded(xs):
-            seen.append(xs[0].copy())
-            return comp.subgradient_many(xs)
-        return isb.ComponentObjective(comp.evaluate, comp.subgradient,
-                                      comp.bound, comp.dim, comp.label,
-                                      comp.evaluate_many_fn, recorded)
+    def recorded(xs, agent):
+        seen.append(xs[0].copy())
+        return inner.subgradient_many(xs, agent)
 
-    comps = tuple(wrap(c) for c in quad_m2_line.components)
-    prob = isb.ProblemInstance(comps, quad_m2_line.feasible_set,
-                               quad_m2_line.optimum)
+    prob = isb.ProblemInstance(
+        CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, recorded),
+        quad_m2_line.feasible_set, quad_m2_line.optimum)
     stream = make_cyclic_noise_stream(isb.NoNoise(), prob, 0)
     state = isb.CyclicState.initial(np.array([0.0]))
     state = isb.cyclic_cycle(state, prob, stream, isb.Constant(0.25))
@@ -173,13 +167,11 @@ def test_x0_outside_set_is_projected_with_warning(quad_m2_line, caplog):
 
 
 def test_nonfinite_iterate_aborts_with_diagnostic():
-    def bad_grad(xs):
+    def bad_grad(xs, agents):
         return np.full_like(xs, np.nan)
 
-    comp = isb.ComponentObjective(lambda x: 0.0, lambda x: np.array([np.nan]),
-                                  1.0, 1, "bad", lambda xs: np.zeros(len(xs)),
-                                  bad_grad)
-    prob = isb.ProblemInstance((comp,), isb.Box([-1.0], [1.0]),
+    family = CallbackFamily(1, [1.0], lambda xs: np.zeros(len(xs)), bad_grad)
+    prob = isb.ProblemInstance(family, isb.Box([-1.0], [1.0]),
                                isb.OptimumCertificate(None, None, "unknown"))
     with pytest.raises(NonFiniteError, match="cycle 1") as info:
         isb.run_cyclic(prob, isb.NoNoise(), isb.Constant(0.1),
@@ -195,16 +187,15 @@ def test_nonfinite_iterate_aborts_with_diagnostic():
 def test_partial_trace_keeps_finite_prefix():
     state = {"calls": 0}
 
-    def flaky_grad_many(xs):
+    def flaky_grad_many(xs, agents):
         state["calls"] += 1
         if state["calls"] > 3:
             return np.full_like(xs, np.nan)
         return np.zeros_like(xs)
 
-    comp = isb.ComponentObjective(lambda x: 0.0, lambda x: np.zeros(1), 1.0, 1,
-                                  "flaky", lambda xs: np.zeros(len(xs)),
-                                  flaky_grad_many)
-    prob = isb.ProblemInstance((comp,), isb.Box([-1.0], [1.0]),
+    family = CallbackFamily(1, [1.0], lambda xs: np.zeros(len(xs)),
+                            flaky_grad_many)
+    prob = isb.ProblemInstance(family, isb.Box([-1.0], [1.0]),
                                isb.OptimumCertificate(None, None, "unknown"))
     with pytest.raises(NonFiniteError, match="cycle 4") as info:
         isb.run_cyclic(prob, isb.NoNoise(), isb.Constant(0.1),

@@ -49,6 +49,42 @@ seed = 77
 stride = 300
 """
 
+# six sensors fitting three coefficients; the least-squares solution lies
+# inside the box, so the certificate is closed-form
+REGRESSION_CFG = """
+algorithm = markov
+problem.fixture = regression
+problem.features = [[0.9, -0.4, 1.2], [-1.1, 0.3, 0.5], [0.2, 1.4, -0.7], [1.3, 0.8, 0.1], [-0.5, -1.2, 0.9], [0.6, 0.1, -1.5]]
+problem.samples = [[0.3, 0.5, 0.4], [-0.2, 0.1], [0.9, 1.1, 1.0], [0.7], [-0.4, -0.6], [0.2, 0.0, 0.3]]
+problem.set = {"kind": "box", "lower": -3.0, "upper": 3.0}
+schedule.kind = constant
+schedule.alpha = 0.01
+noise.kind = gaussian
+noise.sigma = 0.2
+topology.kind = ring
+scheme.kind = min_equal
+horizon = 1500
+replications = 3
+seed = 5
+stride = 300
+"""
+
+ALLOCATION_CFG = """
+algorithm = markov
+problem.fixture = allocation
+problem.utilities = [{"kind": "log", "weight": 2.0}, {"kind": "sqrt", "floor": 0.0001}, {"kind": "linear", "slope": 1.5}]
+problem.grid_resolution = 0.01
+schedule.kind = constant
+schedule.alpha = 0.01
+noise.kind = none
+topology.kind = ring
+scheme.kind = equal
+horizon = 100
+replications = 1
+seed = 0
+stride = 10
+"""
+
 
 def make_config(text, tmp_path, name):
     flat = parse_config_text(text)
@@ -82,14 +118,15 @@ class TestRunExperiment:
             assert (tmp_path / "rep" / name).read_bytes() == blob
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        config = make_config(MARKOV_CFG, tmp_path, "ser")
-        s1, t1 = run_experiment(config, jobs=1)
-        config2 = make_config(MARKOV_CFG, tmp_path, "par")
-        s2, t2 = run_experiment(config2, jobs=3)
-        assert [tr.to_csv() for tr in t1] == [tr.to_csv() for tr in t2]
-        s1.pop("config"), s2.pop("config")  # differ only in the out path
-        s1.pop("config_hash"), s2.pop("config_hash")
-        assert json.dumps(s1, sort_keys=True) == json.dumps(s2, sort_keys=True)
+        for name, text in (("quad", MARKOV_CFG), ("regr", REGRESSION_CFG)):
+            config = make_config(text, tmp_path, f"{name}_ser")
+            s1, t1 = run_experiment(config, jobs=1)
+            config2 = make_config(text, tmp_path, f"{name}_par")
+            s2, t2 = run_experiment(config2, jobs=3)
+            assert [tr.to_csv() for tr in t1] == [tr.to_csv() for tr in t2], name
+            s1.pop("config"), s2.pop("config")  # differ only in the out path
+            s1.pop("config_hash"), s2.pop("config_hash")
+            assert json.dumps(s1, sort_keys=True) == json.dumps(s2, sort_keys=True)
 
     def test_constant_step_bounds_verified(self, tmp_path):
         config = make_config(MARKOV_CFG, tmp_path, "bnd")
@@ -290,6 +327,52 @@ class TestFailFast:
         cfg = write_config(tmp_path / "exp.cfg", flat)
         assert cli_main(["validate", "--config", cfg]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    @pytest.mark.parametrize("entry, value, field", [
+        ("problem.spread", "wide", "problem.spread"),
+        ("problem.m", "five", "problem.m"),
+        ("problem.m", 2.5, "problem.m"),
+        ("problem.centers_seed", "lucky", "problem.centers_seed"),
+        ("problem.grid_resolution", "fine", "problem.grid_resolution"),
+        ("problem.grid_resolution", 0.0, "problem.grid_resolution"),
+        ("problem.sprad", 2.0, "problem.sprad"),
+        ("problem.set", {"kind": "box", "lower": "low", "upper": 1.0},
+         "problem.set.lower"),
+    ])
+    def test_bad_problem_entries(self, tmp_path, capsys, verb, entry, value,
+                                 field):
+        flat = parse_config_text(MARKOV_CFG)
+        flat[entry] = value
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    @pytest.mark.parametrize("index, key, value, field", [
+        (0, "weight", "heavy", "problem.utilities[0].weight"),
+        (1, "floor", "low", "problem.utilities[1].floor"),
+        (1, "floor", -1.0, "problem.utilities[1]"),
+        (2, "slope", "steep", "problem.utilities[2].slope"),
+        (0, "wieght", 2.0, "problem.utilities[0].wieght"),
+    ])
+    def test_bad_utility_entries(self, tmp_path, capsys, verb, index, key,
+                                 value, field):
+        flat = parse_config_text(ALLOCATION_CFG)
+        flat["problem.utilities"][index][key] = value
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_allocation_config_validates(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "exp.cfg", parse_config_text(ALLOCATION_CFG))
+        assert cli_main(["validate", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("ok: allocation_m3")
 
 
 class TestSupremum:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import incsub as isb
-from helpers import random_symmetric_topology
+from helpers import CallbackFamily, random_symmetric_topology
 from incsub.errors import SchemeViolationError, TopologyError
 from incsub.markov import (_TransitionProvider, _next_from_uniform,
                            adjacency_from_edges, path_edges, ring_edges)
@@ -191,17 +191,15 @@ class TestMarkovEngine:
         # instrumented order check: the subgradient call sees the pre-step
         # iterate, and the active agent matches the chain replayed offline
         seen = []
-        orig = quad_m5_box.agent_subgradients
+        inner = quad_m5_box.family
 
         def recording(xs, agents):
             seen.append((xs.copy(), np.array(agents, copy=True)))
-            return orig(xs, agents)
+            return inner.subgradient_many(xs, agents)
 
-        prob = isb.ProblemInstance(quad_m5_box.components,
-                                   quad_m5_box.feasible_set,
-                                   quad_m5_box.optimum,
-                                   sum_evaluator=quad_m5_box.sum_evaluator,
-                                   agent_subgradients=recording)
+        prob = isb.ProblemInstance(
+            CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, recording),
+            quad_m5_box.feasible_set, quad_m5_box.optimum)
         tr = isb.run_markov(prob, isb.NoNoise(), isb.Constant(0.05), ring5,
                             isb.EqualProbability(), np.array([1.0, -0.5]),
                             50, seed=17, stride=1)
@@ -247,22 +245,24 @@ class TestMarkovEngine:
         assert np.median(gaps) <= 1e-3
         assert max(gaps) <= 1e-2
 
-    def test_determinism_and_batch_lane_equality(self, quad_m5_box, ring5):
+    def test_determinism_and_batch_lane_equality(self, quad_m5_box, regr_m5_box,
+                                                 ring5):
         kwargs = dict(stride=25, tail_fraction=0.1)
-        a = isb.run_markov_batch(quad_m5_box, isb.GaussianNoise(0.3),
-                                 isb.PowerLaw(1.0, 0.8), ring5,
-                                 isb.MinEqualNeighbor(), np.array([0.5, -0.5]),
-                                 250, [31, 32], **kwargs)
-        b = isb.run_markov_batch(quad_m5_box, isb.GaussianNoise(0.3),
-                                 isb.PowerLaw(1.0, 0.8), ring5,
-                                 isb.MinEqualNeighbor(), np.array([0.5, -0.5]),
-                                 250, [31, 32], **kwargs)
-        solo = isb.run_markov(quad_m5_box, isb.GaussianNoise(0.3),
-                              isb.PowerLaw(1.0, 0.8), ring5,
-                              isb.MinEqualNeighbor(), np.array([0.5, -0.5]),
-                              250, 32, **kwargs)
-        assert all(x.to_csv() == y.to_csv() for x, y in zip(a, b))
-        assert a[1].to_csv() == solo.to_csv()
+        for prob in (quad_m5_box, regr_m5_box):
+            x0 = np.resize([0.5, -0.5], prob.n)
+            a = isb.run_markov_batch(prob, isb.GaussianNoise(0.3),
+                                     isb.PowerLaw(1.0, 0.8), ring5,
+                                     isb.MinEqualNeighbor(), x0,
+                                     250, [31, 32], **kwargs)
+            b = isb.run_markov_batch(prob, isb.GaussianNoise(0.3),
+                                     isb.PowerLaw(1.0, 0.8), ring5,
+                                     isb.MinEqualNeighbor(), x0,
+                                     250, [31, 32], **kwargs)
+            solo = isb.run_markov(prob, isb.GaussianNoise(0.3),
+                                  isb.PowerLaw(1.0, 0.8), ring5,
+                                  isb.MinEqualNeighbor(), x0, 250, 32, **kwargs)
+            assert all(x.to_csv() == y.to_csv() for x, y in zip(a, b))
+            assert a[1].to_csv() == solo.to_csv(), prob.name
 
     def test_every_iterate_feasible(self, quad_m5_box, ring5):
         tr = isb.run_markov(quad_m5_box, isb.GaussianNoise(1.0),

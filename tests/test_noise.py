@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incsub import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
-                    NoNoise, NoiseStream, absolute_value, noisy_subgradient,
-                    quadratic_distance)
+                    NoNoise, NoiseStream)
 from incsub.streams import BLOCK
 
 
@@ -21,20 +20,6 @@ def collect_draws(model, seed, count, dim):
         done += take
         block += 1
     return out
-
-
-def test_no_noise_returns_exact_subgradient():
-    obj = quadratic_distance(np.array([1.0, -1.0]), bound=10.0)
-    stream = NoiseStream(NoNoise(), seed=0, agents=1, dim=2)
-    x = np.array([0.25, 0.5])
-    assert np.array_equal(noisy_subgradient(obj, stream, x, k=3),
-                          obj.subgradient(x))
-
-
-def test_abs_subgradient_away_from_kink():
-    obj = absolute_value()
-    stream = NoiseStream(NoNoise(), seed=0, agents=1, dim=1)
-    assert noisy_subgradient(obj, stream, np.array([2.0]), k=1) == 1.0
 
 
 def test_gaussian_mean_is_centered():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from incsub import (Ball, Box, LinearUtility, LogUtility, Simplex, SqrtUtility,
                     grid_search, make_allocation, make_quadratic_suite,
                     make_regression)
@@ -28,7 +29,7 @@ class TestRegression:
         assert prob.optimum.method == "closed_form"
         assert prob.optimum.witness[0] == pytest.approx(2.0)
         grid_val, grid_x = grid_search(prob.f_many, prob.feasible_set, 1e-4)
-        tol = sum(c.bound for c in prob.components) * 1e-4
+        tol = prob.bounds.sum() * 1e-4
         assert abs(grid_val - prob.optimum.f_star) <= tol
         assert abs(grid_x[0] - 2.0) <= 1e-4
 
@@ -48,7 +49,8 @@ class TestRegression:
         prob = make_regression([0.0, 1.0, 2.0], scalar_basis, Box([0.0], [10.0]),
                                samples=samples)
         x_star = prob.optimum.witness
-        total = sum(c.subgradient(x_star) for c in prob.components)
+        total = sum(prob.subgradient_for_agents(x_star[None, :], i)[0]
+                    for i in range(prob.m))
         ys = np.linspace(0.0, 10.0, 101)[:, None]
         inner = (ys - x_star) @ total
         assert np.all(inner >= -1e-9)
@@ -141,7 +143,7 @@ class TestQuadraticSuite:
         fset = Ball([0.0, 0.0], 0.1)
         prob = make_quadratic_suite(3, 2, 0.0, fset, centers=centers)
         grid_val, _ = grid_search(prob.f_many, fset, 1e-4)
-        tol = sum(c.bound for c in prob.components) * 1e-4 * 2
+        tol = prob.bounds.sum() * 1e-4 * 2
         assert prob.optimum.f_star <= grid_val + 1e-12
         assert grid_val - prob.optimum.f_star <= tol
 
@@ -149,7 +151,7 @@ class TestQuadraticSuite:
         prob = quad_m5_box
         rng = np.random.default_rng(5)
         xs = prob.feasible_set.sample(rng, 64)
-        direct = sum(c.evaluate_many(xs) for c in prob.components)
+        direct = [reference.total(prob.family, x) for x in xs.tolist()]
         assert np.allclose(prob.f_many(xs), direct, rtol=1e-12, atol=1e-12)
 
     def test_agent_subgradients_match_components(self, quad_m5_box):
@@ -159,8 +161,8 @@ class TestQuadraticSuite:
         agents = rng.integers(0, prob.m, size=32)
         fused = prob.subgradient_for_agents(xs, agents)
         for r in range(32):
-            expect = prob.components[agents[r]].subgradient(xs[r])
-            assert np.array_equal(fused[r], expect)
+            _, g = reference.component(prob.family, agents[r])
+            assert np.array_equal(fused[r], g(xs[r].tolist()))
 
     def test_instances_pass_core_suites(self, quad_m5_box):
         # every fixture must satisfy the subgradient inequality and C_i bound
@@ -168,11 +170,14 @@ class TestQuadraticSuite:
         rng = np.random.default_rng(8)
         xs = prob.feasible_set.sample(rng, 2000)
         ys = prob.feasible_set.sample(rng, 2000)
-        for comp in prob.components:
-            g = comp.subgradient_many(xs)
+        for i in range(prob.m):
+            f_i, _ = reference.component(prob.family, i)
+            g = prob.subgradient_for_agents(xs, i)
             lhs = np.einsum("ij,ij->i", g, ys - xs)
-            assert np.all(lhs <= comp.evaluate_many(ys) - comp.evaluate_many(xs) + 1e-9)
-            assert np.all(np.linalg.norm(g, axis=1) <= comp.bound + 1e-9)
+            fx = np.array([f_i(x) for x in xs.tolist()])
+            fy = np.array([f_i(y) for y in ys.tolist()])
+            assert np.all(lhs <= fy - fx + 1e-9)
+            assert np.all(np.linalg.norm(g, axis=1) <= prob.bounds[i] + 1e-9)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
