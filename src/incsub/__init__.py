@@ -13,23 +13,23 @@ seeded simulations.
 from .version import __version__
 
 from .errors import (CertificateError, ConfigError, DimensionMismatchError,
-                     IncsubError, NonFiniteError, ProjectionConvergenceError,
-                     SchemeViolationError, TopologyError)
-from .sets import Ball, Box, Halfspaces, Simplex, project
+                     IncsubError, NonFiniteError, SchemeViolationError,
+                     TopologyError)
+from .sets import Ball, Box, Simplex, project
 from .schedules import Constant, PowerLaw, step_size
 from .noise import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
-                    NoNoise, NoiseStream)
+                    NoNoise)
 from .objectives import (LinearUtility, LogUtility, QuadraticFamily,
                          RegressionFamily, SqrtUtility, UtilityFamily)
 from .problems import (OptimumCertificate, ProblemInstance, grid_search,
                        make_allocation, make_quadratic_suite, make_regression)
-from .cyclic import CyclicState, cyclic_cycle, run_cyclic, run_cyclic_batch
+from .cyclic import run_cyclic, run_cyclic_batch
 from .markov import (EqualProbability, MinEqualNeighbor,
                      PeriodicTopology, RandomEdgeTopology, StaticTopology,
                      TransitionMatrix, WeightedMetropolisHastings,
                      adjacency_from_edges, build_transition, make_scheme,
                      make_topology, run_markov, run_markov_batch,
-                     sample_next_agent, validate_transition)
+                     validate_transition)
 from .analysis import (BoundReport, BoundVerdict, OptimalWindow, RateConstants,
                        aggregate_verdicts, cyclic_bound, delta_window,
                        markov_bound, max_uniform_deviation, optimal_T,

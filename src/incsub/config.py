@@ -90,8 +90,21 @@ def _nest(flat):
     return nested
 
 
-_CYCLIC_ONLY = ()
 _MARKOV_ONLY = ("topology", "scheme", "s0")
+_TOP_LEVEL_KEYS = {"algorithm", "problem", "schedule", "noise", "horizon",
+                   "replications", "seed", "out", "stride", "topology",
+                   "scheme", "s0", "x0", "tail_fraction", "verify", "compare"}
+# Entries each section may hold, over all of its kinds; ``problem`` is
+# checked per fixture by ``build_problem``.
+_SECTION_KEYS = {
+    "schedule": {"kind", "alpha", "a", "p"},
+    "noise": {"kind", "sigma", "bias", "radius"},
+    "topology": {"kind", "graph", "edges", "phases", "window", "base",
+                 "inclusion_prob", "seed"},
+    "scheme": {"kind", "weights", "weight"},
+    "verify": {"slack_rel", "slack_abs", "min_pass_fraction"},
+    "compare": {"alphas", "Ts"},
+}
 
 
 @dataclass(frozen=True)
@@ -122,6 +135,10 @@ class ExperimentConfig:
         if overrides:
             flat.update({k: v for k, v in overrides.items() if v is not None})
         nested = _nest(flat)
+        _check_keys(nested, None, _TOP_LEVEL_KEYS)
+        for section, keys in _SECTION_KEYS.items():
+            if section in nested:
+                _check_keys(nested[section], section, keys)
 
         algorithm = nested.get("algorithm")
         if algorithm not in ("cyclic", "markov"):
@@ -136,26 +153,17 @@ class ExperimentConfig:
                 if key not in nested:
                     raise ConfigError("required for markov runs", field=key)
 
-        def need(name, kind, minimum=None):
-            if name not in nested:
-                raise ConfigError("missing required entry", field=name)
-            value = nested[name]
-            try:
-                value = kind(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"expected {kind.__name__}", field=name)
-            if minimum is not None and value < minimum:
-                raise ConfigError(f"must be >= {minimum}, got {value}", field=name)
-            return value
-
-        horizon = need("horizon", int, 0)
-        replications = need("replications", int, 1) if "replications" in nested else 1
-        seed = need("seed", int, 0) if "seed" in nested else 0
-        stride = need("stride", int, 1) if "stride" in nested else 1
+        horizon = _number(nested, None, "horizon", minimum=0, kind=int)
+        replications = _number(nested, None, "replications", 1, minimum=1, kind=int)
+        seed = _number(nested, None, "seed", 0, minimum=0, kind=int)
+        stride = _number(nested, None, "stride", 1, minimum=1, kind=int)
         out_dir = str(nested.get("out", "incsub_out"))
-        tail = float(nested.get("tail_fraction", 0.1))
+        tail = _number(nested, None, "tail_fraction", 0.1)
         if not 0.0 < tail <= 1.0:
-            raise ConfigError("must be in (0, 1]", field="tail_fraction")
+            raise ConfigError(f"must be in (0, 1], got {tail}", field="tail_fraction")
+        s0 = nested.get("s0", "uniform")
+        if s0 != "uniform":
+            s0 = _number(nested, None, "s0", minimum=0, kind=int)
         if "problem" not in nested or "fixture" not in nested["problem"]:
             raise ConfigError("missing problem.fixture", field="problem.fixture")
         if "schedule" not in nested:
@@ -167,7 +175,7 @@ class ExperimentConfig:
                    horizon=horizon, replications=replications, seed=seed,
                    out_dir=out_dir, stride=stride,
                    topology=nested.get("topology"), scheme=nested.get("scheme"),
-                   s0=nested.get("s0", "uniform"), x0=nested.get("x0", "auto"),
+                   s0=s0, x0=nested.get("x0", "auto"),
                    tail_fraction=tail, verify=nested.get("verify", {}),
                    compare=nested.get("compare"), flat=flat)
 
@@ -185,8 +193,9 @@ _MISSING = object()
 
 def _number(spec, section, key, default=_MISSING, minimum=None, kind=float):
     """``spec[key]`` as a float, or as an int with ``kind=int`` (a float
-    must then be integral); ``minimum`` is inclusive."""
-    field = f"{section}.{key}"
+    must then be integral); ``minimum`` is inclusive.  ``section`` is None
+    for a top-level entry."""
+    field = key if section is None else f"{section}.{key}"
     raw = spec.get(key, default)
     if raw is _MISSING:
         raise ConfigError("missing required entry", field=field)
@@ -211,13 +220,15 @@ def _floats(raw, field):
 
 
 def _check_keys(spec, section, allowed):
+    """Reject entries of ``spec`` outside ``allowed``; ``section`` is None at
+    the top level."""
     if not isinstance(spec, dict):
         raise ConfigError(f"expected an object, got {spec!r}", field=section)
     for key in sorted(spec):
         if key not in allowed:
             raise ConfigError(f"unknown entry; expected one of "
                               f"{', '.join(sorted(allowed))}",
-                              field=f"{section}.{key}")
+                              field=key if section is None else f"{section}.{key}")
 
 
 def _construct(section, cls, *args, **kwargs):
@@ -384,22 +395,52 @@ def build_noise(spec):
     raise ConfigError(f"unknown noise kind {kind!r}", field="noise.kind")
 
 
+_GRAPHS = ("ring", "path", "complete")
+
+
 def build_topology(spec, m):
     kind = spec.get("kind")
-    if kind in ("ring", "path", "complete"):
+    if kind in _GRAPHS:
         return make_topology("static", m, graph=kind)
     if kind == "periodic" and "phases" not in spec:
         raise ConfigError("missing required entry", field="topology.phases")
     params = {k: v for k, v in spec.items() if k != "kind"}
-    return make_topology(kind, m, **params)
+    for key in ("base", "graph"):
+        if isinstance(params.get(key), str) and params[key] not in _GRAPHS:
+            raise ConfigError(f"expected one of {', '.join(_GRAPHS)} or an edge "
+                              f"list, got {params[key]!r}", field=f"topology.{key}")
+    for key, minimum, as_type in (("window", 1, int), ("seed", 0, int),
+                                  ("inclusion_prob", None, float)):
+        if key in params:
+            params[key] = _number(spec, "topology", key, minimum=minimum, kind=as_type)
+    try:
+        return make_topology(kind, m, **params)
+    except (TypeError, ValueError) as exc:  # malformed edge lists
+        raise ConfigError(str(exc), field="topology") from None
 
 
 def build_scheme(spec):
     params = {k: v for k, v in spec.items() if k != "kind"}
-    return make_scheme(spec.get("kind"), **params)
+    try:
+        return make_scheme(spec.get("kind"), **params)
+    except (TypeError, ValueError) as exc:  # non-numeric weights
+        raise ConfigError(str(exc), field="scheme") from None
 
 
-def initial_point(config, problem):
+def initial_state(config, problem):
+    """The run's start ``(x0, s0)``, checked against the problem.
+
+    ``x0 = "auto"`` is the origin projected onto the feasible set; a fixed
+    initial agent ``s0`` must be one of the problem's agents.
+    """
     if isinstance(config.x0, str) and config.x0 == "auto":
-        return problem.feasible_set.project_many(np.zeros(problem.n))
-    return np.asarray(config.x0, dtype=float)
+        x0 = problem.feasible_set.project_many(np.zeros(problem.n))
+    else:
+        x0 = _floats(config.x0, "x0")
+        if x0.shape != (problem.n,) or not np.isfinite(x0).all():
+            raise ConfigError(f"expected {problem.n} finite numbers, got "
+                              f"{config.x0!r}", field="x0")
+    if config.s0 != "uniform" and not config.s0 < problem.m:
+        raise ConfigError(f"must be 'uniform' or an agent index in [0, "
+                          f"{problem.m}), got {config.s0}", field="s0")
+    return x0, config.s0

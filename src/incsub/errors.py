@@ -13,10 +13,6 @@ class NonFiniteError(IncsubError):
     """A NaN or infinity showed up where only finite values are allowed."""
 
 
-class ProjectionConvergenceError(IncsubError):
-    """Iterative projection failed to reach tolerance within its cap."""
-
-
 class SchemeViolationError(IncsubError):
     """A transition matrix violates the probability-scheme contract."""
 

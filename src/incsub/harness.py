@@ -26,7 +26,7 @@ from .analysis import (RateConstants, aggregate_verdicts, cyclic_bound,
                        verify_bound_empirically)
 from .config import (ExperimentConfig, build_noise, build_problem,
                      build_schedule, build_scheme, build_topology,
-                     initial_point)
+                     initial_state)
 from .cyclic import run_cyclic_batch
 from .errors import ConfigError, NonFiniteError
 from .markov import run_markov_batch
@@ -57,7 +57,7 @@ def _run_chunk(flat_config, seeds):
     problem = build_problem(config.problem)
     schedule = build_schedule(config.schedule)
     noise = build_noise(config.noise)
-    x0 = initial_point(config, problem)
+    x0, s0 = initial_state(config, problem)
     chash = config.hash()
     if config.algorithm == "cyclic":
         return run_cyclic_batch(problem, noise, schedule, x0, config.horizon,
@@ -67,7 +67,7 @@ def _run_chunk(flat_config, seeds):
     topology = build_topology(config.topology, problem.m)
     scheme = build_scheme(config.scheme)
     return run_markov_batch(problem, noise, schedule, topology, scheme, x0,
-                            config.horizon, seeds, s0=config.s0,
+                            config.horizon, seeds, s0=s0,
                             stride=config.stride,
                             tail_fraction=config.tail_fraction,
                             config_hash=chash)
@@ -231,6 +231,7 @@ def validate_only(config):
     problem = build_problem(config.problem)
     build_schedule(config.schedule)
     build_noise(config.noise)
+    initial_state(config, problem)
     if config.algorithm == "markov":
         topology = build_topology(config.topology, problem.m)
         scheme = build_scheme(config.scheme)

@@ -21,12 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, NonFiniteError,
-                     SchemeViolationError, TopologyError)
+from .errors import DimensionMismatchError, SchemeViolationError, TopologyError
 from .streams import (BLOCK, DOMAIN_TOPOLOGY, block_generator,
                       chain_uniform_block, init_generator)
-from .trace import RunTrace, record_indices
-from .version import __version__
+from .trace import Recorder
 
 log = logging.getLogger(__name__)
 
@@ -199,23 +197,26 @@ class RandomEdgeTopology:
         # flat cell indices of (i, j) and (j, i) for each optional edge
         object.__setattr__(self, "_optional_cells",
                            (optional @ [self.m, 1], optional @ [1, self.m]))
-        object.__setattr__(self, "_draw_cache", {})
+        object.__setattr__(self, "_mask_cache", {})
 
     def _inclusion_row(self, k):
+        """Which optional edges are present at tick k; the block's masks are
+        cached as booleans, not as the draws they come from."""
         block, off = k // BLOCK, k % BLOCK
-        draws = self._draw_cache.get(block)
-        if draws is None:
+        included = self._mask_cache.get(block)
+        if included is None:
+            self._mask_cache.clear()  # keep only the active block
             gen = block_generator(self.seed, DOMAIN_TOPOLOGY, block)
-            draws = gen.random((BLOCK, max(len(self._optional_cells[0]), 1)))
-            self._draw_cache.clear()  # keep only the active block
-            self._draw_cache[block] = draws
-        return draws[off]
+            included = (gen.random((BLOCK, max(len(self._optional_cells[0]), 1)))
+                        < self.inclusion_prob)
+            self._mask_cache[block] = included
+        return included[off]
 
     def adjacency(self, k):
         adj = self._ring_groups[k % self.window].copy()
         ij, ji = self._optional_cells
         if len(ij) and self.inclusion_prob > 0:
-            on = self._inclusion_row(k) < self.inclusion_prob
+            on = self._inclusion_row(k)
             cells = adj.reshape(-1)
             cells[ij[on]] = True
             cells[ji[on]] = True
@@ -513,26 +514,14 @@ def build_transition(scheme, adj):
     return TransitionMatrix(p, float(eta))
 
 
-def sample_next_agent(transition, current, rng):
-    """Draw the next agent from row ``current``; deterministic given rng state."""
-    cum = transition.cumulative()[current]
-    return _next_from_uniform(cum, rng.random())
-
-
-def _next_from_uniform(cum_row, u):
-    j = int(np.searchsorted(cum_row, u, side="right"))
-    return min(j, len(cum_row) - 1)
-
-
 # -- engine -------------------------------------------------------------------
 
 class _TransitionProvider:
-    """Per-tick (P, cumP), cached for static and periodic sequences."""
+    """Per-tick validated (P, cumP), cached for static and periodic sequences."""
 
-    def __init__(self, topology, scheme, validate=True):
+    def __init__(self, topology, scheme):
         self.topology = topology
         self.scheme = scheme
-        self.validate = validate
         self._cache = {}
         if topology.is_static:
             self._phases = 1
@@ -547,13 +536,7 @@ class _TransitionProvider:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        adj = self.topology.adjacency(k)
-        if self.validate:
-            tm = build_transition(self.scheme, adj)
-        else:
-            deg = adj.sum(axis=1)
-            tm = TransitionMatrix(self.scheme.matrix(adj, deg),
-                                  self.scheme.eta(deg))
+        tm = build_transition(self.scheme, self.topology.adjacency(k))
         value = (tm.entries, tm.cumulative())
         if self._phases is not None:
             self._cache[key] = value
@@ -561,18 +544,17 @@ class _TransitionProvider:
 
 
 def run_markov(problem, noise, schedule, topology, scheme, x0, ticks, seed, *,
-               s0="uniform", stride=1, tail_fraction=None, config_hash=None,
-               validate=True):
+               s0="uniform", stride=1, tail_fraction=None, config_hash=None):
     """Run one replication; see :func:`run_markov_batch`."""
     return run_markov_batch(problem, noise, schedule, topology, scheme, x0,
                             ticks, [seed], s0=s0, stride=stride,
                             tail_fraction=tail_fraction,
-                            config_hash=config_hash, validate=validate)[0]
+                            config_hash=config_hash)[0]
 
 
 def run_markov_batch(problem, noise, schedule, topology, scheme, x0, ticks,
                      seeds, *, s0="uniform", stride=1, tail_fraction=None,
-                     config_hash=None, validate=True):
+                     config_hash=None):
     """Run ``len(seeds)`` independent replications for ``ticks`` ticks.
 
     The topology and scheme are validated before any tick runs: structural
@@ -581,7 +563,9 @@ def run_markov_batch(problem, noise, schedule, topology, scheme, x0, ticks,
     sequences cache these; random sequences validate each tick's matrix as
     it is built).  Validation failure aborts before the first step.
 
-    Per-trace metadata records each agent's visit count over s(0..N).
+    Traces are recorded as in :func:`incsub.cyclic.run_cyclic_batch`, plus
+    the updating agent of each recorded tick and, in the metadata, each
+    agent's visit count over s(0..N).
     """
     if ticks < 0:
         raise ValueError(f"tick count must be >= 0, got {ticks}")
@@ -592,10 +576,9 @@ def run_markov_batch(problem, noise, schedule, topology, scheme, x0, ticks,
     fset = problem.feasible_set
     reps = len(seeds)
 
-    if validate:
-        topology.validate()
-    provider = _TransitionProvider(topology, scheme, validate=validate)
-    if validate and isinstance(topology, (StaticTopology, PeriodicTopology)):
+    topology.validate()
+    provider = _TransitionProvider(topology, scheme)
+    if isinstance(topology, (StaticTopology, PeriodicTopology)):
         for k in range(1 if topology.is_static else topology.period):
             provider.at(k)
 
@@ -613,122 +596,27 @@ def run_markov_batch(problem, noise, schedule, topology, scheme, x0, ticks,
         if not 0 <= s0 < m:
             raise ValueError(f"fixed initial agent {s0} outside [0, {m})")
         agents = np.full(reps, s0, dtype=int)
-
-    recs = record_indices(ticks, stride)
-    rec_positions = {k: j for j, k in enumerate(recs)}
-    nrows = len(recs)
-    row_f = np.empty((reps, nrows))
-    row_inf = np.empty((reps, nrows))
-    row_agent = np.empty((reps, nrows), dtype=int)
-    witness = problem.optimum.witness
-    row_dist = np.empty((reps, nrows)) if witness is not None else None
-
-    fv = problem.f_many(x_batch)
-    run_min = fv.copy()
-    tail_start = None
-    tail_min = None
-    if tail_fraction is not None:
-        tail_start = ticks - int(np.floor(ticks * tail_fraction))
-        tail_min = np.full(reps, np.inf)
-        if tail_start == 0:
-            tail_min = fv.copy()
-
-    visits = np.zeros((reps, m), dtype=np.int64)
-    visits[np.arange(reps), agents] += 1
-    filled = 0
-
-    def record(j):
-        nonlocal filled
-        row_f[:, j] = fv
-        row_inf[:, j] = run_min
-        row_agent[:, j] = agents
-        if row_dist is not None:
-            row_dist[:, j] = np.linalg.norm(x_batch - witness, axis=1)
-        filled = j + 1
-
-    record(0)
-
-    f_star = problem.optimum.f_star
-
-    def build_traces(final_x, aborted_at=None):
-        used = recs[:filled]
-        alphas_col = np.array(
-            [np.nan if k == 0 else schedule.step(k) for k in used])
-        traces = []
-        for r, seed in enumerate(seeds):
-            meta = {
-                "engine": "markov",
-                "engine_version": __version__,
-                "seed": int(seed),
-                "horizon": int(ticks),
-                "stride": int(stride),
-                "m": m,
-                "n": n,
-                "problem": problem.name,
-                "f_star": None if f_star is None else float(f_star),
-                "final_x": [float(v) for v in final_x[r]],
-                "config_hash": config_hash,
-                "visit_counts": [int(v) for v in visits[r]],
-            }
-            if aborted_at is not None:
-                meta["aborted_at"] = int(aborted_at)
-            if tail_start is not None and aborted_at is None:
-                meta["tail_start"] = int(tail_start)
-                meta["tail_min"] = float(tail_min[r])
-            traces.append(RunTrace(
-                np.array(used), row_f[r, :filled].copy(),
-                row_inf[r, :filled].copy(), alphas_col.copy(),
-                row_agent[r, :filled].copy(),
-                None if row_dist is None else row_dist[r, :filled].copy(),
-                meta))
-        return traces
+    recorder = Recorder("markov", problem, schedule, seeds, ticks, x_batch,
+                        agents=agents, stride=stride,
+                        tail_fraction=tail_fraction, config_hash=config_hash)
 
     skip_noise = getattr(noise, "is_zero", False)
-    nblocks = (ticks + BLOCK - 1) // BLOCK
-    for b in range(nblocks):
-        start_it = b * BLOCK + 1
-        count = min(BLOCK, ticks - b * BLOCK)
-        alphas = schedule.steps(start_it, count)
-        uniforms = np.stack([chain_uniform_block(s, b) for s in seeds])
-        eps = None
-        if not skip_noise:
-            eps = np.stack([noise.sample_block(s, b, 1, n) for s in seeds])
-        agent_buf = np.empty((reps, count), dtype=int)
-        for off in range(count):
-            it = start_it + off
-            k = it - 1
-            _, cum = provider.at(k)
-            rows = cum[agents]
-            u = uniforms[:, off]
-            agents = np.minimum((u[:, None] >= rows).sum(axis=1), m - 1)
-            agent_buf[:, off] = agents
-            x_prev = x_batch  # retained as the last finite state on abort
-            try:
+    with recorder:
+        for b in range((ticks + BLOCK - 1) // BLOCK):
+            count = min(BLOCK, ticks - b * BLOCK)
+            alphas = schedule.steps(b * BLOCK + 1, count)
+            uniforms = np.stack([chain_uniform_block(s, b) for s in seeds])
+            eps = None
+            if not skip_noise:
+                eps = np.stack([noise.sample_block(s, b, 1, n) for s in seeds])
+            for off in range(count):
+                _, cum = provider.at(b * BLOCK + off)
+                u = uniforms[:, off]
+                agents = np.minimum((u[:, None] >= cum[agents]).sum(axis=1), m - 1)
+                recorder.visit(agents)
                 g = problem.subgradient_for_agents(x_batch, agents)
                 if eps is not None:
                     g = g + eps[:, off, 0, :]
                 x_batch = fset.project_many(x_batch - alphas[off] * g)
-                fv = problem.f_many(x_batch)
-                if not np.isfinite(fv).all():
-                    bad = int(np.flatnonzero(~np.isfinite(fv))[0])
-                    raise NonFiniteError(
-                        f"non-finite objective in replication {bad} "
-                        f"(seed {seeds[bad]})")
-            except NonFiniteError as exc:
-                visits[:, :] += np.stack(
-                    [np.bincount(agent_buf[r, :off + 1], minlength=m)
-                     for r in range(reps)])
-                wrapped = NonFiniteError(
-                    f"tick {it}: {exc}; last finite state at tick {it - 1}")
-                wrapped.partial_traces = build_traces(x_prev, aborted_at=it)
-                raise wrapped from exc
-            np.minimum(run_min, fv, out=run_min)
-            if tail_start is not None and it >= tail_start:
-                np.minimum(tail_min, fv, out=tail_min)
-            j = rec_positions.get(it)
-            if j is not None:
-                record(j)
-        for r in range(reps):
-            visits[r] += np.bincount(agent_buf[r], minlength=m)
-
-    return build_traces(x_batch)
+                recorder.push(x_batch)
+    return recorder.traces()

@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .streams import BLOCK, DOMAIN_NOISE, block_generator, block_index, block_offset
+from .streams import BLOCK, DOMAIN_NOISE, block_generator
 
 Sequence = Union[float, Callable[[int], float]]
 
@@ -162,35 +162,3 @@ class BoundedUniformNoise:
         start = block * BLOCK + 1
         r = r * _seq_block(self.radius, start, BLOCK)[:, None]
         return v * (r / norms)[:, :, None]
-
-
-class NoiseStream:
-    """Per-run view of a noise model: one draw per (iteration, agent).
-
-    Caches the current block so sequential access costs one generator
-    construction per BLOCK iterations.  The draw for a given (k, agent)
-    is a pure function of (seed, k, agent), not of access order.
-    """
-
-    def __init__(self, model, seed, agents, dim):
-        self.model = model
-        self.seed = seed
-        self.agents = int(agents)
-        self.dim = int(dim)
-        self._block = -1
-        self._data = None
-
-    def block(self, block):
-        if block != self._block:
-            self._data = self.model.sample_block(self.seed, block, self.agents, self.dim)
-            self._block = block
-        return self._data
-
-    def draw(self, k, agent=0):
-        if not 0 <= agent < self.agents:
-            raise ValueError(f"agent index {agent} out of range [0, {self.agents})")
-        data = self.block(block_index(k))
-        if data is None:
-            return np.zeros(self.dim)
-        return data[block_offset(k), agent, :]
-

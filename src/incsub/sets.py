@@ -1,10 +1,8 @@
 """Closed convex feasible sets with exact Euclidean projections.
 
-Four set families are shipped: axis-aligned boxes, Euclidean balls, scaled
-probability simplices, and intersections of halfspaces.  The first three
-project in closed form; halfspace intersections use Dykstra's alternating
-scheme, which (unlike plain cyclic projection) converges to the Euclidean
-projection itself.
+Three set families are shipped: axis-aligned boxes, Euclidean balls and
+scaled probability simplices.  All three project in closed form and have a
+finite diameter, which the error bounds need.
 
 All projection code is written row-wise on ``(N, n)`` arrays so that
 projecting a batch gives bit-identical results to projecting each row
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, ProjectionConvergenceError
+from .errors import DimensionMismatchError, NonFiniteError
 
 CONTAINS_TOL = 1e-9
 
@@ -162,78 +160,6 @@ class Simplex:
     def sample(self, rng, size):
         g = rng.standard_exponential((size, self.dim))
         return self.scale * g / g.sum(axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class Halfspaces:
-    """Intersection of halfspaces { x : normals @ x <= offsets }.
-
-    Projection runs Dykstra's alternating method until the iterate moves
-    less than ``tol`` over a full sweep, and reports non-convergence past
-    ``max_sweeps``.  The set may be unbounded, in which case the diameter
-    is reported as infinity.
-    """
-
-    normals: np.ndarray
-    offsets: np.ndarray
-    tol: float = 1e-10
-    max_sweeps: int = 50_000
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        b = np.atleast_1d(np.asarray(self.offsets, dtype=float))
-        if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
-            raise DimensionMismatchError("need one offset per halfspace normal")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise NonFiniteError("halfspace data must be finite")
-        norms = np.linalg.norm(a, axis=1)
-        if np.any(norms == 0):
-            raise ValueError("halfspace normals must be nonzero")
-        object.__setattr__(self, "normals", a)
-        object.__setattr__(self, "offsets", b)
-        object.__setattr__(self, "_sqnorms", norms**2)
-
-    @property
-    def dim(self):
-        return self.normals.shape[1]
-
-    def _onto_halfspace(self, j, y):
-        # Rows of y projected onto halfspace j.
-        viol = y @ self.normals[j] - self.offsets[j]
-        step = np.maximum(viol, 0.0) / self._sqnorms[j]
-        return y - step[:, None] * self.normals[j]
-
-    def project_many(self, x):
-        x, squeeze = _as_batch(x, self.dim, "Halfspaces.project")
-        p = x.copy()
-        corrections = [np.zeros_like(p) for _ in range(self.normals.shape[0])]
-        for _ in range(self.max_sweeps):
-            start = p.copy()
-            for j in range(self.normals.shape[0]):
-                y = p + corrections[j]
-                p = self._onto_halfspace(j, y)
-                corrections[j] = y - p
-            if np.max(np.abs(p - start)) <= self.tol:
-                # Dykstra also stalls on an empty intersection (it converges
-                # to the closest pair); a stationary infeasible point means
-                # there is no projection to return.
-                violation = np.max(p @ self.normals.T - self.offsets)
-                if violation > 1e-8:
-                    raise ProjectionConvergenceError(
-                        f"projection stalled {violation!r} away from "
-                        "feasibility; the halfspace intersection may be empty")
-                out = p
-                return out[0] if squeeze else out
-        raise ProjectionConvergenceError(
-            f"Dykstra projection did not reach tol={self.tol} "
-            f"within {self.max_sweeps} sweeps")
-
-    def contains(self, x, tol=CONTAINS_TOL):
-        x, _ = _as_batch(x, self.dim, "Halfspaces.contains")
-        return bool(np.all(x @ self.normals.T <= self.offsets + tol))
-
-    def diameter(self):
-        return float("inf")
 
 
 def project(feasible_set, x):

@@ -43,20 +43,6 @@ def block_generator(seed, domain, block):
     return np.random.Generator(bg)
 
 
-def block_index(iteration):
-    """Block holding draws for 1-based ``iteration``."""
-    if iteration < 1:
-        raise ValueError(f"iteration index must be >= 1, got {iteration}")
-    return (iteration - 1) // BLOCK
-
-
-def block_offset(iteration):
-    """Offset of 1-based ``iteration`` inside its block."""
-    if iteration < 1:
-        raise ValueError(f"iteration index must be >= 1, got {iteration}")
-    return (iteration - 1) % BLOCK
-
-
 def init_generator(seed):
     """Generator for one-off draws at run start (initial agent, etc.)."""
     return block_generator(seed, DOMAIN_INIT, 0)

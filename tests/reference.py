@@ -1,4 +1,11 @@
-"""Naive references for the engine: per-neighbor transitions, per-agent objectives.
+"""Naive references for the engines: single steps, per-neighbor transitions,
+per-agent objectives.
+
+``cyclic_cycle`` advances one replication by one ring cycle, one sub-step
+at a time, drawing its noise through ``NoiseStream`` one (iteration,
+agent) cell at a time; ``sample_next_agent`` draws one hand-off of the
+agent chain.  The engines batch all of this and are checked against it
+draw for draw.
 
 The engine builds each instant's transition matrix from a boolean
 adjacency matrix in a few array expressions.  This module keeps the
@@ -12,12 +19,105 @@ The objective families evaluate all agents at once on stacked parameters;
 point, from the same parameters.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from incsub.errors import SchemeViolationError, TopologyError
+from incsub.errors import NonFiniteError, SchemeViolationError, TopologyError
 from incsub.markov import PeriodicTopology, RandomEdgeTopology, ring_edges
 from incsub.objectives import QuadraticFamily, RegressionFamily, UtilityFamily
 from incsub.streams import BLOCK, DOMAIN_TOPOLOGY, block_generator
+
+
+class NoiseStream:
+    """Per-run view of a noise model: one draw per (iteration, agent).
+
+    Caches the current block so sequential access costs one generator
+    construction per BLOCK iterations.  The draw for a given (k, agent)
+    is a pure function of (seed, k, agent), not of access order.
+    """
+
+    def __init__(self, model, seed, agents, dim):
+        self.model = model
+        self.seed = seed
+        self.agents = int(agents)
+        self.dim = int(dim)
+        self._block = -1
+        self._data = None
+
+    def block(self, block):
+        if block != self._block:
+            self._data = self.model.sample_block(self.seed, block, self.agents, self.dim)
+            self._block = block
+        return self._data
+
+    def draw(self, k, agent=0):
+        if k < 1:
+            raise ValueError(f"iteration index must be >= 1, got {k}")
+        if not 0 <= agent < self.agents:
+            raise ValueError(f"agent index {agent} out of range [0, {self.agents})")
+        data = self.block((k - 1) // BLOCK)
+        if data is None:
+            return np.zeros(self.dim)
+        return data[(k - 1) % BLOCK, agent, :]
+
+
+@dataclass(frozen=True)
+class CyclicState:
+    """State at the end of cycle k.
+
+    ``sub_iterates`` holds the m+1 hand-off points of the most recent
+    cycle: row 0 is x_{k-1} (the cycle's entry point) and row m is x_k.
+    Older cycles are not retained.
+    """
+
+    k: int
+    x: np.ndarray
+    sub_iterates: np.ndarray
+
+    @classmethod
+    def initial(cls, x0):
+        x0 = np.asarray(x0, dtype=float)
+        return cls(0, x0, np.tile(x0, (1, 1)))
+
+
+def make_cyclic_noise_stream(noise, problem, seed):
+    """Stream matching the ring-order engine's draws for one replication."""
+    return NoiseStream(noise, seed, problem.m, problem.n)
+
+
+def cyclic_cycle(state, problem, noise_stream, schedule):
+    """Advance one full cycle: m projected sub-steps in ring order.
+
+    The error added at sub-step i of cycle k+1 is ``noise_stream``'s
+    (k+1, i) draw, matching the batch engine draw for draw.
+    """
+    it = state.k + 1
+    alpha = schedule.step(it)
+    fset = problem.feasible_set
+    z = state.x[None, :].copy()
+    subs = [z[0].copy()]
+    skip_noise = getattr(noise_stream.model, "is_zero", False)
+    for i in range(problem.m):
+        g = problem.subgradient_for_agents(z, i)
+        if not skip_noise:
+            g = g + noise_stream.draw(it, i)[None, :]
+        z = fset.project_many(z - alpha * g)
+        subs.append(z[0].copy())
+    if not np.isfinite(z).all():
+        raise NonFiniteError(f"non-finite iterate during cycle {it}")
+    return CyclicState(it, z[0], np.stack(subs))
+
+
+def next_from_uniform(cum_row, u):
+    """The agent whose cumulative-probability cell holds uniform ``u``."""
+    j = int(np.searchsorted(cum_row, u, side="right"))
+    return min(j, len(cum_row) - 1)
+
+
+def sample_next_agent(transition, current, rng):
+    """Draw the next agent from row ``current``; deterministic given rng state."""
+    return next_from_uniform(transition.cumulative()[current], rng.random())
 
 
 def neighbors_from_edges(m, edges):

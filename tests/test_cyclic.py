@@ -3,8 +3,8 @@ import pytest
 
 import incsub as isb
 from helpers import CallbackFamily, absolute_value
-from incsub.cyclic import make_cyclic_noise_stream
 from incsub.errors import NonFiniteError
+from reference import CyclicState, cyclic_cycle, make_cyclic_noise_stream
 
 
 class ZeroStep:
@@ -112,10 +112,10 @@ def test_batch_lane_equals_solo_run(quad_m5_box, regr_m5_box):
 
 def test_every_subiterate_is_feasible(quad_m5_box):
     stream = make_cyclic_noise_stream(isb.GaussianNoise(0.5), quad_m5_box, 21)
-    state = isb.CyclicState.initial(np.array([1.0, 1.0]))
+    state = CyclicState.initial(np.array([1.0, 1.0]))
     fset = quad_m5_box.feasible_set
     for _ in range(100):
-        state = isb.cyclic_cycle(state, quad_m5_box, stream, isb.PowerLaw(1.0, 1.0))
+        state = cyclic_cycle(state, quad_m5_box, stream, isb.PowerLaw(1.0, 1.0))
         assert fset.contains(state.x)
         for z in state.sub_iterates:
             assert fset.contains(z)
@@ -152,8 +152,8 @@ def test_hand_off_points_feed_next_agent(quad_m2_line):
         CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, recorded),
         quad_m2_line.feasible_set, quad_m2_line.optimum)
     stream = make_cyclic_noise_stream(isb.NoNoise(), prob, 0)
-    state = isb.CyclicState.initial(np.array([0.0]))
-    state = isb.cyclic_cycle(state, prob, stream, isb.Constant(0.25))
+    state = CyclicState.initial(np.array([0.0]))
+    state = cyclic_cycle(state, prob, stream, isb.Constant(0.25))
     assert np.array_equal(seen[0], state.sub_iterates[0])
     assert np.array_equal(seen[1], state.sub_iterates[1])
 
@@ -219,23 +219,23 @@ def test_squared_distance_drifts_down_across_seeds(quad_m2_line):
     assert mean_sq[-1] <= 0.05 * mean_sq[burn]
 
 
-def test_subiterate_dump_matches_scalar_engine(quad_m5_box):
-    tr = isb.run_cyclic(quad_m5_box, isb.GaussianNoise(0.3),
-                        isb.PowerLaw(1.0, 1.0), np.array([1.0, 1.0]), 5,
-                        seed=6, stride=1, record_subiterates=True)
-    dumps = tr.meta["sub_iterates"]
-    assert set(dumps) == {1, 2, 3, 4, 5}
-    stream = make_cyclic_noise_stream(isb.GaussianNoise(0.3), quad_m5_box, 6)
-    state = isb.CyclicState.initial(
+def test_cycles_match_reference_draw_for_draw(quad_m5_box):
+    # cycle by cycle, the batch engine's recorded f and distance are those of
+    # the one-sub-step-at-a-time reference iterate, and so is its final x
+    noise, sched = isb.GaussianNoise(0.3), isb.PowerLaw(1.0, 1.0)
+    tr = isb.run_cyclic(quad_m5_box, noise, sched, np.array([1.0, 1.0]), 5,
+                        seed=6, stride=1)
+    stream = make_cyclic_noise_stream(noise, quad_m5_box, 6)
+    state = CyclicState.initial(
         quad_m5_box.feasible_set.project_many(np.array([1.0, 1.0])))
+    witness = quad_m5_box.optimum.witness
     for k in range(1, 6):
-        state = isb.cyclic_cycle(state, quad_m5_box, stream,
-                                 isb.PowerLaw(1.0, 1.0))
-        assert np.array_equal(dumps[k], state.sub_iterates)
-        # boundary identities of the hand-off chain
-        assert np.array_equal(dumps[k][-1],
-                              dumps.get(k + 1, [state.x])[0]
-                              if k + 1 in dumps else state.x)
+        state = cyclic_cycle(state, quad_m5_box, stream, sched)
+        assert tr.f_vals[k] == quad_m5_box.f(state.x)
+        assert tr.dists[k] == np.linalg.norm(state.x[None, :] - witness, axis=1)[0]
+        short = isb.run_cyclic(quad_m5_box, noise, sched, np.array([1.0, 1.0]),
+                               k, seed=6, stride=1)
+        assert short.meta["final_x"] == state.x.tolist()
 
 
 def test_trace_row_count_and_running_inf(quad_m2_line):

@@ -369,6 +369,43 @@ class TestFailFast:
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    @pytest.mark.parametrize("entry, value, field", [
+        ("schedule.alhpa", 0.5, "schedule.alhpa"),
+        ("noise.sigam", 9, "noise.sigam"),
+        ("topology.windw", 3, "topology.windw"),
+        ("scheme.wieght", 0.5, "scheme.wieght"),
+        ("verify.slack", 0.1, "verify.slack"),
+        ("strid", 7, "strid"),
+        ("tail_fraction", "abc", "tail_fraction"),
+        ("tail_fraction", 0.0, "tail_fraction"),
+        ("s0", 9, "s0"),
+        ("s0", 5, "s0"),
+        ("s0", "first", "s0"),
+        ("x0", [0.1, 0.2, 0.3], "x0"),
+        ("x0", "origin", "x0"),
+        ("topology.window", "wide", "topology.window"),
+        ("topology.graph", "star", "topology.graph"),
+    ])
+    def test_bad_run_entries(self, tmp_path, capsys, verb, entry, value, field):
+        flat = parse_config_text(MARKOV_CFG)
+        flat[entry] = value
+        if entry.startswith("topology.") and entry != "topology.windw":
+            flat["topology.kind"] = "random_edges"
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries", [{"s0": 4}, {"x0": [0.25, -0.5]},
+                                         {"s0": "uniform", "x0": "auto"}])
+    def test_good_start_entries_validate(self, tmp_path, capsys, entries):
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update(entries)
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        assert cli_main(["validate", "--config", cfg]) == 0
+
     def test_allocation_config_validates(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "exp.cfg", parse_config_text(ALLOCATION_CFG))
         assert cli_main(["validate", "--config", cfg]) == 0

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incsub import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
-                    NoNoise, NoiseStream)
+                    NoNoise)
 from incsub.streams import BLOCK
+from reference import NoiseStream
 
 
 def collect_draws(model, seed, count, dim):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from incsub import (Ball, Box, DimensionMismatchError, Halfspaces,
-                    ProjectionConvergenceError, Simplex, project)
+from incsub import Ball, Box, DimensionMismatchError, Simplex, project
 
 
 def brute_force_simplex_projection(x, scale, resolution):
@@ -45,26 +44,11 @@ def make_sets():
         Ball([0.5, -0.25], 1.5),
         Simplex(2.0, 2),
         Simplex(1.0, 4),
-        Halfspaces(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
-                             [1.0, 1.0]]),
-                   np.array([1.0, 1.0, 1.0, 1.0, 1.5])),
     ]
 
 
 def sample_around(fset, rng, size, span=4.0):
     return rng.uniform(-span, span, size=(size, fset.dim))
-
-
-def sample_inside(fset, rng, size):
-    if hasattr(fset, "sample"):
-        return fset.sample(rng, size)
-    # rejection from the bounding box for the polytope test set
-    pts = []
-    while len(pts) < size:
-        cand = rng.uniform(-1.0, 1.0, size=(4 * size, fset.dim))
-        ok = (cand @ fset.normals.T <= fset.offsets).all(axis=1)
-        pts.extend(cand[ok][: size - len(pts)])
-    return np.array(pts)
 
 
 @pytest.mark.parametrize("fset", make_sets(), ids=lambda s: type(s).__name__)
@@ -83,7 +67,7 @@ def test_projection_is_nonexpansive(fset):
 def test_projection_is_optimal_and_idempotent(fset):
     rng = np.random.default_rng(11)
     x = sample_around(fset, rng, 300)
-    z = sample_inside(fset, rng, 300)
+    z = fset.sample(rng, 300)
     px = fset.project_many(x)
     assert np.all(np.linalg.norm(px - x, axis=1)
                   <= np.linalg.norm(z - x, axis=1) + 1e-8)
@@ -112,22 +96,3 @@ def test_diameters():
     assert Box([0, 0], [3, 4]).diameter() == 5.0
     assert Ball([1, 1], 2.0).diameter() == 4.0
     assert Simplex(1.0, 2).diameter() == pytest.approx(np.sqrt(2.0))
-    assert np.isinf(Halfspaces([[1.0]], [0.0]).diameter())
-
-
-def test_halfspaces_match_box_projection():
-    # the unit square written as four halfspaces
-    hs = Halfspaces(np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]]),
-                    np.array([1.0, 0.0, 1.0, 0.0]))
-    box = Box([-0.0, -0.0], [1.0, 1.0])
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-2, 2, size=(100, 2))
-    assert np.allclose(hs.project_many(x), box.project_many(x), atol=1e-8)
-
-
-def test_halfspaces_report_nonconvergence():
-    # empty intersection: x <= -1 and x >= 1 can never satisfy the tolerance
-    hs = Halfspaces(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]),
-                    max_sweeps=50)
-    with pytest.raises(ProjectionConvergenceError):
-        hs.project_many(np.array([[0.0]]))
