@@ -16,7 +16,7 @@ from .errors import (CertificateError, ConfigError, DimensionMismatchError,
                      IncsubError, NonFiniteError, SchemeViolationError,
                      TopologyError)
 from .sets import Ball, Box, Simplex, project
-from .schedules import Constant, PowerLaw, step_size
+from .schedules import Constant, PowerLaw
 from .noise import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
                     NoNoise)
 from .objectives import (LinearUtility, LogUtility, QuadraticFamily,
@@ -29,12 +29,12 @@ from .markov import (EqualProbability, MinEqualNeighbor,
                      TransitionMatrix, WeightedMetropolisHastings,
                      adjacency_from_edges, build_transition, make_scheme,
                      make_topology, run_markov, run_markov_batch,
-                     validate_transition)
+                     topology_eta, validate_transition)
 from .analysis import (BoundReport, BoundVerdict, OptimalWindow, RateConstants,
                        aggregate_verdicts, cyclic_bound, delta_window,
-                       markov_bound, max_uniform_deviation, optimal_T,
-                       optimal_window, phi_product, rate_constants,
-                       simple_delta_bound, verify_bound_empirically)
+                       markov_bound, max_uniform_deviation, optimal_window,
+                       phi_product, rate_constants, simple_delta_bound,
+                       verify_bound_empirically)
 from .trace import RunTrace, record_indices
 from .config import ExperimentConfig, canonical_config_text, parse_config_text
 from .harness import compare_bounds, run_experiment

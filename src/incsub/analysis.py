@@ -105,7 +105,9 @@ class BoundReport:
                 "terms": dict(self.terms), "params": dict(self.params)}
 
 
-def _common_checks(alpha, c_bounds, mu, nu):
+def _common_checks(alpha, c_bounds, mu, nu, m, diameter, bounded=True):
+    """The agent count, max C_i and sum C_i, after the checks every bound
+    shares; ``bounded`` requires a finite diameter."""
     c_bounds = np.asarray(c_bounds, dtype=float)
     if c_bounds.ndim != 1 or c_bounds.size == 0 or np.any(c_bounds < 0):
         raise ValueError("need a nonempty list of nonnegative subgradient bounds")
@@ -113,7 +115,11 @@ def _common_checks(alpha, c_bounds, mu, nu):
         raise ValueError(f"step-size must be positive, got {alpha}")
     if mu < 0 or nu < 0 or mu > nu:
         raise ValueError(f"need 0 <= mu <= nu, got mu={mu}, nu={nu}")
-    return c_bounds
+    if m is not None and int(m) != len(c_bounds):
+        raise ValueError(f"m={m} disagrees with {len(c_bounds)} bounds")
+    if bounded and (diameter is None or not math.isfinite(diameter)):
+        raise ValueError("this bound needs a bounded set: finite diameter required")
+    return len(c_bounds), float(c_bounds.max()), float(c_bounds.sum())
 
 
 def cyclic_bound(alpha, c_bounds, mu, nu, diameter=None, m=None):
@@ -123,22 +129,15 @@ def cyclic_bound(alpha, c_bounds, mu, nu, diameter=None, m=None):
     term requires a finite diameter; with mu = 0 it vanishes exactly and
     no diameter is needed (the zero-mean form of the bound).
     """
-    c_bounds = _common_checks(alpha, c_bounds, mu, nu)
-    m_agents = len(c_bounds) if m is None else int(m)
-    if m_agents != len(c_bounds):
-        raise ValueError(f"m={m} disagrees with {len(c_bounds)} bounds")
-    if mu > 0:
-        if diameter is None or not math.isfinite(diameter):
-            raise ValueError("biased errors need a bounded set: finite diameter required")
-        bias = m_agents * mu * diameter
-    else:
-        bias = 0.0
-    step = 0.5 * alpha * (float(c_bounds.sum()) + m_agents * nu) ** 2
+    m_agents, _, c_sum = _common_checks(alpha, c_bounds, mu, nu, m, diameter,
+                                        bounded=mu > 0)
+    bias = m_agents * mu * diameter if mu > 0 else 0.0
+    step = 0.5 * alpha * (c_sum + m_agents * nu) ** 2
     terms = {"bias": bias, "step": step}
     return BoundReport(bias + step, terms,
                        {"alpha": alpha, "m": m_agents, "mu": mu, "nu": nu,
-                        "diameter": diameter,
-                        "c_sum": float(c_bounds.sum())}, "cyclic_constant_step")
+                        "diameter": diameter, "c_sum": c_sum},
+                       "cyclic_constant_step")
 
 
 def markov_bound(alpha, c_bounds, mu, nu, diameter, rate, T, m=None):
@@ -150,16 +149,9 @@ def markov_bound(alpha, c_bounds, mu, nu, diameter, rate, T, m=None):
     The window term grows linearly in T while the mixing term decays
     geometrically; :func:`optimal_window` trades them off.
     """
-    c_bounds = _common_checks(alpha, c_bounds, mu, nu)
-    m_agents = len(c_bounds) if m is None else int(m)
-    if m_agents != len(c_bounds):
-        raise ValueError(f"m={m} disagrees with {len(c_bounds)} bounds")
+    m_agents, c_max, c_sum = _common_checks(alpha, c_bounds, mu, nu, m, diameter)
     if T < 0 or int(T) != T:
         raise ValueError(f"window T must be a nonnegative integer, got {T}")
-    if diameter is None or not math.isfinite(diameter):
-        raise ValueError("this bound assumes a bounded set: finite diameter required")
-    c_max = float(c_bounds.max())
-    c_sum = float(c_bounds.sum())
     bias = mu * diameter
     step = 0.5 * alpha * (nu + c_max) ** 2
     window = alpha * T * c_max * (c_max + nu)
@@ -225,11 +217,6 @@ def optimal_window(alpha, c_effective, c0, beta):
     return OptimalWindow(t, formula, clamped, t != formula)
 
 
-def optimal_T(alpha, c_effective, c0, beta):
-    """Exact integer minimizer of the window/mixing terms (see optimal_window)."""
-    return optimal_window(alpha, c_effective, c0, beta).T
-
-
 def delta_window(alpha, beta):
     """Step-size-driven window: 0 if alpha >= beta, else ceil(ln a/ln b) - 1."""
     if not alpha > 0:
@@ -250,15 +237,8 @@ def simple_delta_bound(alpha, c_bounds, mu, nu, diameter, rate, m=None):
 
     gap = mu * diam + alpha [ (1/2)(nu+C)^2 + C(C+nu) delta + b (sum C_i) diam ].
     """
-    c_bounds = _common_checks(alpha, c_bounds, mu, nu)
-    m_agents = len(c_bounds) if m is None else int(m)
-    if m_agents != len(c_bounds):
-        raise ValueError(f"m={m} disagrees with {len(c_bounds)} bounds")
-    if diameter is None or not math.isfinite(diameter):
-        raise ValueError("this bound assumes a bounded set: finite diameter required")
+    m_agents, c_max, c_sum = _common_checks(alpha, c_bounds, mu, nu, m, diameter)
     delta = delta_window(alpha, rate.beta)
-    c_max = float(c_bounds.max())
-    c_sum = float(c_bounds.sum())
     bias = mu * diameter
     step = 0.5 * alpha * (nu + c_max) ** 2
     window = alpha * c_max * (c_max + nu) * delta

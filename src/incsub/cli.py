@@ -17,10 +17,9 @@ import json
 import os
 import sys
 
-from .config import (ExperimentConfig, build_noise, build_problem,
-                     build_schedule, load_config_file)
+from .config import ExperimentConfig, load_config_file
 from .errors import IncsubError, NonFiniteError, ConfigError
-from .harness import _bound_reports, compare_bounds, run_experiment, validate_only
+from .harness import bound_reports, compare_bounds, run_experiment, validate_only
 
 
 def _common(parser):
@@ -86,11 +85,7 @@ def main(argv=None):
                   f"({config.algorithm}, horizon {config.horizon})")
             return 0
         if args.verb == "bounds":
-            problem = build_problem(config.problem)
-            reports = _bound_reports(config, problem,
-                                     build_schedule(config.schedule),
-                                     build_noise(config.noise))
-            payload = [r.to_json_dict() for r in reports]
+            payload = [r.to_json_dict() for r in bound_reports(config)]
             text = json.dumps(payload, sort_keys=True, indent=1)
             print(text)
             if args.out or config.flat.get("out"):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -212,11 +213,15 @@ def _number(spec, section, key, default=_MISSING, minimum=None, kind=float):
 
 
 def _floats(raw, field):
-    """``raw`` as a float array; any non-number in it is a ConfigError."""
+    """``raw`` as a float array; any non-number or non-finite number in it
+    is a ConfigError."""
     try:
-        return np.asarray(raw, dtype=float)
+        value = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError("expected numbers", field=field) from None
+    if not np.isfinite(value).all():
+        raise ConfigError("expected finite numbers", field=field)
+    return value
 
 
 def _check_keys(spec, section, allowed):
@@ -312,6 +317,20 @@ def _utility(spec, section):
 
 
 def build_problem(spec):
+    """The configured problem.  Every bound reads its set's diameter and its
+    subgradient bounds C_i, so a set so large that they overflow is a
+    ConfigError on ``problem.set``."""
+    with np.errstate(over="ignore"):  # overflow is checked right below
+        problem = _fixture(spec)
+        diameter = problem.feasible_set.diameter()
+    if not (math.isfinite(diameter) and np.isfinite(problem.bounds).all()):
+        raise ConfigError(f"the diameter ({diameter!r}) and the largest "
+                          f"subgradient bound ({float(problem.bounds.max())!r}) "
+                          f"must be finite", field="problem.set")
+    return problem
+
+
+def _fixture(spec):
     fixture = spec.get("fixture")
     if fixture not in _FIXTURE_KEYS:
         raise ConfigError(f"unknown fixture {fixture!r}", field="problem.fixture")
@@ -437,7 +456,7 @@ def initial_state(config, problem):
         x0 = problem.feasible_set.project_many(np.zeros(problem.n))
     else:
         x0 = _floats(config.x0, "x0")
-        if x0.shape != (problem.n,) or not np.isfinite(x0).all():
+        if x0.shape != (problem.n,):
             raise ConfigError(f"expected {problem.n} finite numbers, got "
                               f"{config.x0!r}", field="x0")
     if config.s0 != "uniform" and not config.s0 < problem.m:

@@ -17,6 +17,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,9 +31,9 @@ from .config import (ExperimentConfig, build_noise, build_problem,
                      initial_state)
 from .cyclic import run_cyclic_batch
 from .errors import ConfigError, NonFiniteError
-from .markov import run_markov_batch
+from .markov import build_transition, run_markov_batch, topology_eta
 from .schedules import Constant
-from .trace import fmt_float
+from .trace import RunTrace, fmt_float
 from .version import __version__
 
 
@@ -77,54 +79,126 @@ def _run_all(config, seeds, jobs):
     if jobs <= 1 or len(seeds) <= 1:
         return _run_chunk(config.flat, seeds)
     chunks = np.array_split(np.asarray(seeds), min(jobs, len(seeds)))
-    traces = []
+    outcomes = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_run_chunk, config.flat, [int(s) for s in chunk])
                    for chunk in chunks if len(chunk)]
         for fut in futures:  # submission order == replication order
-            traces.extend(fut.result())
-    return traces
+            try:
+                outcomes.append(fut.result())
+            except NonFiniteError as exc:
+                outcomes.append(exc)
+    if any(isinstance(out, NonFiniteError) for out in outcomes):
+        raise _serial_abort(outcomes, config.seed)
+    return [tr for traces in outcomes for tr in traces]
+
+
+def _serial_abort(outcomes, base_seed):
+    """The abort a serial run of all the chunks' replications raises: the
+    earliest failing step; there a failed projection (no replication named)
+    before a non-finite objective in the lowest replication, named by its
+    index among all.  Every partial trace keeps its rows before that step."""
+    def rank(exc):
+        named = exc.replication is not None
+        seed = exc.partial_traces[exc.replication].meta["seed"] if named else -1
+        return exc.partial_traces[0].meta["aborted_at"], seed
+
+    first = min((out for out in outcomes if isinstance(out, NonFiniteError)),
+                key=rank)
+    step, seed = rank(first)
+    index = None if first.replication is None else seed - base_seed
+    err = NonFiniteError(str(first).replace(  # no-op when no replication is named
+        f"replication {first.replication} (", f"replication {index} ("))
+    err.replication = index
+    err.partial_traces = [
+        _rows_before(tr, step) for out in outcomes
+        for tr in (out.partial_traces if isinstance(out, NonFiniteError) else out)]
+    return err
+
+
+def _rows_before(trace, step):
+    """``trace`` cut to its rows before ``step``, marked as aborted there."""
+    rows = int(np.searchsorted(trace.ks, step))
+    return RunTrace(*[None if col is None else col[:rows] for col in (
+        trace.ks, trace.f_vals, trace.running_inf, trace.alphas, trace.agents,
+        trace.dists)], meta=dict(trace.meta, aborted_at=step))
 
 
 def _effective_rate(topology, scheme, m):
     """Envelope constants; an exactly uniform static chain mixes in one step."""
-    if topology.is_static:
+    if topology.period == 1:
         adj = topology.adjacency(0)
         p = scheme.matrix(adj, adj.sum(axis=1))
         if np.allclose(p, 1.0 / m, atol=1e-12):
             return RateConstants.uniform()
-    return rate_constants(scheme.uniform_eta(topology), m, topology.window)
+    return rate_constants(topology_eta(scheme, topology), m, topology.window)
 
 
-def _bound_reports(config, problem, schedule, noise):
-    """Analytic gap reports applicable to this configuration."""
+@dataclass(frozen=True)
+class BoundInputs:
+    """What the analytic bounds read from a configuration, built once: the
+    noise suprema ``mu`` and ``nu`` over the horizon, the C_i and the
+    diameter; for markov runs also the chain's envelope ``rate`` and the
+    window/mixing coefficients ``c0 = b C_sum diameter`` and
+    ``c_eff = sqrt(C_max (C_max + nu))``."""
+
+    mu: float
+    nu: float
+    c_bounds: np.ndarray
+    c_max: float
+    c_sum: float
+    diameter: float
+    rate: Optional[RateConstants] = None
+    c0: Optional[float] = None
+    c_eff: Optional[float] = None
+
+    def windows(self, alpha):
+        """The labeled windows T every markov report set covers at ``alpha``."""
+        return [("T0", 0),
+                ("optimal", optimal_window(alpha, self.c_eff, self.c0,
+                                           self.rate.beta).T),
+                ("delta", delta_window(alpha, self.rate.beta))]
+
+    def markov_report(self, alpha, T):
+        return markov_bound(alpha, self.c_bounds, self.mu, self.nu,
+                            self.diameter, self.rate, T)
+
+
+def bound_inputs(config, problem, noise):
+    """The :class:`BoundInputs` of a configuration and its built parts."""
+    mu = _supremum(noise.mean_bound, config.horizon)
+    nu = _supremum(lambda k: noise.rms_bound(k, problem.n), config.horizon)
+    c_bounds = problem.bounds
+    c_max, c_sum = float(c_bounds.max()), float(c_bounds.sum())
+    diameter = problem.feasible_set.diameter()
+    if config.algorithm == "cyclic":
+        return BoundInputs(mu, nu, c_bounds, c_max, c_sum, diameter)
+    rate = _effective_rate(build_topology(config.topology, problem.m),
+                           build_scheme(config.scheme), problem.m)
+    return BoundInputs(mu, nu, c_bounds, c_max, c_sum, diameter, rate,
+                       rate.b * c_sum * diameter, math.sqrt(c_max * (c_max + nu)))
+
+
+def bound_reports(config):
+    """Analytic gap reports applicable to this configuration, built before
+    any simulation; a non-constant step has none."""
+    problem = build_problem(config.problem)
+    schedule = build_schedule(config.schedule)
+    noise = build_noise(config.noise)
     if not isinstance(schedule, Constant):
         return []
     alpha = schedule.alpha
-    horizon = max(config.horizon, 1)
-    mu = _supremum(noise.mean_bound, horizon)
-    nu = _supremum(lambda k: noise.rms_bound(k, problem.n), horizon)
-    c_bounds = problem.bounds
-    diameter = problem.feasible_set.diameter()
-    reports = []
+    inputs = bound_inputs(config, problem, noise)
     if config.algorithm == "cyclic":
-        diam = diameter if math.isfinite(diameter) else None
-        reports.append(cyclic_bound(alpha, c_bounds, mu, nu, diam))
-        return reports
-    topology = build_topology(config.topology, problem.m)
-    scheme = build_scheme(config.scheme)
-    rate = _effective_rate(topology, scheme, problem.m)
-    c_max = float(c_bounds.max())
-    c_sum = float(c_bounds.sum())
-    c0 = rate.b * c_sum * diameter
-    c_eff = math.sqrt(c_max * (c_max + nu))
-    t_star = optimal_window(alpha, c_eff, c0, rate.beta).T
-    for label, t in (("T0", 0), ("optimal", t_star),
-                     ("delta", delta_window(alpha, rate.beta))):
-        report = markov_bound(alpha, c_bounds, mu, nu, diameter, rate, t)
+        return [cyclic_bound(alpha, inputs.c_bounds, inputs.mu, inputs.nu,
+                             inputs.diameter)]
+    reports = []
+    for label, t in inputs.windows(alpha):
+        report = inputs.markov_report(alpha, t)
         report.params["label"] = label
         reports.append(report)
-    reports.append(simple_delta_bound(alpha, c_bounds, mu, nu, diameter, rate))
+    reports.append(simple_delta_bound(alpha, inputs.c_bounds, inputs.mu,
+                                      inputs.nu, inputs.diameter, inputs.rate))
     return reports
 
 
@@ -196,12 +270,10 @@ def run_experiment(config, *, jobs=1, write=True):
 
     Writes per-replication ``trace_<r>.csv`` files and an atomically
     replaced ``summary.json`` under the config's output directory unless
-    ``write`` is false.  A non-finite abort still writes whatever traces
-    completed, then re-raises.
+    ``write`` is false.  A non-finite abort still writes the partial trace
+    of every replication, then re-raises.
     """
-    problem = build_problem(config.problem)
-    schedule = build_schedule(config.schedule)
-    noise = build_noise(config.noise)
+    reports = bound_reports(config)
     seeds = [config.seed + r for r in range(config.replications)]
     try:
         traces = _run_all(config, seeds, jobs)
@@ -210,10 +282,9 @@ def run_experiment(config, *, jobs=1, write=True):
         partial = getattr(exc, "partial_traces", None)
         if write and partial:
             os.makedirs(config.out_dir, exist_ok=True)
-            for r, tr in enumerate(partial):
+            for r, tr in enumerate(partial):  # one per replication, in order
                 tr.write_csv(os.path.join(config.out_dir, f"trace_{r}.csv"))
         raise
-    reports = _bound_reports(config, problem, schedule, noise)
     summary = _summarize(config, traces, reports)
     if write:
         os.makedirs(config.out_dir, exist_ok=True)
@@ -226,8 +297,6 @@ def run_experiment(config, *, jobs=1, write=True):
 
 def validate_only(config):
     """Run every pre-flight check without simulating (CLI verb 'validate')."""
-    from .markov import PeriodicTopology, build_transition
-
     problem = build_problem(config.problem)
     build_schedule(config.schedule)
     build_noise(config.noise)
@@ -236,13 +305,8 @@ def validate_only(config):
         topology = build_topology(config.topology, problem.m)
         scheme = build_scheme(config.scheme)
         topology.validate()
-        if topology.is_static:
-            ticks = [0]
-        elif isinstance(topology, PeriodicTopology):
-            ticks = range(topology.period)
-        else:
-            ticks = range(min(max(config.horizon, 1), 4 * topology.window))
-        for k in ticks:
+        ticks = topology.period or min(max(config.horizon, 1), 4 * topology.window)
+        for k in range(ticks):
             build_transition(scheme, topology.adjacency(k))
     return problem
 
@@ -266,17 +330,7 @@ def compare_bounds(config, *, jobs=1, write=True):
     extra_ts = [int(t) for t in grid.get("Ts", [])]
 
     problem = build_problem(config.problem)
-    noise = build_noise(config.noise)
-    topology = build_topology(config.topology, problem.m)
-    scheme = build_scheme(config.scheme)
-    rate = _effective_rate(topology, scheme, problem.m)
-    horizon = max(config.horizon, 1)
-    mu = _supremum(noise.mean_bound, horizon)
-    nu = _supremum(lambda k: noise.rms_bound(k, problem.n), horizon)
-    c_bounds = problem.bounds
-    c_max = float(c_bounds.max())
-    c_sum = float(c_bounds.sum())
-    diameter = problem.feasible_set.diameter()
+    inputs = bound_inputs(config, problem, build_noise(config.noise))
     f_star = problem.optimum.f_star
 
     rows = []
@@ -292,16 +346,11 @@ def compare_bounds(config, *, jobs=1, write=True):
                                     for r in range(config.replications)], jobs)
         tail_gaps = np.array([tr.meta["tail_min"] - f_star for tr in traces])
         inf_gaps = np.array([tr.running_inf[-1] - f_star for tr in traces])
-        c0 = rate.b * c_sum * diameter
-        c_eff = math.sqrt(c_max * (c_max + nu))
-        t_cols = [("T0", 0), ("optimal", optimal_window(alpha, c_eff, c0, rate.beta).T),
-                  ("delta", delta_window(alpha, rate.beta))]
-        t_cols += [(f"T{t}", t) for t in extra_ts]
+        t_cols = inputs.windows(alpha) + [(f"T{t}", t) for t in extra_ts]
         for label, t in t_cols:
-            report = markov_bound(alpha, c_bounds, mu, nu, diameter, rate, t)
             rows.append({
                 "alpha": alpha, "T_label": label, "T": int(t),
-                "analytic_gap": report.gap,
+                "analytic_gap": inputs.markov_report(alpha, t).gap,
                 "empirical_tail_gap_median": float(np.median(tail_gaps)),
                 "empirical_tail_gap_max": float(np.max(tail_gaps)),
                 "empirical_inf_gap_max": float(np.max(inf_gaps)),

@@ -88,7 +88,9 @@ def _max_degree(adj):
 # Every topology serves each instant k as an (m, m) boolean adjacency
 # matrix: entry (i, j) is true when j is a neighbor of i.  The matrix is
 # symmetric with a false diagonal (staying put is the diagonal mass of the
-# transition matrix, not an edge).
+# transition matrix, not an edge).  Its ``period`` is the number of distinct
+# adjacencies it serves, repeating every ``period`` ticks, or None when each
+# tick may differ.
 
 @dataclass(frozen=True)
 class StaticTopology:
@@ -97,6 +99,7 @@ class StaticTopology:
     m: int
     edges: tuple
     window: int = 1
+    period = 1
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(sorted(set(map(tuple, self.edges)))))
@@ -112,10 +115,6 @@ class StaticTopology:
     def validate(self):
         if not _connected(self._adjacency):
             raise TopologyError("static topology must be a connected graph")
-
-    @property
-    def is_static(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -152,10 +151,6 @@ class PeriodicTopology:
                 raise TopologyError(
                     f"union of phases over window starting at {k} is not connected")
 
-    @property
-    def is_static(self):
-        return False
-
 
 @dataclass(frozen=True)
 class RandomEdgeTopology:
@@ -176,6 +171,7 @@ class RandomEdgeTopology:
     inclusion_prob: float
     window: int
     seed: int = 0
+    period = None  # every tick may differ
 
     def __post_init__(self):
         base = tuple(sorted(set(map(tuple, self.base_edges))))
@@ -230,10 +226,6 @@ class RandomEdgeTopology:
         if not _connected(self._ring_groups.any(axis=0)):
             raise TopologyError("agent ring must be connected")
 
-    @property
-    def is_static(self):
-        return False
-
 
 def make_topology(kind, m, **params):
     """Build a topology sequence by name.
@@ -269,12 +261,13 @@ def make_topology(kind, m, **params):
 
 # -- transition matrices ------------------------------------------------------
 #
-# Each scheme maps an adjacency matrix ``adj`` and its degree vector
-# ``deg = adj.sum(axis=1)`` to a full matrix in a few array expressions, and
-# its analytic entry floor ``eta`` to a function of ``deg`` alone.  The
-# ``_exact_entries`` methods restate each rule in rational arithmetic over
-# neighbor lists; validation derives those lists only for the rare entries
-# that sit within float rounding of the floor.
+# Each scheme writes its weight rule once: ``matrix`` maps an adjacency
+# matrix ``adj`` and its degree vector ``deg`` to a full matrix, and ``eta``
+# maps ``deg`` to the analytic entry floor, in a few array expressions over
+# the number type of ``one``.  With ``one = 1.0`` they build the float matrix
+# and its floor.  Validation evaluates the same rule in ``Fraction``s, with
+# ``deg`` an object array of them, for the rare entries that sit within float
+# rounding of the floor.
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -291,9 +284,14 @@ class TransitionMatrix:
         return np.cumsum(self.entries, axis=1)
 
 
-def _stay_put(p):
+def _like(one, a):
+    """The numbers ``a`` in the number type of ``one``."""
+    return a if isinstance(one, float) else np.frompyfunc(type(one), 1, 1)(a)
+
+
+def _stay_put(p, one):
     """Fill the diagonal with what each row's hand-offs leave over."""
-    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+    np.fill_diagonal(p, one - p.sum(axis=1))
     return p
 
 
@@ -302,27 +300,14 @@ class EqualProbability:
 
     name = "equal"
 
-    def matrix(self, adj, deg):
+    def matrix(self, adj, deg, one=1.0):
         m = len(deg)
-        p = np.where(adj, 1.0 / m, 0.0)
-        np.fill_diagonal(p, 1.0 - deg / m)
+        p = np.where(adj, one / m, 0)
+        np.fill_diagonal(p, one - deg / m)
         return p
 
-    def eta(self, deg):
-        return 1.0 / len(deg)
-
-    def uniform_eta(self, topology):
-        return 1.0 / topology.m
-
-    def _exact_entries(self, neighbors):
-        m = len(neighbors)
-        inv = Fraction(1, m)
-        ent = {}
-        for i, nb in enumerate(neighbors):
-            for j in nb:
-                ent[(i, int(j))] = inv
-            ent[(i, i)] = 1 - len(nb) * inv
-        return ent, inv
+    def eta(self, deg, one=1.0):
+        return one / len(deg)
 
 
 class MinEqualNeighbor:
@@ -330,28 +315,12 @@ class MinEqualNeighbor:
 
     name = "min_equal"
 
-    def matrix(self, adj, deg):
-        inv = 1.0 / (deg + 1.0)
-        return _stay_put(np.where(adj, np.minimum.outer(inv, inv), 0.0))
+    def matrix(self, adj, deg, one=1.0):
+        inv = one / (deg + one)
+        return _stay_put(np.where(adj, np.minimum.outer(inv, inv), 0), one)
 
-    def eta(self, deg):
-        return 1.0 / (deg.max(initial=0) + 1.0)
-
-    def uniform_eta(self, topology):
-        return 1.0 / (topology.max_degree() + 1.0)
-
-    def _exact_entries(self, neighbors):
-        deg = [len(nb) for nb in neighbors]
-        ent = {}
-        for i, nb in enumerate(neighbors):
-            total = Fraction(0)
-            for j in nb:
-                w = min(Fraction(1, deg[i] + 1), Fraction(1, deg[int(j)] + 1))
-                ent[(i, int(j))] = w
-                total += w
-            ent[(i, i)] = 1 - total
-        eta = Fraction(1, max(deg, default=0) + 1)
-        return ent, eta
+    def eta(self, deg, one=1.0):
+        return one / (deg.max(initial=0) + one)
 
 
 class WeightedMetropolisHastings:
@@ -376,47 +345,26 @@ class WeightedMetropolisHastings:
             raise SchemeViolationError("weights must lie strictly in (0, 1)")
         self.weights = weights
         self._w = w
-        self._floor = float(np.min(np.minimum(w, 1.0 - w)))
+        self._floors = {}  # min_i min(w_i, 1 - w_i) by number type
 
-    def _row_factors(self, m):
+    def _row_factors(self, m, one):
         """The factors as a column (one per row) or a scalar."""
-        if not self._w.ndim:
-            return self._w
-        if self._w.shape != (m,):
+        if self._w.ndim and self._w.shape != (m,):
             raise SchemeViolationError(
                 f"need one weight per agent ({m}), got shape {self._w.shape}")
-        return self._w[:, None]
+        return _like(one, self._w[:, None] if self._w.ndim else self._w)
 
-    def matrix(self, adj, deg):
-        inv = 1.0 / np.maximum(deg, 1.0)
-        pair = self._row_factors(len(deg)) * np.minimum.outer(inv, inv)
-        return _stay_put(np.where(adj, pair, 0.0))
+    def matrix(self, adj, deg, one=1.0):
+        inv = one / np.maximum(deg, one)
+        pair = self._row_factors(len(deg), one) * np.minimum.outer(inv, inv)
+        return _stay_put(np.where(adj, pair, 0), one)
 
-    def eta(self, deg):
-        return self._floor / max(int(deg.max(initial=0)), 1)
-
-    def uniform_eta(self, topology):
-        self._row_factors(topology.m)
-        return self._floor / max(topology.max_degree(), 1)
-
-    def _exact_entries(self, neighbors):
-        m = len(neighbors)
-        self._row_factors(m)  # one factor per agent, or a scalar
-        wf = [Fraction(x) for x in np.broadcast_to(self._w, (m,))]
-        deg = [len(nb) for nb in neighbors]
-        ent = {}
-        for i, nb in enumerate(neighbors):
-            total = Fraction(0)
-            for j in nb:
-                pair = min(Fraction(1, max(deg[i], 1)), Fraction(1, max(deg[int(j)], 1)))
-                ent[(i, int(j))] = wf[i] * pair
-                total += wf[i] * pair
-            ent[(i, i)] = 1 - total
-        degs = [d for d in deg if d]
-        eta = min(min(x, 1 - x) for x in wf)
-        if degs:
-            eta = eta * Fraction(1, max(degs))
-        return ent, eta
+    def eta(self, deg, one=1.0):
+        w = self._row_factors(len(deg), one)
+        floor = self._floors.get(type(one))
+        if floor is None:
+            floor = self._floors[type(one)] = np.min(np.minimum(w, one - w))
+        return floor / max(deg.max(initial=0), one)
 
 
 SCHEMES = {
@@ -424,6 +372,12 @@ SCHEMES = {
     "min_equal": MinEqualNeighbor,
     "weighted_mh": WeightedMetropolisHastings,
 }
+
+
+def topology_eta(scheme, topology):
+    """The scheme's entry floor over every instant of ``topology``: its
+    ``eta`` rule at the topology's worst-case degree."""
+    return float(scheme.eta(np.full(topology.m, topology.max_degree())))
 
 
 def make_scheme(kind, **params):
@@ -453,8 +407,9 @@ def validate_transition(p, adj, eta, scheme=None):
     adjacency is symmetric with no self-loops; entries in [0,1]; rows and
     columns sum to 1 within 1e-12; strictly positive diagonal; every
     positive entry at least ``eta``; zeros off the adjacency pattern.
-    Entries within float rounding of the eta floor are re-checked in exact
-    rational arithmetic when the scheme provides it.
+    Entries within float rounding of the eta floor are re-checked against
+    the scheme's own rule and floor evaluated in exact rational arithmetic
+    when ``scheme`` is given.
     """
     adj = np.asarray(adj, dtype=bool)
     m = len(adj)
@@ -488,11 +443,13 @@ def validate_transition(p, adj, eta, scheme=None):
     if short.any():
         borderline = short & (p > eta - 1e-9)
         if scheme is not None and np.array_equal(short, borderline):
-            ent, eta_exact = scheme._exact_entries([np.flatnonzero(r) for r in adj])
-            for i, j in np.argwhere(short):
-                if ent.get((int(i), int(j)), Fraction(0)) < eta_exact:
-                    raise SchemeViolationError(
-                        f"entry ({i},{j}) = {float(p[i, j])!r} is below the scheme floor")
+            one = Fraction(1)
+            deg = _like(one, adj.sum(axis=1))
+            below = short & (scheme.matrix(adj, deg, one) < scheme.eta(deg, one))
+            if below.any():
+                i, j = np.argwhere(below)[0]
+                raise SchemeViolationError(
+                    f"entry ({i},{j}) = {float(p[i, j])!r} is below the scheme floor")
         else:
             i, j = np.argwhere(short)[0]
             raise SchemeViolationError(
@@ -517,28 +474,22 @@ def build_transition(scheme, adj):
 # -- engine -------------------------------------------------------------------
 
 class _TransitionProvider:
-    """Per-tick validated (P, cumP), cached for static and periodic sequences."""
+    """Per-tick validated (P, cumP), cached when the topology has a period."""
 
     def __init__(self, topology, scheme):
         self.topology = topology
         self.scheme = scheme
         self._cache = {}
-        if topology.is_static:
-            self._phases = 1
-        elif isinstance(topology, PeriodicTopology):
-            self._phases = topology.period
-        else:
-            self._phases = None
 
     def at(self, k):
-        key = 0 if self._phases == 1 else (
-            k % self._phases if self._phases else k)
+        period = self.topology.period
+        key = None if period is None else k % period
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         tm = build_transition(self.scheme, self.topology.adjacency(k))
         value = (tm.entries, tm.cumulative())
-        if self._phases is not None:
+        if key is not None:
             self._cache[key] = value
         return value
 
@@ -578,9 +529,8 @@ def run_markov_batch(problem, noise, schedule, topology, scheme, x0, ticks,
 
     topology.validate()
     provider = _TransitionProvider(topology, scheme)
-    if isinstance(topology, (StaticTopology, PeriodicTopology)):
-        for k in range(1 if topology.is_static else topology.period):
-            provider.at(k)
+    for k in range(topology.period or 0):
+        provider.at(k)
 
     x0 = np.asarray(x0, dtype=float)
     if not fset.contains(x0):

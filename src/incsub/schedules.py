@@ -75,8 +75,3 @@ class PowerLaw:
     @property
     def is_markov_diminishing(self):
         return 2.0 / 3.0 < self.p <= 1.0
-
-
-def step_size(schedule, k):
-    """Step-size alpha_k for 1-based index k (k = 0 is rejected)."""
-    return schedule.step(k)

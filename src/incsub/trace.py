@@ -145,7 +145,9 @@ class Recorder:
     ``partial_traces``: the rows recorded before k, ``aborted_at = k``,
     ``final_x`` the iterate of step k - 1, and visit counts that include
     step k's agents.  A non-finite f(x_0) aborts at step 0 with no rows and
-    ``final_x = x_0``.
+    ``final_x = x_0``.  An objective that overflows aborts the same way,
+    without a numpy warning.  The error's ``replication`` is the batch index
+    of the replication whose f failed, or None for a failed step.
     """
 
     def __init__(self, engine, problem, schedule, seeds, horizon, x0, *,
@@ -209,7 +211,8 @@ class Recorder:
         xs = np.stack(self.xs)
         self.xs = []
         steps, reps, n = xs.shape
-        f = self.problem.f_many(xs.reshape(steps * reps, n)).reshape(steps, reps)
+        with np.errstate(over="ignore", invalid="ignore"):  # aborts below
+            f = self.problem.f_many(xs.reshape(steps * reps, n)).reshape(steps, reps)
         bad = ~np.isfinite(f)
         if bad.any():
             t = int(np.argmax(bad.any(axis=1)))
@@ -217,7 +220,7 @@ class Recorder:
             self._record(xs[:t], f[:t])
             self._count(1)
             raise self._abort(f"non-finite objective in replication {r} "
-                              f"(seed {self.seeds[r]})")
+                              f"(seed {self.seeds[r]})", replication=r)
         self._record(xs, f)
 
     def _record(self, xs, f):
@@ -257,14 +260,16 @@ class Recorder:
         self.visits += np.bincount(cells.ravel(), minlength=reps * m).reshape(reps, m)
         del self.agents[:steps]
 
-    def _abort(self, reason):
-        """The abort at the first unrecorded step, ending at its predecessor."""
+    def _abort(self, reason, replication=None):
+        """The abort at the first unrecorded step, ending at its predecessor;
+        ``replication`` is the batch index the reason names, if any."""
         k = self.done + 1
         if k:
             message = f"{self.unit} {k}: {reason}; last finite state at {self.unit} {k - 1}"
         else:
             message = f"{self.unit} 0: {reason} at the initial point"
         self.abort = NonFiniteError(message)
+        self.abort.replication = replication
         self.abort.partial_traces = self._traces(aborted_at=k)
         return self.abort
 

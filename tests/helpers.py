@@ -25,7 +25,7 @@ def brute_force_window(alpha, c_eff, c0, beta, horizon=None):
 def geometric_envelope_holds(scheme, topology, horizon=200, tol=1e-10):
     """Exhaustive check of the product-mixing envelope up to ``horizon``."""
     m = topology.m
-    rc = isb.rate_constants(scheme.uniform_eta(topology), m, topology.window)
+    rc = isb.rate_constants(isb.topology_eta(scheme, topology), m, topology.window)
     prod = None
     for k in range(horizon + 1):
         tm = isb.build_transition(scheme, topology.adjacency(k))

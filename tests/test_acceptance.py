@@ -211,8 +211,8 @@ def test_criterion_6_optimal_window_matches_brute_force():
         c = rng.uniform(0.1, 10.0)
         c0 = rng.uniform(0.1, 100.0)
         beta = rng.uniform(0.01, 0.999)
-        if isb.optimal_T(alpha, c, c0, beta) != brute_force_window(alpha, c,
-                                                                   c0, beta):
+        if isb.optimal_window(alpha, c, c0, beta).T != \
+                brute_force_window(alpha, c, c0, beta):
             mismatches += 1
     report(6, mismatches == 0,
            f"closed form + convex local search matched exhaustive "

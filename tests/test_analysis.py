@@ -157,10 +157,10 @@ class TestMarkovBound:
 
 class TestOptimalWindow:
     def test_large_ratio_gives_zero(self):
-        assert isb.optimal_T(1.0, 10.0, 0.1, 0.9) == 0
+        assert isb.optimal_window(1.0, 10.0, 0.1, 0.9).T == 0
 
     def test_uniform_chain_convention(self):
-        assert isb.optimal_T(0.01, 1.0, 5.0, 0.0) == 0
+        assert isb.optimal_window(0.01, 1.0, 5.0, 0.0).T == 0
 
     def test_worked_example_against_brute_force(self):
         alpha, c, c0, beta = 1e-6, 1.0, 10.0, 0.9
@@ -184,7 +184,7 @@ class TestOptimalWindow:
            beta=st.floats(min_value=0.01, max_value=0.999))
     @settings(max_examples=300, deadline=None)
     def test_local_optimality_everywhere(self, alpha, c, c0, beta):
-        t = isb.optimal_T(alpha, c, c0, beta)
+        t = isb.optimal_window(alpha, c, c0, beta).T
         g = lambda T: alpha * c * c * T + c0 * beta ** (T + 1)
         assert g(t) <= g(t + 1)
         if t > 0:
@@ -192,9 +192,9 @@ class TestOptimalWindow:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            isb.optimal_T(0.01, 1.0, 1.0, 1.0)
+            isb.optimal_window(0.01, 1.0, 1.0, 1.0).T
         with pytest.raises(ValueError):
-            isb.optimal_T(-0.01, 1.0, 1.0, 0.5)
+            isb.optimal_window(-0.01, 1.0, 1.0, 0.5).T
 
 
 class TestDeltaWindow:

@@ -319,6 +319,9 @@ class TestFailFast:
         ("problem.set", {"kind": "ball", "center": 0.0}, "problem.set.radius"),
         ("problem.set", {"kind": "ball", "center": 0.0, "radius": -2.0},
          "problem.set"),
+        ("problem.set", {"kind": "box", "lower": -math.inf, "upper": 1.0},
+         "problem.set.lower"),
+        ("problem.centers", [[math.inf, 0.0]] * 5, "problem.centers"),
     ])
     def test_other_bad_entries_name_their_field(self, tmp_path, capsys, entry,
                                                 value, field):
@@ -406,10 +409,69 @@ class TestFailFast:
         cfg = write_config(tmp_path / "exp.cfg", flat)
         assert cli_main(["validate", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("verb", ["run", "validate", "bounds"])
+    def test_set_too_large_for_the_bounds(self, tmp_path, capsys, verb):
+        # the C_i and the diameter of a +-1e200 box overflow to inf
+        flat = parse_config_text(MARKOV_CFG)
+        flat["problem.set"] = {"kind": "box", "lower": -1e200, "upper": 1e200}
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: problem.set: the diameter (inf)" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("topology", ["ring", "random_edges"])
+    def test_weight_count_differs_from_agents(self, tmp_path, capsys, topology):
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update({"topology.kind": topology, "scheme.kind": "weighted_mh",
+                     "scheme.weights": [0.5] * 4})
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        assert cli_main(["bounds", "--config", cfg]) == 2
+        assert "one weight per agent (5)" in capsys.readouterr().err
+
     def test_allocation_config_validates(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "exp.cfg", parse_config_text(ALLOCATION_CFG))
         assert cli_main(["validate", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("ok: allocation_m3")
+
+
+# Gaussian noise large enough that f overflows at the box's edge: with jobs=2
+# the first chunk aborts at tick 9, the second (replications 4-7) at tick 5.
+OVERFLOW_CFG = """
+algorithm = markov
+problem.fixture = quadratic
+problem.m = 5
+problem.set = {"kind": "box", "lower": -6.5e153, "upper": 6.5e153}
+schedule.kind = powerlaw
+schedule.a = 1.0
+schedule.p = 0.1
+noise.kind = gaussian
+noise.sigma = 2e153
+topology.kind = ring
+scheme.kind = equal
+horizon = 200
+replications = 8
+seed = 7
+stride = 1
+"""
+
+
+def test_jobs_abort_matches_serial(tmp_path, capsys):
+    cfg = write_config(tmp_path / "exp.cfg", parse_config_text(OVERFLOW_CFG))
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli_main(["run", "--config", cfg, "--out", str(out),
+                         "--jobs", jobs]) == 3
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((capsys.readouterr().err, files))
+    (serial_err, serial_files), (jobs_err, jobs_files) = outputs
+    assert serial_err == ("runtime abort: tick 5: non-finite objective in "
+                          "replication 7 (seed 14); last finite state at tick 4\n")
+    assert jobs_err == serial_err
+    assert list(serial_files) == [f"trace_{r}.csv" for r in range(8)]
+    assert jobs_files == serial_files
 
 
 class TestSupremum:

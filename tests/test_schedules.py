@@ -2,29 +2,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incsub import Constant, PowerLaw, step_size
+from incsub import Constant, PowerLaw
 
 
 def test_constant_schedule():
-    assert step_size(Constant(0.01), 7) == 0.01
+    assert Constant(0.01).step(7) == 0.01
     assert not Constant(0.01).is_square_summable
     assert not Constant(0.01).is_markov_diminishing
 
 
 def test_harmonic_schedule():
-    assert step_size(PowerLaw(1.0, 1.0), 4) == 0.25
+    assert PowerLaw(1.0, 1.0).step(4) == 0.25
 
 
 def test_power_law_value():
     # 2 / 16^0.75 = 2 / 8
-    assert step_size(PowerLaw(2.0, 0.75), 16) == pytest.approx(0.25)
+    assert PowerLaw(2.0, 0.75).step(16) == pytest.approx(0.25)
 
 
 def test_index_zero_rejected():
     with pytest.raises(ValueError):
-        step_size(Constant(0.1), 0)
+        Constant(0.1).step(0)
     with pytest.raises(ValueError):
-        step_size(PowerLaw(1.0, 1.0), 0)
+        PowerLaw(1.0, 1.0).step(0)
 
 
 def test_invalid_parameters_rejected():

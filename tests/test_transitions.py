@@ -1,6 +1,8 @@
 """The adjacency-array transition path against the naive per-neighbor
 reference, draw for draw, and the transition contract on that path."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,32 @@ def test_adjacency_path_matches_neighbor_list_reference(topology, scheme, start,
         ref_cum = np.cumsum(ref_p, axis=1)
         ref_agents = np.minimum((u >= ref_cum[ref_agents]).sum(axis=1), m - 1)
         assert np.array_equal(agents, ref_agents)
+
+
+@settings(max_examples=150, deadline=None)
+@given(topology=topologies(), scheme=schemes(), k=st.integers(0, 3 * BLOCK))
+def test_exact_rule_meets_the_contract(topology, scheme, k):
+    """The float path's re-check trusts each rule evaluated in Fractions to
+    be doubly stochastic with every positive entry at its floor or above."""
+    adj = topology.adjacency(k)
+    one = Fraction(1)
+    deg = np.array([Fraction(int(d)) for d in adj.sum(axis=1)], dtype=object)
+    p, eta = scheme.matrix(adj, deg, one), scheme.eta(deg, one)
+    assert all(row.sum() == 1 for row in p)
+    assert all(col.sum() == 1 for col in p.T)
+    assert all(d > 0 for d in np.diag(p))
+    assert not np.any((p != 0) & ~adj & ~np.eye(topology.m, dtype=bool))
+    assert all(x >= eta for x in p[p != 0])
+    assert isb.build_transition(scheme, adj).eta == float(eta)
+
+
+def test_period_counts_distinct_adjacencies():
+    ring = ring_edges(4)
+    assert isb.make_topology("static", 4, edges=ring).period == 1
+    assert isb.make_topology("periodic", 4, phases=[ring[:2], ring[2:]],
+                             window=2).period == 2
+    assert isb.make_topology("random_edges", 4, base="complete",
+                             inclusion_prob=0.5).period is None
 
 
 class TestContractOnAdjacencyPath:
