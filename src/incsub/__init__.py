@@ -1,13 +1,14 @@
 """Incremental stochastic subgradient methods over agent networks.
 
-Two engines minimize a sum of per-agent convex functions over a closed
-convex set using noisy subgradient oracles: a ring-order engine where the
-iterate passes through all agents in fixed sequence each cycle, and a
-randomized-order engine where the updating agent evolves as a Markov chain
-over a (possibly time-varying) neighbor structure.  The analysis module
-provides the matching geometric mixing constants and closed-form
-constant-step error bounds, and the harness verifies those bounds against
-seeded simulations.
+Two methods minimize a sum of per-agent convex functions over a closed
+convex set using noisy subgradient oracles.  Both run the same projected
+step in one loop, :func:`run_batch`, and differ only in their order: the
+ring order passes the iterate through all agents in fixed sequence each
+cycle, and the randomized order lets the updating agent evolve as a
+Markov chain over a (possibly time-varying) neighbor structure.  The
+analysis module provides the matching geometric mixing constants and
+closed-form constant-step error bounds, and the harness verifies those
+bounds against seeded simulations.
 """
 
 from .version import __version__
@@ -23,13 +24,13 @@ from .objectives import (LinearUtility, LogUtility, QuadraticFamily,
                          RegressionFamily, SqrtUtility, UtilityFamily)
 from .problems import (OptimumCertificate, ProblemInstance, grid_search,
                        make_allocation, make_quadratic_suite, make_regression)
-from .cyclic import run_cyclic, run_cyclic_batch
-from .markov import (EqualProbability, MinEqualNeighbor,
+from .engine import run_batch
+from .cyclic import RingOrder
+from .markov import (ChainOrder, EqualProbability, MinEqualNeighbor,
                      PeriodicTopology, RandomEdgeTopology, StaticTopology,
                      TransitionMatrix, WeightedMetropolisHastings,
                      adjacency_from_edges, build_transition, make_scheme,
-                     make_topology, run_markov, run_markov_batch,
-                     topology_eta, validate_transition)
+                     make_topology, topology_eta, validate_transition)
 from .analysis import (BoundReport, BoundVerdict, OptimalWindow, RateConstants,
                        aggregate_verdicts, cyclic_bound, delta_window,
                        markov_bound, max_uniform_deviation, optimal_window,
@@ -37,6 +38,6 @@ from .analysis import (BoundReport, BoundVerdict, OptimalWindow, RateConstants,
                        verify_bound_empirically)
 from .trace import RunTrace, record_indices
 from .config import ExperimentConfig, canonical_config_text, parse_config_text
-from .harness import compare_bounds, run_experiment
+from .harness import Run, build_run, compare_bounds, run_experiment
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,7 +19,8 @@ import sys
 
 from .config import ExperimentConfig, load_config_file
 from .errors import IncsubError, NonFiniteError, ConfigError
-from .harness import bound_reports, compare_bounds, run_experiment, validate_only
+from .harness import (bound_reports, build_run, compare_bounds, run_experiment,
+                      validate_only)
 
 
 def _common(parser):
@@ -85,7 +86,7 @@ def main(argv=None):
                   f"({config.algorithm}, horizon {config.horizon})")
             return 0
         if args.verb == "bounds":
-            payload = [r.to_json_dict() for r in bound_reports(config)]
+            payload = [r.to_json_dict() for r in bound_reports(build_run(config))]
             text = json.dumps(payload, sort_keys=True, indent=1)
             print(text)
             if args.out or config.flat.get("out"):

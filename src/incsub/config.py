@@ -370,8 +370,7 @@ def _fixture(spec):
         if "set" not in spec:
             raise ConfigError("missing required entry", field="problem.set")
         fset = build_set(spec["set"], default_dim=features.shape[1])
-        return _construct("problem", make_regression, list(range(len(features))),
-                          lambda s: features[s], fset, samples=samples,
+        return _construct("problem", make_regression, features, samples, fset,
                           grid_resolution=_grid_resolution(spec, 1e-3))
     specs = spec.get("utilities")
     if not isinstance(specs, list) or not specs:

@@ -17,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,12 +26,12 @@ from .analysis import (RateConstants, aggregate_verdicts, cyclic_bound,
                        markov_bound, optimal_window, delta_window,
                        rate_constants, simple_delta_bound,
                        verify_bound_empirically)
-from .config import (ExperimentConfig, build_noise, build_problem,
-                     build_schedule, build_scheme, build_topology,
-                     initial_state)
-from .cyclic import run_cyclic_batch
+from .config import (build_noise, build_problem, build_schedule, build_scheme,
+                     build_topology, initial_state)
+from .cyclic import RingOrder
+from .engine import run_batch
 from .errors import ConfigError, NonFiniteError
-from .markov import build_transition, run_markov_batch, topology_eta
+from .markov import ChainOrder, topology_eta
 from .schedules import Constant
 from .trace import RunTrace, fmt_float
 from .version import __version__
@@ -53,35 +53,50 @@ def _supremum(fn, horizon):
                for k in range(1, last + 1, _SUP_CHUNK))
 
 
-def _run_chunk(flat_config, seeds):
-    """Worker entry: rebuild everything from the flat config and run."""
-    config = ExperimentConfig.from_flat(flat_config)
+@dataclass(frozen=True)
+class Run:
+    """A configuration built into its runnable parts, once; ``--jobs``
+    workers receive it pickled, with their seeds."""
+
+    config: object
+    problem: object
+    schedule: object
+    noise: object
+    order: object
+    x0: np.ndarray
+
+
+def build_run(config):
+    """The :class:`Run` of ``config``.  Every builder check runs here, and
+    :func:`incsub.markov.make_topology` validates the topology, before any
+    tick."""
     problem = build_problem(config.problem)
     schedule = build_schedule(config.schedule)
     noise = build_noise(config.noise)
     x0, s0 = initial_state(config, problem)
-    chash = config.hash()
     if config.algorithm == "cyclic":
-        return run_cyclic_batch(problem, noise, schedule, x0, config.horizon,
-                                seeds, stride=config.stride,
-                                tail_fraction=config.tail_fraction,
-                                config_hash=chash)
-    topology = build_topology(config.topology, problem.m)
-    scheme = build_scheme(config.scheme)
-    return run_markov_batch(problem, noise, schedule, topology, scheme, x0,
-                            config.horizon, seeds, s0=s0,
-                            stride=config.stride,
-                            tail_fraction=config.tail_fraction,
-                            config_hash=chash)
+        order = RingOrder(problem.m)
+    else:
+        order = ChainOrder(build_topology(config.topology, problem.m),
+                           build_scheme(config.scheme), s0)
+    return Run(config, problem, schedule, noise, order, x0)
 
 
-def _run_all(config, seeds, jobs):
+def _run_seeds(run, seeds):
+    """Worker entry: the traces of ``seeds`` under ``run``."""
+    config = run.config
+    return run_batch(run.problem, run.noise, run.schedule, run.order, run.x0,
+                     config.horizon, seeds, stride=config.stride,
+                     tail_fraction=config.tail_fraction, config_hash=config.hash())
+
+
+def _run_all(run, seeds, jobs):
     if jobs <= 1 or len(seeds) <= 1:
-        return _run_chunk(config.flat, seeds)
+        return _run_seeds(run, seeds)
     chunks = np.array_split(np.asarray(seeds), min(jobs, len(seeds)))
     outcomes = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_chunk, config.flat, [int(s) for s in chunk])
+        futures = [pool.submit(_run_seeds, run, [int(s) for s in chunk])
                    for chunk in chunks if len(chunk)]
         for fut in futures:  # submission order == replication order
             try:
@@ -89,7 +104,7 @@ def _run_all(config, seeds, jobs):
             except NonFiniteError as exc:
                 outcomes.append(exc)
     if any(isinstance(out, NonFiniteError) for out in outcomes):
-        raise _serial_abort(outcomes, config.seed)
+        raise _serial_abort(outcomes, run.config.seed)
     return [tr for traces in outcomes for tr in traces]
 
 
@@ -124,14 +139,26 @@ def _rows_before(trace, step):
         trace.dists)], meta=dict(trace.meta, aborted_at=step))
 
 
-def _effective_rate(topology, scheme, m):
+def _effective_rate(order, m):
     """Envelope constants; an exactly uniform static chain mixes in one step."""
-    if topology.period == 1:
-        adj = topology.adjacency(0)
-        p = scheme.matrix(adj, adj.sum(axis=1))
-        if np.allclose(p, 1.0 / m, atol=1e-12):
-            return RateConstants.uniform()
-    return rate_constants(topology_eta(scheme, topology), m, topology.window)
+    topology = order.topology
+    if topology.period == 1 and np.allclose(order.transition(0)[0], 1.0 / m,
+                                            atol=1e-12):
+        return RateConstants.uniform()
+    return rate_constants(topology_eta(order.scheme, topology), m, topology.window)
+
+
+def _check_finite(terms):
+    """A ConfigError on ``problem.set`` for named bound terms that overflowed."""
+    bad = [f"{name} = {v!r}" for name, v in terms if not math.isfinite(v)]
+    if bad:
+        raise ConfigError("the set is too large for the bounds: " + ", ".join(bad),
+                          field="problem.set")
+
+
+def _finite(report):
+    _check_finite([(f"{report.kind} gap", report.gap)])
+    return report
 
 
 @dataclass(frozen=True)
@@ -160,45 +187,51 @@ class BoundInputs:
                 ("delta", delta_window(alpha, self.rate.beta))]
 
     def markov_report(self, alpha, T):
-        return markov_bound(alpha, self.c_bounds, self.mu, self.nu,
-                            self.diameter, self.rate, T)
+        return _finite(markov_bound(alpha, self.c_bounds, self.mu, self.nu,
+                                    self.diameter, self.rate, T))
 
 
-def bound_inputs(config, problem, noise):
-    """The :class:`BoundInputs` of a configuration and its built parts."""
-    mu = _supremum(noise.mean_bound, config.horizon)
-    nu = _supremum(lambda k: noise.rms_bound(k, problem.n), config.horizon)
+def bound_inputs(run):
+    """The :class:`BoundInputs` of a built run.  Each bound squares
+    ``C_max + nu`` (markov) or ``C_sum + m nu`` (cyclic), and the markov
+    windows read ``c0``; any of them that overflows is a ConfigError on
+    ``problem.set``."""
+    problem, horizon = run.problem, run.config.horizon
+    mu = _supremum(run.noise.mean_bound, horizon)
+    nu = _supremum(lambda k: run.noise.rms_bound(k, problem.n), horizon)
     c_bounds = problem.bounds
-    c_max, c_sum = float(c_bounds.max()), float(c_bounds.sum())
+    with np.errstate(over="ignore"):  # checked below
+        c_max, c_sum = float(c_bounds.max()), float(c_bounds.sum())
     diameter = problem.feasible_set.diameter()
-    if config.algorithm == "cyclic":
+    if isinstance(run.order, RingOrder):
+        wide = c_sum + problem.m * nu
+        _check_finite([("(C_sum + m nu)^2", wide * wide)])
         return BoundInputs(mu, nu, c_bounds, c_max, c_sum, diameter)
-    rate = _effective_rate(build_topology(config.topology, problem.m),
-                           build_scheme(config.scheme), problem.m)
-    return BoundInputs(mu, nu, c_bounds, c_max, c_sum, diameter, rate,
-                       rate.b * c_sum * diameter, math.sqrt(c_max * (c_max + nu)))
+    rate = _effective_rate(run.order, problem.m)
+    c0 = rate.b * c_sum * diameter
+    _check_finite([("(C_max + nu)^2", (c_max + nu) * (c_max + nu)), ("c0", c0)])
+    return BoundInputs(mu, nu, c_bounds, c_max, c_sum, diameter, rate, c0,
+                       math.sqrt(c_max * (c_max + nu)))
 
 
-def bound_reports(config):
-    """Analytic gap reports applicable to this configuration, built before
-    any simulation; a non-constant step has none."""
-    problem = build_problem(config.problem)
-    schedule = build_schedule(config.schedule)
-    noise = build_noise(config.noise)
-    if not isinstance(schedule, Constant):
+def bound_reports(run):
+    """Analytic gap reports applicable to a built run, made before any
+    simulation; a non-constant step has none."""
+    if not isinstance(run.schedule, Constant):
         return []
-    alpha = schedule.alpha
-    inputs = bound_inputs(config, problem, noise)
-    if config.algorithm == "cyclic":
-        return [cyclic_bound(alpha, inputs.c_bounds, inputs.mu, inputs.nu,
-                             inputs.diameter)]
+    inputs = bound_inputs(run)
+    alpha = run.schedule.alpha
+    if isinstance(run.order, RingOrder):
+        return [_finite(cyclic_bound(alpha, inputs.c_bounds, inputs.mu,
+                                     inputs.nu, inputs.diameter))]
     reports = []
     for label, t in inputs.windows(alpha):
         report = inputs.markov_report(alpha, t)
         report.params["label"] = label
         reports.append(report)
-    reports.append(simple_delta_bound(alpha, inputs.c_bounds, inputs.mu,
-                                      inputs.nu, inputs.diameter, inputs.rate))
+    reports.append(_finite(simple_delta_bound(alpha, inputs.c_bounds, inputs.mu,
+                                              inputs.nu, inputs.diameter,
+                                              inputs.rate)))
     return reports
 
 
@@ -273,10 +306,11 @@ def run_experiment(config, *, jobs=1, write=True):
     ``write`` is false.  A non-finite abort still writes the partial trace
     of every replication, then re-raises.
     """
-    reports = bound_reports(config)
+    run = build_run(config)
+    reports = bound_reports(run)
     seeds = [config.seed + r for r in range(config.replications)]
     try:
-        traces = _run_all(config, seeds, jobs)
+        traces = _run_all(run, seeds, jobs)
     except NonFiniteError as exc:
         # best-effort partial outputs, then propagate the abort
         partial = getattr(exc, "partial_traces", None)
@@ -296,19 +330,15 @@ def run_experiment(config, *, jobs=1, write=True):
 
 
 def validate_only(config):
-    """Run every pre-flight check without simulating (CLI verb 'validate')."""
-    problem = build_problem(config.problem)
-    build_schedule(config.schedule)
-    build_noise(config.noise)
-    initial_state(config, problem)
-    if config.algorithm == "markov":
-        topology = build_topology(config.topology, problem.m)
-        scheme = build_scheme(config.scheme)
-        topology.validate()
-        ticks = topology.period or min(max(config.horizon, 1), 4 * topology.window)
-        for k in range(ticks):
-            build_transition(scheme, topology.adjacency(k))
-    return problem
+    """Run every pre-flight check without simulating (CLI verb 'validate'):
+    the build, the bound reports, and, for a topology without a period, the
+    transitions of its first ticks."""
+    run = build_run(config)
+    bound_reports(run)
+    if isinstance(run.order, ChainOrder) and run.order.topology.period is None:
+        for k in range(min(max(config.horizon, 1), 4 * run.order.topology.window)):
+            run.order.transition(k)
+    return run.problem
 
 
 def compare_bounds(config, *, jobs=1, write=True):
@@ -328,22 +358,20 @@ def compare_bounds(config, *, jobs=1, write=True):
     if not alphas:
         raise ConfigError("missing compare.alphas list", field="compare.alphas")
     extra_ts = [int(t) for t in grid.get("Ts", [])]
+    try:
+        schedules = [Constant(float(alpha)) for alpha in alphas]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), field="compare.alphas") from None
 
-    problem = build_problem(config.problem)
-    inputs = bound_inputs(config, problem, build_noise(config.noise))
-    f_star = problem.optimum.f_star
+    run = build_run(config)
+    inputs = bound_inputs(run)
+    f_star = run.problem.optimum.f_star
 
+    seeds = [config.seed + r for r in range(config.replications)]
     rows = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        flat = dict(config.flat)
-        flat["schedule.kind"] = "constant"
-        flat["schedule.alpha"] = alpha
-        flat.pop("schedule.a", None)
-        flat.pop("schedule.p", None)
-        run_cfg = ExperimentConfig.from_flat(flat)
-        traces = _run_all(run_cfg, [config.seed + r
-                                    for r in range(config.replications)], jobs)
+    for schedule in schedules:
+        alpha = schedule.alpha
+        traces = _run_all(replace(run, schedule=schedule), seeds, jobs)
         tail_gaps = np.array([tr.meta["tail_min"] - f_star for tr in traces])
         inf_gaps = np.array([tr.running_inf[-1] - f_star for tr in traces])
         t_cols = inputs.windows(alpha) + [(f"T{t}", t) for t in extra_ts]

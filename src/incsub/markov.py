@@ -1,4 +1,4 @@
-"""Randomized-order incremental engine over time-varying topologies.
+"""Randomized order over time-varying topologies, and its transition matrices.
 
 At each tick one agent holds the iterate; it applies a projected noisy
 subgradient step on its own component and hands the iterate to a neighbor
@@ -6,7 +6,8 @@ drawn from the current transition matrix row.  The agent sequence is a
 time-varying Markov chain whose matrices are built from the instantaneous
 neighbor structure by one of three weight schemes, all of which produce
 doubly stochastic matrices with positive diagonals and entries bounded
-away from zero.
+away from zero.  :class:`ChainOrder` draws that sequence for the shared
+step loop, :func:`incsub.engine.run_batch`.
 
 Conventions: agents are 0-indexed; entry (i, j) of a transition matrix is
 the probability of handing off from agent i to agent j.  Neighbor sets
@@ -15,7 +16,6 @@ never contain the agent itself (staying put is the diagonal mass).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,9 +24,6 @@ import numpy as np
 from .errors import DimensionMismatchError, SchemeViolationError, TopologyError
 from .streams import (BLOCK, DOMAIN_TOPOLOGY, block_generator,
                       chain_uniform_block, init_generator)
-from .trace import Recorder
-
-log = logging.getLogger(__name__)
 
 _STOCHASTIC_TOL = 1e-12
 
@@ -471,17 +468,33 @@ def build_transition(scheme, adj):
     return TransitionMatrix(p, float(eta))
 
 
-# -- engine -------------------------------------------------------------------
+# -- chain order --------------------------------------------------------------
 
-class _TransitionProvider:
-    """Per-tick validated (P, cumP), cached when the topology has a period."""
+class ChainOrder:
+    """One agent per tick, handed off along the chain ``scheme`` builds on
+    ``topology``, from agent ``s0`` or, for ``"uniform"``, one drawn per
+    replication.  A topology with a period has every distinct matrix built,
+    validated and cached here, before any tick; a random one validates each
+    tick's matrix as it is built."""
 
-    def __init__(self, topology, scheme):
+    engine = "markov"
+    width = 1
+
+    def __init__(self, topology, scheme, s0="uniform"):
+        if s0 != "uniform":
+            s0 = int(s0)
+            if not 0 <= s0 < topology.m:
+                raise ValueError(
+                    f"fixed initial agent {s0} outside [0, {topology.m})")
         self.topology = topology
         self.scheme = scheme
+        self.s0 = s0
         self._cache = {}
+        for k in range(topology.period or 0):
+            self.transition(k)
 
-    def at(self, k):
+    def transition(self, k):
+        """The validated (P, cumP) of tick k."""
         period = self.topology.period
         key = None if period is None else k % period
         hit = self._cache.get(key)
@@ -493,80 +506,24 @@ class _TransitionProvider:
             self._cache[key] = value
         return value
 
+    def start(self, m, seeds):
+        if self.topology.m != m:
+            raise DimensionMismatchError(
+                f"topology has {self.topology.m} agents but problem has {m}")
+        if self.s0 == "uniform":
+            return np.array([min(int(init_generator(s).random() * m), m - 1)
+                             for s in seeds], dtype=int)
+        return np.full(len(seeds), self.s0, dtype=int)
 
-def run_markov(problem, noise, schedule, topology, scheme, x0, ticks, seed, *,
-               s0="uniform", stride=1, tail_fraction=None, config_hash=None):
-    """Run one replication; see :func:`run_markov_batch`."""
-    return run_markov_batch(problem, noise, schedule, topology, scheme, x0,
-                            ticks, [seed], s0=s0, stride=stride,
-                            tail_fraction=tail_fraction,
-                            config_hash=config_hash)[0]
-
-
-def run_markov_batch(problem, noise, schedule, topology, scheme, x0, ticks,
-                     seeds, *, s0="uniform", stride=1, tail_fraction=None,
-                     config_hash=None):
-    """Run ``len(seeds)`` independent replications for ``ticks`` ticks.
-
-    The topology and scheme are validated before any tick runs: structural
-    window-connectivity checks on the topology, and the full transition
-    contract on every distinct matrix the run will use (static and periodic
-    sequences cache these; random sequences validate each tick's matrix as
-    it is built).  Validation failure aborts before the first step.
-
-    Traces are recorded as in :func:`incsub.cyclic.run_cyclic_batch`, plus
-    the updating agent of each recorded tick and, in the metadata, each
-    agent's visit count over s(0..N).
-    """
-    if ticks < 0:
-        raise ValueError(f"tick count must be >= 0, got {ticks}")
-    m, n = problem.m, problem.n
-    if topology.m != m:
-        raise DimensionMismatchError(
-            f"topology has {topology.m} agents but problem has {m}")
-    fset = problem.feasible_set
-    reps = len(seeds)
-
-    topology.validate()
-    provider = _TransitionProvider(topology, scheme)
-    for k in range(topology.period or 0):
-        provider.at(k)
-
-    x0 = np.asarray(x0, dtype=float)
-    if not fset.contains(x0):
-        log.warning("initial point outside the feasible set; projecting")
-        x0 = fset.project_many(x0)
-    x_batch = np.tile(x0, (reps, 1))
-
-    if s0 == "uniform":
-        agents = np.array([min(int(init_generator(s).random() * m), m - 1)
-                           for s in seeds], dtype=int)
-    else:
-        s0 = int(s0)
-        if not 0 <= s0 < m:
-            raise ValueError(f"fixed initial agent {s0} outside [0, {m})")
-        agents = np.full(reps, s0, dtype=int)
-    recorder = Recorder("markov", problem, schedule, seeds, ticks, x_batch,
-                        agents=agents, stride=stride,
-                        tail_fraction=tail_fraction, config_hash=config_hash)
-
-    skip_noise = getattr(noise, "is_zero", False)
-    with recorder:
-        for b in range((ticks + BLOCK - 1) // BLOCK):
-            count = min(BLOCK, ticks - b * BLOCK)
-            alphas = schedule.steps(b * BLOCK + 1, count)
-            uniforms = np.stack([chain_uniform_block(s, b) for s in seeds])
-            eps = None
-            if not skip_noise:
-                eps = np.stack([noise.sample_block(s, b, 1, n) for s in seeds])
-            for off in range(count):
-                _, cum = provider.at(b * BLOCK + off)
-                u = uniforms[:, off]
-                agents = np.minimum((u[:, None] >= cum[agents]).sum(axis=1), m - 1)
-                recorder.visit(agents)
-                g = problem.subgradient_for_agents(x_batch, agents)
-                if eps is not None:
-                    g = g + eps[:, off, 0, :]
-                x_batch = fset.project_many(x_batch - alphas[off] * g)
-                recorder.push(x_batch)
-    return recorder.traces()
+    def block(self, b, count, seeds, agents):
+        """Each tick's agent: how many of its row's cumulative sums are at
+        or below the tick's uniform, at most m - 1."""
+        uniforms = np.stack([chain_uniform_block(s, b) for s in seeds])
+        last = self.topology.m - 1
+        plan = []
+        for off in range(count):
+            _, cum = self.transition(b * BLOCK + off)
+            agents = np.minimum((uniforms[:, off, None] >= cum[agents]).sum(axis=1),
+                                last)
+            plan.append((agents,))
+        return plan, agents

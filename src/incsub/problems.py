@@ -237,37 +237,22 @@ def make_quadratic_suite(m, n, spread, feasible_set, *, centers=None, seed=0,
     return prob
 
 
-def make_regression(sensor_locations, basis, feasible_set, *, samples=None,
-                    x_true=None, noise_sigma=0.1, samples_per_agent=None,
-                    noise_seed=0, grid_resolution=1e-3):
+def make_regression(features, samples, feasible_set, *, grid_resolution=1e-3):
     """Least-squares model-fitting instance over m sensors.
 
-    Each sensor i at location s_i holds samples r_{i,k} of the field and
-    contributes f_i(x) = mean_k (r_{i,k} - basis(s_i) @ x)^2.  Samples may
-    be passed explicitly (one array per agent) or synthesized from
-    ``x_true`` plus Gaussian measurement noise.
+    Sensor i has the feature row phi_i = ``features[i]`` and the samples
+    r_{i,k} = ``samples[i]`` of the field, and contributes
+    f_i(x) = mean_k (r_{i,k} - phi_i @ x)^2.
 
     The certificate is the closed-form least-squares solution when it is
     feasible; otherwise (or when the normal matrix is rank-deficient) the
     optimum is certified by lattice search.
     """
-    locations = list(sensor_locations)
-    m = len(locations)
-    if m < 1:
-        raise ValueError("need at least one sensor")
-    feats = [np.atleast_1d(np.asarray(basis(s), dtype=float)) for s in locations]
-    n = feats[0].shape[0]
-    if any(p.shape != (n,) for p in feats):
-        raise DimensionMismatchError(
-            f"sensor features disagree on dimension: {sorted({p.shape for p in feats})}")
-
-    if samples is None:
-        if x_true is None or samples_per_agent is None:
-            raise ValueError("either explicit samples or (x_true, samples_per_agent)")
-        x_true = np.asarray(x_true, dtype=float)
-        rng = np.random.default_rng(noise_seed)
-        samples = [feats[i] @ x_true + noise_sigma * rng.standard_normal(samples_per_agent)
-                   for i in range(m)]
+    feats = np.array(features, dtype=float)
+    if feats.ndim != 2 or len(feats) < 1:
+        raise ValueError(f"need an (m, n) array of sensor features with m >= 1, "
+                         f"got shape {feats.shape}")
+    m, n = feats.shape
     samples = [np.atleast_1d(np.asarray(r, dtype=float)) for r in samples]
     if len(samples) != m:
         raise ValueError(f"got {len(samples)} sample arrays for {m} sensors")
@@ -277,7 +262,7 @@ def make_regression(sensor_locations, basis, feasible_set, *, samples=None,
 
     rbar = [float(r.mean()) for r in samples]
     var = [float(np.mean((r - rb) ** 2)) for r, rb in zip(samples, rbar)]
-    family = RegressionFamily(np.stack(feats), rbar, var, feasible_set)
+    family = RegressionFamily(feats, rbar, var, feasible_set)
 
     normal = sum(np.outer(p, p) for p in feats)
     rhs = sum(rb * p for p, rb in zip(feats, rbar))

@@ -60,16 +60,6 @@ class RunTrace:
         if np.any(np.diff(self.running_inf) > 0):
             raise ValueError("running inf must be non-increasing")
 
-    @property
-    def final_gap(self):
-        f_star = self.meta.get("f_star")
-        return None if f_star is None else float(self.f_vals[-1] - f_star)
-
-    @property
-    def inf_gap(self):
-        f_star = self.meta.get("f_star")
-        return None if f_star is None else float(self.running_inf[-1] - f_star)
-
     def to_csv(self):
         buf = io.StringIO(newline="")
         writer = csv.writer(buf, lineterminator="\n")

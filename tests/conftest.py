@@ -25,9 +25,8 @@ def regr_m5_box():
     gen = np.random.default_rng(7)
     feats = gen.normal(size=(5, 3))
     samples = feats @ np.array([0.5, -0.3, 0.8]) + 0.1 * gen.normal(size=(4, 5))
-    return isb.make_regression(range(5), lambda s: feats[s],
-                               isb.Box(np.full(3, -2.0), np.full(3, 2.0)),
-                               samples=list(samples.T))
+    return isb.make_regression(feats, list(samples.T),
+                               isb.Box(np.full(3, -2.0), np.full(3, 2.0)))
 
 
 @pytest.fixture(scope="session")

@@ -69,3 +69,9 @@ def absolute_value():
     """One agent with f(x) = |x| in one dimension; subgradient sign(x), 0 at 0."""
     return CallbackFamily(1, [1.0], lambda xs: np.abs(xs[:, 0]),
                           lambda xs, agents: np.sign(xs))
+
+
+def run_one(problem, noise, schedule, order, x0, steps, seed, **kwargs):
+    """The trace of one replication, from a batch of one."""
+    return isb.run_batch(problem, noise, schedule, order, x0, steps, [seed],
+                         **kwargs)[0]

@@ -13,7 +13,7 @@ import pytest
 
 import incsub as isb
 from helpers import (brute_force_window, geometric_envelope_holds,
-                     random_symmetric_topology)
+                     random_symmetric_topology, run_one)
 from incsub.config import ExperimentConfig
 from incsub.harness import run_experiment
 from incsub.markov import adjacency_from_edges
@@ -85,11 +85,11 @@ def crit5_run(out_root):
 @pytest.fixture(scope="module")
 def crit4_traces(fixture_problem):
     topo = isb.make_topology("static", 5, graph="ring")
-    return isb.run_markov_batch(
-        fixture_problem, isb.GaussianNoise(SIGMA_FOR_HALF_RMS),
-        isb.PowerLaw(1.0, 0.8), topo, isb.EqualProbability(),
-        np.array([0.0, 0.0]), 1_000_000, list(range(4000, 4020)),
-        stride=100_000, tail_fraction=0.1)
+    return isb.run_batch(fixture_problem, isb.GaussianNoise(SIGMA_FOR_HALF_RMS),
+                         isb.PowerLaw(1.0, 0.8),
+                         isb.ChainOrder(topo, isb.EqualProbability()),
+                         np.array([0.0, 0.0]), 1_000_000, list(range(4000, 4020)),
+                         stride=100_000, tail_fraction=0.1)
 
 
 def test_criterion_1_cyclic_diminishing_convergence(out_root):
@@ -242,8 +242,7 @@ def grid_certified_fixtures():
     ball = isb.make_quadratic_suite(
         3, 2, 0.0, isb.Ball([0.0, 0.0], 0.1),
         centers=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], grid_resolution=1e-4)
-    clipped = isb.make_regression([0.0], lambda s: np.array([1.0]),
-                                  isb.Box([0.0], [1.0]), samples=[[1.0, 3.0]],
+    clipped = isb.make_regression([[1.0]], [[1.0, 3.0]], isb.Box([0.0], [1.0]),
                                   grid_resolution=1e-4)
     return [("allocation m=3", alloc), ("quadratic on ball", ball),
             ("clipped regression", clipped)]
@@ -256,12 +255,12 @@ def test_criterion_8_both_engines_agree_with_grid_oracle():
         assert prob.optimum.method == "grid"
         f_star = prob.optimum.f_star
         x0 = prob.feasible_set.project_many(np.zeros(prob.n))
-        cy = isb.run_cyclic(prob, isb.NoNoise(), isb.PowerLaw(1.0, 1.0), x0,
-                            20_000, seed=0, stride=2000)
+        cy = run_one(prob, isb.NoNoise(), isb.PowerLaw(1.0, 1.0),
+                     isb.RingOrder(prob.m), x0, 20_000, 0, stride=2000)
         topo = isb.make_topology("static", prob.m, graph="ring")
-        mk = isb.run_markov(prob, isb.NoNoise(), isb.PowerLaw(1.0, 0.8), topo,
-                            isb.EqualProbability(), x0, 60_000, seed=0,
-                            stride=6000)
+        mk = run_one(prob, isb.NoNoise(), isb.PowerLaw(1.0, 0.8),
+                     isb.ChainOrder(topo, isb.EqualProbability()), x0, 60_000, 0,
+                     stride=6000)
         cy_gap = abs(cy.running_inf[-1] - f_star)
         mk_gap = abs(mk.running_inf[-1] - f_star)
         ok = ok and cy_gap <= 5e-3 and mk_gap <= 5e-3

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incsub as isb
-from helpers import brute_force_window, geometric_envelope_holds
+from helpers import brute_force_window, geometric_envelope_holds, run_one
 from incsub.markov import adjacency_from_edges, ring_edges
 
 
@@ -227,8 +227,9 @@ class TestDeltaWindow:
 
 class TestEmpiricalVerification:
     def test_inflated_gap_always_passes(self, quad_m2_line):
-        tr = isb.run_cyclic(quad_m2_line, isb.NoNoise(), isb.Constant(0.01),
-                            np.array([9.0]), 2000, seed=0, stride=100)
+        tr = run_one(quad_m2_line, isb.NoNoise(), isb.Constant(0.01),
+                     isb.RingOrder(quad_m2_line.m), np.array([9.0]), 2000, 0,
+                     stride=100)
         report = isb.cyclic_bound(0.01, list(quad_m2_line.bounds), 0.0, 0.0)
         fat = isb.BoundReport(report.gap * 10, {"all": report.gap * 10}, {},
                               "inflated")

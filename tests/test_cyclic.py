@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import incsub as isb
-from helpers import CallbackFamily, absolute_value
+from helpers import CallbackFamily, absolute_value, run_one
 from incsub.errors import NonFiniteError
 from reference import CyclicState, cyclic_cycle, make_cyclic_noise_stream
 
@@ -43,14 +43,14 @@ def test_single_subgradient_step_on_abs():
     prob = isb.ProblemInstance(absolute_value(), isb.Box([-1.0], [1.0]),
                                isb.OptimumCertificate(0.0, np.array([0.0]),
                                                       "closed_form"))
-    tr = isb.run_cyclic(prob, isb.NoNoise(), isb.Constant(0.5),
-                        np.array([1.0]), 1, seed=0)
+    tr = run_one(prob, isb.NoNoise(), isb.Constant(0.5), isb.RingOrder(prob.m),
+                 np.array([1.0]), 1, 0)
     assert tr.meta["final_x"] == [0.5]
 
 
 def test_two_agent_cycle_matches_reference(quad_m2_line):
-    tr = isb.run_cyclic(quad_m2_line, isb.NoNoise(), isb.Constant(0.25),
-                        np.array([0.0]), 1, seed=0)
+    tr = run_one(quad_m2_line, isb.NoNoise(), isb.Constant(0.25),
+                 isb.RingOrder(quad_m2_line.m), np.array([0.0]), 1, 0)
     ref = reference_two_agent_cycle(0.0, [0.0, 2.0], (0.0, 10.0), 0.25)
     assert tr.meta["final_x"][0] == ref == 1.0  # lands on the optimum
 
@@ -60,40 +60,40 @@ def test_many_cycles_match_reference_on_abs():
                                isb.OptimumCertificate(0.0, np.array([0.0]),
                                                       "closed_form"))
     sched = isb.PowerLaw(0.3, 1.0)
-    tr = isb.run_cyclic(prob, isb.NoNoise(), sched, np.array([1.0]), 50,
-                        seed=0, stride=1)
+    tr = run_one(prob, isb.NoNoise(), sched, isb.RingOrder(prob.m), np.array([1.0]), 50,
+                 0, stride=1)
     ref = reference_one_agent_subgradient(1.0, lambda k: 0.3 / k, 50, -1.0, 1.0)
     assert np.allclose(tr.f_vals, np.abs(ref), atol=1e-15)
 
 
 def test_zero_step_freezes_iterate(quad_m2_line):
-    tr = isb.run_cyclic(quad_m2_line, isb.GaussianNoise(1.0), ZeroStep(),
-                        np.array([3.0]), 25, seed=4)
+    tr = run_one(quad_m2_line, isb.GaussianNoise(1.0), ZeroStep(),
+                 isb.RingOrder(quad_m2_line.m), np.array([3.0]), 25, 4)
     assert tr.meta["final_x"] == [3.0]
     assert np.all(tr.f_vals == tr.f_vals[0])
 
 
 def test_zero_cycles_gives_initial_row_only(quad_m2_line):
-    tr = isb.run_cyclic(quad_m2_line, isb.NoNoise(), isb.Constant(0.1),
-                        np.array([5.0]), 0, seed=0)
+    tr = run_one(quad_m2_line, isb.NoNoise(), isb.Constant(0.1),
+                 isb.RingOrder(quad_m2_line.m), np.array([5.0]), 0, 0)
     assert list(tr.ks) == [0]
     assert tr.f_vals[0] == quad_m2_line.f(np.array([5.0]))
 
 
 def test_diminishing_steps_converge(quad_m2_line):
-    tr = isb.run_cyclic(quad_m2_line, isb.NoNoise(), isb.PowerLaw(1.0, 1.0),
-                        np.array([9.0]), 10_000, seed=0, stride=1000)
+    tr = run_one(quad_m2_line, isb.NoNoise(), isb.PowerLaw(1.0, 1.0),
+                 isb.RingOrder(quad_m2_line.m), np.array([9.0]), 10_000, 0, stride=1000)
     assert tr.f_vals[-1] - quad_m2_line.optimum.f_star <= 1e-3
 
 
 def test_traces_are_deterministic(quad_m5_box):
     kwargs = dict(stride=64, tail_fraction=0.2)
-    a = isb.run_cyclic_batch(quad_m5_box, isb.GaussianNoise(0.4),
-                             isb.PowerLaw(1.0, 1.0), np.array([1.0, -1.0]),
-                             500, [3, 4], **kwargs)
-    b = isb.run_cyclic_batch(quad_m5_box, isb.GaussianNoise(0.4),
-                             isb.PowerLaw(1.0, 1.0), np.array([1.0, -1.0]),
-                             500, [3, 4], **kwargs)
+    a = isb.run_batch(quad_m5_box, isb.GaussianNoise(0.4), isb.PowerLaw(1.0, 1.0),
+                      isb.RingOrder(quad_m5_box.m), np.array([1.0, -1.0]), 500, [3, 4],
+                      **kwargs)
+    b = isb.run_batch(quad_m5_box, isb.GaussianNoise(0.4), isb.PowerLaw(1.0, 1.0),
+                      isb.RingOrder(quad_m5_box.m), np.array([1.0, -1.0]), 500, [3, 4],
+                      **kwargs)
     for ta, tb in zip(a, b):
         assert ta.to_csv() == tb.to_csv()
         assert ta.meta["final_x"] == tb.meta["final_x"]
@@ -102,11 +102,10 @@ def test_traces_are_deterministic(quad_m5_box):
 def test_batch_lane_equals_solo_run(quad_m5_box, regr_m5_box):
     for prob in (quad_m5_box, regr_m5_box):
         x0 = np.full(prob.n, 0.5)
-        batch = isb.run_cyclic_batch(prob, isb.GaussianNoise(0.3),
-                                     isb.PowerLaw(1.0, 0.8), x0,
-                                     300, [11, 12, 13], stride=30)
-        solo = isb.run_cyclic(prob, isb.GaussianNoise(0.3),
-                              isb.PowerLaw(1.0, 0.8), x0, 300, 12, stride=30)
+        batch = isb.run_batch(prob, isb.GaussianNoise(0.3), isb.PowerLaw(1.0, 0.8),
+                              isb.RingOrder(prob.m), x0, 300, [11, 12, 13], stride=30)
+        solo = run_one(prob, isb.GaussianNoise(0.3), isb.PowerLaw(1.0, 0.8),
+                       isb.RingOrder(prob.m), x0, 300, 12, stride=30)
         assert batch[1].to_csv() == solo.to_csv(), prob.name
 
 
@@ -134,8 +133,8 @@ def test_ring_order_is_respected(quad_m5_box):
     prob = isb.ProblemInstance(
         CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, recorded),
         quad_m5_box.feasible_set, quad_m5_box.optimum)
-    isb.run_cyclic(prob, isb.NoNoise(), isb.Constant(0.05),
-                   np.array([0.0, 0.0]), 7, seed=0)
+    run_one(prob, isb.NoNoise(), isb.Constant(0.05), isb.RingOrder(prob.m),
+            np.array([0.0, 0.0]), 7, 0)
     assert calls == list(range(5)) * 7
 
 
@@ -160,8 +159,8 @@ def test_hand_off_points_feed_next_agent(quad_m2_line):
 
 def test_x0_outside_set_is_projected_with_warning(quad_m2_line, caplog):
     with caplog.at_level("WARNING"):
-        tr = isb.run_cyclic(quad_m2_line, isb.NoNoise(), isb.Constant(0.01),
-                            np.array([-5.0]), 0, seed=0)
+        tr = run_one(quad_m2_line, isb.NoNoise(), isb.Constant(0.01),
+                     isb.RingOrder(quad_m2_line.m), np.array([-5.0]), 0, 0)
     assert tr.f_vals[0] == quad_m2_line.f(np.array([0.0]))
     assert any("projecting" in rec.message for rec in caplog.records)
 
@@ -174,8 +173,8 @@ def test_nonfinite_iterate_aborts_with_diagnostic():
     prob = isb.ProblemInstance(family, isb.Box([-1.0], [1.0]),
                                isb.OptimumCertificate(None, None, "unknown"))
     with pytest.raises(NonFiniteError, match="cycle 1") as info:
-        isb.run_cyclic(prob, isb.NoNoise(), isb.Constant(0.1),
-                       np.array([0.0]), 5, seed=0)
+        run_one(prob, isb.NoNoise(), isb.Constant(0.1), isb.RingOrder(prob.m),
+                np.array([0.0]), 5, 0)
     # the abort carries the finite prefix: here only the initial row
     partial = info.value.partial_traces
     assert len(partial) == 1
@@ -198,8 +197,8 @@ def test_partial_trace_keeps_finite_prefix():
     prob = isb.ProblemInstance(family, isb.Box([-1.0], [1.0]),
                                isb.OptimumCertificate(None, None, "unknown"))
     with pytest.raises(NonFiniteError, match="cycle 4") as info:
-        isb.run_cyclic(prob, isb.NoNoise(), isb.Constant(0.1),
-                       np.array([0.5]), 10, seed=0, stride=1)
+        run_one(prob, isb.NoNoise(), isb.Constant(0.1), isb.RingOrder(prob.m),
+                np.array([0.5]), 10, 0, stride=1)
     partial = info.value.partial_traces[0]
     assert list(partial.ks) == [0, 1, 2, 3]
     assert np.all(np.isfinite(partial.f_vals))
@@ -208,9 +207,9 @@ def test_partial_trace_keeps_finite_prefix():
 def test_squared_distance_drifts_down_across_seeds(quad_m2_line):
     # with square-summable diminishing steps the seed-averaged squared
     # distance to the optimum decays past a short burn-in
-    traces = isb.run_cyclic_batch(quad_m2_line, isb.GaussianNoise(0.01),
-                                  isb.PowerLaw(1.0, 1.0), np.array([9.0]),
-                                  300, list(range(20)), stride=1)
+    traces = isb.run_batch(quad_m2_line, isb.GaussianNoise(0.01),
+                           isb.PowerLaw(1.0, 1.0), isb.RingOrder(quad_m2_line.m),
+                           np.array([9.0]), 300, list(range(20)), stride=1)
     dists = np.stack([tr.dists for tr in traces])
     mean_sq = (dists**2).mean(axis=0)
     burn = 30
@@ -223,8 +222,8 @@ def test_cycles_match_reference_draw_for_draw(quad_m5_box):
     # cycle by cycle, the batch engine's recorded f and distance are those of
     # the one-sub-step-at-a-time reference iterate, and so is its final x
     noise, sched = isb.GaussianNoise(0.3), isb.PowerLaw(1.0, 1.0)
-    tr = isb.run_cyclic(quad_m5_box, noise, sched, np.array([1.0, 1.0]), 5,
-                        seed=6, stride=1)
+    tr = run_one(quad_m5_box, noise, sched, isb.RingOrder(quad_m5_box.m),
+                 np.array([1.0, 1.0]), 5, 6, stride=1)
     stream = make_cyclic_noise_stream(noise, quad_m5_box, 6)
     state = CyclicState.initial(
         quad_m5_box.feasible_set.project_many(np.array([1.0, 1.0])))
@@ -233,15 +232,14 @@ def test_cycles_match_reference_draw_for_draw(quad_m5_box):
         state = cyclic_cycle(state, quad_m5_box, stream, sched)
         assert tr.f_vals[k] == quad_m5_box.f(state.x)
         assert tr.dists[k] == np.linalg.norm(state.x[None, :] - witness, axis=1)[0]
-        short = isb.run_cyclic(quad_m5_box, noise, sched, np.array([1.0, 1.0]),
-                               k, seed=6, stride=1)
+        short = run_one(quad_m5_box, noise, sched, isb.RingOrder(quad_m5_box.m),
+                        np.array([1.0, 1.0]), k, 6, stride=1)
         assert short.meta["final_x"] == state.x.tolist()
 
 
 def test_trace_row_count_and_running_inf(quad_m2_line):
-    tr = isb.run_cyclic(quad_m2_line, isb.GaussianNoise(0.2),
-                        isb.PowerLaw(1.0, 1.0), np.array([8.0]), 103, seed=5,
-                        stride=10)
+    tr = run_one(quad_m2_line, isb.GaussianNoise(0.2), isb.PowerLaw(1.0, 1.0),
+                 isb.RingOrder(quad_m2_line.m), np.array([8.0]), 103, 5, stride=10)
     assert list(tr.ks) == list(range(0, 104, 10)) + [103]
     assert np.all(np.diff(tr.running_inf) <= 0)
     assert np.all(tr.running_inf <= tr.f_vals + 1e-15)

@@ -9,7 +9,8 @@ from incsub import ExperimentConfig
 from incsub.cli import main as cli_main
 from incsub.config import parse_config_text
 from incsub.errors import ConfigError
-from incsub.harness import _supremum, compare_bounds, run_experiment
+from incsub.harness import (_supremum, bound_reports, build_run, compare_bounds,
+                            run_experiment, validate_only)
 from incsub.noise import BiasedGaussianNoise, GaussianNoise
 
 CYCLIC_CFG = """
@@ -171,12 +172,12 @@ class TestRunExperiment:
         stub = RunTrace(np.array([0]), np.array([1.0]), np.array([1.0]),
                         np.array([np.nan]), None, None, {"seed": 0})
 
-        def exploding(flat, seeds):
+        def exploding(run, seeds):
             err = NonFiniteError("tick 3: boom; last finite state at tick 2")
             err.partial_traces = [stub]
             raise err
 
-        monkeypatch.setattr(hz, "_run_chunk", exploding)
+        monkeypatch.setattr(hz, "_run_seeds", exploding)
         flat = parse_config_text(MARKOV_CFG)
         flat["out"] = str(tmp_path / "abort")
         config = ExperimentConfig.from_flat(flat)
@@ -223,6 +224,17 @@ class TestCompare:
                 # simulations land inside the analytic gap (plus 2% slack)
                 assert cell["empirical_inf_gap_max"] <= \
                     cell["analytic_gap"] * 1.02
+
+    def test_parallel_jobs_match_serial(self, tmp_path):
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update({"horizon": 300, "replications": 3,
+                     "compare.alphas": [0.05, 0.02], "compare.Ts": [4]})
+        rows = [compare_bounds(ExperimentConfig.from_flat(
+                    dict(flat, out=str(tmp_path / f"jobs{jobs}"))), jobs=jobs)
+                for jobs in (1, 2)]
+        assert rows[0] == rows[1]
+        assert (tmp_path / "jobs1" / "bounds.csv").read_bytes() == \
+            (tmp_path / "jobs2" / "bounds.csv").read_bytes()
 
     def test_compare_requires_markov(self, tmp_path):
         config = make_config(CYCLIC_CFG, tmp_path, "x")
@@ -421,6 +433,27 @@ class TestFailFast:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["run", "validate", "bounds"])
+    @pytest.mark.parametrize("algorithm", ["markov", "cyclic"])
+    def test_bound_terms_overflow(self, tmp_path, capsys, algorithm, verb):
+        # the C_i and the diameter of a +-6.5e153 box are finite, but the
+        # bounds' c0 = b C_sum diameter (markov) and (C_sum + m nu)^2
+        # (cyclic) overflow
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update({"algorithm": algorithm, "problem.n": 1,
+                     "problem.set": {"kind": "box", "lower": -6.5e153,
+                                     "upper": 6.5e153},
+                     "schedule.alpha": 0.01, "noise.kind": "none"})
+        del flat["noise.sigma"]
+        if algorithm == "cyclic":
+            del flat["topology.kind"], flat["scheme.kind"]
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: problem.set: the set is too large for the bounds" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("topology", ["ring", "random_edges"])
     def test_weight_count_differs_from_agents(self, tmp_path, capsys, topology):
         flat = parse_config_text(MARKOV_CFG)
@@ -472,6 +505,47 @@ def test_jobs_abort_matches_serial(tmp_path, capsys):
     assert jobs_err == serial_err
     assert list(serial_files) == [f"trace_{r}.csv" for r in range(8)]
     assert jobs_files == serial_files
+
+
+class TestSingleBuild:
+    """Each verb builds the problem and the topology once and validates the
+    topology once; ``--jobs`` workers receive the built run and rebuild
+    nothing."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import incsub.harness as hz
+        import incsub.markov as mk
+
+        parent = os.getpid()
+        counts = {"build_problem": 0, "build_topology": 0, "validate": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                assert os.getpid() == parent, f"a worker called {name}"
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("build_problem", "build_topology"):
+            monkeypatch.setattr(hz, name, counting(name, getattr(hz, name)))
+        monkeypatch.setattr(mk.StaticTopology, "validate",
+                            counting("validate", mk.StaticTopology.validate))
+        return counts
+
+    @pytest.mark.parametrize("verb", [
+        lambda config: run_experiment(config, write=False),
+        lambda config: run_experiment(config, jobs=2, write=False),
+        validate_only,
+        lambda config: bound_reports(build_run(config)),
+        lambda config: compare_bounds(config, write=False),
+    ], ids=["run", "run_jobs2", "validate", "bounds", "compare"])
+    def test_verb_builds_once(self, counts, verb):
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update({"horizon": 200, "replications": 2,
+                     "compare.alphas": [0.05, 0.02]})
+        verb(ExperimentConfig.from_flat(flat))
+        assert counts == {"build_problem": 1, "build_topology": 1, "validate": 1}
 
 
 class TestSupremum:

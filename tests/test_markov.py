@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import incsub as isb
-from helpers import CallbackFamily, random_symmetric_topology
+from helpers import CallbackFamily, random_symmetric_topology, run_one
 from incsub.errors import SchemeViolationError, TopologyError
-from incsub.markov import (_TransitionProvider, adjacency_from_edges,
+from incsub.markov import (adjacency_from_edges,
                            path_edges, ring_edges)
 from incsub.streams import init_generator
 from reference import next_from_uniform, sample_next_agent
@@ -161,30 +161,30 @@ class TestMarkovEngine:
         sched = isb.PowerLaw(0.5, 1.0)
         noise = isb.GaussianNoise(0.2)
         x0 = np.array([1.0, 1.0])
-        mk = isb.run_markov(prob, noise, sched, topo, isb.EqualProbability(),
-                            x0, 200, seed=8, stride=20)
-        cy = isb.run_cyclic(prob, noise, sched, x0, 200, seed=8, stride=20)
+        mk = run_one(prob, noise, sched, isb.ChainOrder(topo, isb.EqualProbability()),
+                     x0, 200, 8, stride=20)
+        cy = run_one(prob, noise, sched, isb.RingOrder(prob.m), x0, 200, 8, stride=20)
         assert mk.meta["final_x"] == cy.meta["final_x"]
         assert np.array_equal(mk.f_vals, cy.f_vals)
 
     def test_zero_step_decouples_chain_from_iterate(self, quad_m5_box, ring5):
-        tr = isb.run_markov(quad_m5_box, isb.GaussianNoise(0.5), ZeroStep(),
-                            ring5, isb.EqualProbability(),
-                            np.array([0.5, 0.5]), 300, seed=3, stride=1)
+        tr = run_one(quad_m5_box, isb.GaussianNoise(0.5), ZeroStep(),
+                     isb.ChainOrder(ring5, isb.EqualProbability()),
+                     np.array([0.5, 0.5]), 300, 3, stride=1)
         assert tr.meta["final_x"] == [0.5, 0.5]
         assert len(np.unique(tr.agents)) > 1  # the chain still moves
 
     def test_zero_ticks_gives_initial_row_only(self, quad_m5_box, ring5):
-        tr = isb.run_markov(quad_m5_box, isb.NoNoise(), isb.Constant(0.1),
-                            ring5, isb.EqualProbability(),
-                            np.array([0.0, 0.0]), 0, seed=1)
+        tr = run_one(quad_m5_box, isb.NoNoise(), isb.Constant(0.1),
+                     isb.ChainOrder(ring5, isb.EqualProbability()),
+                     np.array([0.0, 0.0]), 0, 1)
         assert list(tr.ks) == [0]
         assert tr.agents.shape == (1,)
 
     def test_fixed_initial_agent(self, quad_m5_box, ring5):
-        tr = isb.run_markov(quad_m5_box, isb.NoNoise(), isb.Constant(0.01),
-                            ring5, isb.EqualProbability(),
-                            np.array([0.0, 0.0]), 0, seed=1, s0=3)
+        tr = run_one(quad_m5_box, isb.NoNoise(), isb.Constant(0.01),
+                     isb.ChainOrder(ring5, isb.EqualProbability(), 3),
+                     np.array([0.0, 0.0]), 0, 1)
         assert tr.agents[0] == 3
 
     def test_chain_sampled_before_gradient_at_current_iterate(self, quad_m5_box,
@@ -201,12 +201,11 @@ class TestMarkovEngine:
         prob = isb.ProblemInstance(
             CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, recording),
             quad_m5_box.feasible_set, quad_m5_box.optimum)
-        tr = isb.run_markov(prob, isb.NoNoise(), isb.Constant(0.05), ring5,
-                            isb.EqualProbability(), np.array([1.0, -0.5]),
-                            50, seed=17, stride=1)
+        tr = run_one(prob, isb.NoNoise(), isb.Constant(0.05),
+                     isb.ChainOrder(ring5, isb.EqualProbability()),
+                     np.array([1.0, -0.5]), 50, 17, stride=1)
         # replay the chain: uniforms and transition rows are deterministic
-        provider = _TransitionProvider(ring5, isb.EqualProbability())
-        _, cum = provider.at(0)
+        _, cum = isb.ChainOrder(ring5, isb.EqualProbability()).transition(0)
         u0 = init_generator(17).random()
         agent = min(int(u0 * 5), 4)
         assert tr.agents[0] == agent
@@ -223,9 +222,9 @@ class TestMarkovEngine:
     def test_visit_frequencies_near_uniform(self, quad_m5_box, ring5):
         # reduced-horizon version; the stated 1e6-tick +-0.01 band runs in
         # the acceptance suite on the shared heavy run
-        tr = isb.run_markov(quad_m5_box, isb.NoNoise(), isb.Constant(0.01),
-                            ring5, isb.EqualProbability(),
-                            np.array([0.0, 0.0]), 100_000, seed=5, stride=10_000)
+        tr = run_one(quad_m5_box, isb.NoNoise(), isb.Constant(0.01),
+                     isb.ChainOrder(ring5, isb.EqualProbability()),
+                     np.array([0.0, 0.0]), 100_000, 5, stride=10_000)
         freq = np.array(tr.meta["visit_counts"]) / (tr.meta["horizon"] + 1)
         assert np.all(np.abs(freq - 0.2) <= 0.02)
 
@@ -235,13 +234,12 @@ class TestMarkovEngine:
         prob = isb.make_quadratic_suite(4, 2, 0.5, isb.Box([-1, -1], [1, 1]),
                                         seed=3)
         topo = isb.make_topology("static", 4, graph="complete")
-        provider = _TransitionProvider(topo, isb.EqualProbability())
-        p, _ = provider.at(0)
+        p, _ = isb.ChainOrder(topo, isb.EqualProbability()).transition(0)
         assert np.allclose(p, 0.25)
-        traces = isb.run_markov_batch(prob, isb.NoNoise(), isb.PowerLaw(1.0, 0.8),
-                                      topo, isb.EqualProbability(),
-                                      np.array([1.0, 1.0]), 20_000,
-                                      list(range(10)), stride=2000)
+        traces = isb.run_batch(prob, isb.NoNoise(), isb.PowerLaw(1.0, 0.8),
+                               isb.ChainOrder(topo, isb.EqualProbability()),
+                               np.array([1.0, 1.0]), 20_000, list(range(10)),
+                               stride=2000)
         gaps = [tr.running_inf[-1] - prob.optimum.f_star for tr in traces]
         assert np.median(gaps) <= 1e-3
         assert max(gaps) <= 1e-2
@@ -251,40 +249,40 @@ class TestMarkovEngine:
         kwargs = dict(stride=25, tail_fraction=0.1)
         for prob in (quad_m5_box, regr_m5_box):
             x0 = np.resize([0.5, -0.5], prob.n)
-            a = isb.run_markov_batch(prob, isb.GaussianNoise(0.3),
-                                     isb.PowerLaw(1.0, 0.8), ring5,
-                                     isb.MinEqualNeighbor(), x0,
-                                     250, [31, 32], **kwargs)
-            b = isb.run_markov_batch(prob, isb.GaussianNoise(0.3),
-                                     isb.PowerLaw(1.0, 0.8), ring5,
-                                     isb.MinEqualNeighbor(), x0,
-                                     250, [31, 32], **kwargs)
-            solo = isb.run_markov(prob, isb.GaussianNoise(0.3),
-                                  isb.PowerLaw(1.0, 0.8), ring5,
-                                  isb.MinEqualNeighbor(), x0, 250, 32, **kwargs)
+            a = isb.run_batch(prob, isb.GaussianNoise(0.3), isb.PowerLaw(1.0, 0.8),
+                              isb.ChainOrder(ring5, isb.MinEqualNeighbor()), x0, 250,
+                              [31, 32], **kwargs)
+            b = isb.run_batch(prob, isb.GaussianNoise(0.3), isb.PowerLaw(1.0, 0.8),
+                              isb.ChainOrder(ring5, isb.MinEqualNeighbor()), x0, 250,
+                              [31, 32], **kwargs)
+            solo = run_one(prob, isb.GaussianNoise(0.3), isb.PowerLaw(1.0, 0.8),
+                           isb.ChainOrder(ring5, isb.MinEqualNeighbor()), x0, 250, 32,
+                           **kwargs)
             assert all(x.to_csv() == y.to_csv() for x, y in zip(a, b))
             assert a[1].to_csv() == solo.to_csv(), prob.name
 
     def test_every_iterate_feasible(self, quad_m5_box, ring5):
-        tr = isb.run_markov(quad_m5_box, isb.GaussianNoise(1.0),
-                            isb.Constant(0.5), ring5, isb.EqualProbability(),
-                            np.array([1.0, 1.0]), 500, seed=9, stride=1)
+        tr = run_one(quad_m5_box, isb.GaussianNoise(1.0), isb.Constant(0.5),
+                     isb.ChainOrder(ring5, isb.EqualProbability()),
+                     np.array([1.0, 1.0]), 500, 9, stride=1)
         fset = quad_m5_box.feasible_set
         assert fset.contains(np.array(tr.meta["final_x"]))
         # recorded objective values never undercut the constrained optimum
         assert np.all(tr.f_vals >= quad_m5_box.optimum.f_star - 1e-12)
 
-    def test_validation_failure_aborts_before_running(self, quad_m5_box):
-        disconnected = isb.StaticTopology(5, ((0, 1), (2, 3)))
+    def test_validation_failure_aborts_before_running(self):
+        # make_topology validates the topology, and the chain order every
+        # distinct matrix of a periodic one, before any tick can run
         with pytest.raises(TopologyError):
-            isb.run_markov(quad_m5_box, isb.NoNoise(), isb.Constant(0.1),
-                           disconnected, isb.EqualProbability(),
-                           np.array([0.0, 0.0]), 10, seed=0)
+            isb.make_topology("static", 5, edges=[(0, 1), (2, 3)])
+        ring = isb.make_topology("static", 5, graph="ring")
+        with pytest.raises(SchemeViolationError, match="doubly stochastic"):
+            isb.ChainOrder(ring, isb.WeightedMetropolisHastings([0.3, 0.7] * 2 + [0.5]))
 
     def test_time_varying_topology_runs(self, quad_m5_box):
         topo = isb.make_topology("random_edges", 5, base="complete",
                                  inclusion_prob=0.4, window=2, seed=11)
-        tr = isb.run_markov(quad_m5_box, isb.NoNoise(), isb.PowerLaw(1.0, 0.8),
-                            topo, isb.MinEqualNeighbor(), np.array([1.0, 1.0]),
-                            2000, seed=2, stride=200)
+        tr = run_one(quad_m5_box, isb.NoNoise(), isb.PowerLaw(1.0, 0.8),
+                     isb.ChainOrder(topo, isb.MinEqualNeighbor()), np.array([1.0, 1.0]),
+                     2000, 2, stride=200)
         assert tr.running_inf[-1] - quad_m5_box.optimum.f_star <= 1e-2

@@ -7,15 +7,10 @@ from incsub import (Ball, Box, LinearUtility, LogUtility, Simplex, SqrtUtility,
                     make_regression)
 
 
-def scalar_basis(s):
-    return np.array([1.0])
-
-
 class TestRegression:
     def test_single_agent_two_samples(self):
         # f(x) = ((x-1)^2 + (x-3)^2) / 2 on [0, 10]: f* = 1 at x* = 2
-        prob = make_regression([0.0], scalar_basis, Box([0.0], [10.0]),
-                               samples=[[1.0, 3.0]])
+        prob = make_regression([[1.0]], [[1.0, 3.0]], Box([0.0], [10.0]))
         assert prob.f(np.array([2.0])) == pytest.approx(1.0)
         assert prob.optimum.f_star == pytest.approx(1.0)
         assert prob.optimum.witness[0] == pytest.approx(2.0)
@@ -24,8 +19,7 @@ class TestRegression:
     def test_three_agents_closed_form_cross_checked_by_grid(self):
         # per-agent sample means {1, 2, 3} with unit sample variance
         samples = [[0.0, 2.0], [1.0, 3.0], [2.0, 4.0]]
-        prob = make_regression([0.0, 1.0, 2.0], scalar_basis, Box([0.0], [10.0]),
-                               samples=samples)
+        prob = make_regression([[1.0]] * 3, samples, Box([0.0], [10.0]))
         assert prob.optimum.method == "closed_form"
         assert prob.optimum.witness[0] == pytest.approx(2.0)
         grid_val, grid_x = grid_search(prob.f_many, prob.feasible_set, 1e-4)
@@ -35,19 +29,18 @@ class TestRegression:
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
-            make_regression([0.0], scalar_basis, Box([0.0], [1.0]), samples=[[]])
+            make_regression([[1.0]], [[]], Box([0.0], [1.0]))
 
     def test_constrained_optimum_certified_by_grid(self):
         # unconstrained least squares at x = 2 is infeasible on [0, 1]
-        prob = make_regression([0.0], scalar_basis, Box([0.0], [1.0]),
-                               samples=[[1.0, 3.0]], grid_resolution=1e-4)
+        prob = make_regression([[1.0]], [[1.0, 3.0]], Box([0.0], [1.0]),
+                               grid_resolution=1e-4)
         assert prob.optimum.method == "grid"
         assert prob.optimum.witness[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_first_order_optimality_at_witness(self):
         samples = [[0.0, 2.0], [1.0, 3.0], [2.0, 4.0]]
-        prob = make_regression([0.0, 1.0, 2.0], scalar_basis, Box([0.0], [10.0]),
-                               samples=samples)
+        prob = make_regression([[1.0]] * 3, samples, Box([0.0], [10.0]))
         x_star = prob.optimum.witness
         total = sum(prob.subgradient_for_agents(x_star[None, :], i)[0]
                     for i in range(prob.m))
@@ -58,22 +51,12 @@ class TestRegression:
     def test_rank_deficient_basis_reported_and_grid_certified(self):
         # both sensors see the same feature direction: the normal matrix is
         # singular, so the optimum must come from the lattice oracle
-        prob = make_regression([0.0, 1.0], lambda s: np.array([1.0, 1.0]),
-                               Box([0.0, 0.0], [1.0, 1.0]),
-                               samples=[[0.5], [0.7]], grid_resolution=1e-2)
+        prob = make_regression([[1.0, 1.0]] * 2, [[0.5], [0.7]],
+                               Box([0.0, 0.0], [1.0, 1.0]), grid_resolution=1e-2)
         assert prob.optimum.method == "grid"
         assert prob.optimum.notes.get("rank_deficient") is True
         # any point with x1 + x2 = 0.6 is optimal; check the value instead
         assert prob.optimum.f_star == pytest.approx(2 * 0.01, abs=1e-3)
-
-    def test_synthesized_samples_are_seeded(self):
-        a = make_regression([0.0, 1.0], scalar_basis, Box([0.0], [4.0]),
-                            x_true=[1.5], noise_sigma=0.2, samples_per_agent=8,
-                            noise_seed=3)
-        b = make_regression([0.0, 1.0], scalar_basis, Box([0.0], [4.0]),
-                            x_true=[1.5], noise_sigma=0.2, samples_per_agent=8,
-                            noise_seed=3)
-        assert a.optimum.f_star == b.optimum.f_star
 
 
 class TestAllocation:

@@ -40,12 +40,10 @@ def instrumented(problem, log, evaluate=None, subgradient=None):
 
 def run(engine, problem, stride, ring5, steps=STEPS):
     noise, sched = isb.GaussianNoise(0.4), isb.Constant(0.05)
-    if engine == "markov":
-        return isb.run_markov_batch(problem, noise, sched, ring5,
-                                    isb.EqualProbability(), X0, steps, SEEDS,
-                                    stride=stride, tail_fraction=TAIL)
-    return isb.run_cyclic_batch(problem, noise, sched, X0, steps, SEEDS,
-                                stride=stride, tail_fraction=TAIL)
+    order = (isb.ChainOrder(ring5, isb.EqualProbability()) if engine == "markov"
+             else isb.RingOrder(problem.m))
+    return isb.run_batch(problem, noise, sched, order, X0, steps, SEEDS,
+                         stride=stride, tail_fraction=TAIL)
 
 
 def iterates(engine, log, traces, m):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import incsub as isb
 import reference
 from incsub.errors import SchemeViolationError
-from incsub.markov import (_TransitionProvider, adjacency_from_edges,
-                           complete_edges, ring_edges)
+from incsub.markov import adjacency_from_edges, complete_edges, ring_edges
 from incsub.streams import BLOCK, chain_uniform_block
 
 TICKS = 40  # consecutive ticks compared per example
@@ -67,7 +66,7 @@ def _diagonal_slack(ref_p):
 def test_adjacency_path_matches_neighbor_list_reference(topology, scheme, start,
                                                         chain_seed):
     m = topology.m
-    provider = _TransitionProvider(topology, scheme)
+    order = isb.ChainOrder(topology, scheme)
     uniforms = chain_uniform_block(chain_seed, 0)
     off = ~np.eye(m, dtype=bool)
     agents = ref_agents = np.arange(m)  # one chain started at every agent
@@ -83,7 +82,7 @@ def test_adjacency_path_matches_neighbor_list_reference(topology, scheme, start,
         assert np.all(np.abs(np.diag(tm.entries) - np.diag(ref_p))
                       <= _diagonal_slack(ref_p))
 
-        p, cum = provider.at(k)
+        p, cum = order.transition(k)
         assert np.array_equal(p, tm.entries)
         u = uniforms[t]
         agents = np.minimum((u >= cum[agents]).sum(axis=1), m - 1)
