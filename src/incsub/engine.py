@@ -59,22 +59,29 @@ def run_batch(problem, noise, schedule, order, x0, steps, seeds, *, stride=1,
                         tail_fraction=tail_fraction, config_hash=config_hash)
 
     skip_noise = getattr(noise, "is_zero", False)
+    subgradient, project = problem.subgradient_for_agents, fset.project_many
+    visit, push = recorder.visit, recorder.push
     with recorder:
         for b in range((steps + BLOCK - 1) // BLOCK):
             count = min(BLOCK, steps - b * BLOCK)
-            alphas = schedule.steps(b * BLOCK + 1, count)
+            alphas = schedule.steps(b * BLOCK + 1, count).tolist()
             plan, agents = order.block(b, count, seeds, agents)
             eps = None
             if not skip_noise:
                 eps = np.stack([noise.sample_block(s, b, order.width, problem.n)
-                                for s in seeds])
-            for off in range(count):
+                                for s in seeds], axis=2)  # (count, width, R, n)
+            for off, alpha in enumerate(alphas):
                 if track:  # before the step, so an abort counts its agents
-                    recorder.visit(plan[off][0])
+                    visit(plan[off][0])
                 for j, agent in enumerate(plan[off]):
-                    g = problem.subgradient_for_agents(x_batch, agent)
-                    if eps is not None:
-                        g = g + eps[:, off, j, :]
-                    x_batch = fset.project_many(x_batch - alphas[off] * g)
-                recorder.push(x_batch)
+                    g = subgradient(x_batch, agent)
+                    # in place only on arrays allocated here: a family may
+                    # hand back an array it still holds
+                    if eps is None:
+                        step = alpha * g
+                    else:
+                        step = g + eps[off, j]
+                        step *= alpha
+                    x_batch = project(np.subtract(x_batch, step, out=step))
+                push(x_batch)
     return recorder.traces()

@@ -26,8 +26,8 @@ from .analysis import (RateConstants, aggregate_verdicts, cyclic_bound,
                        markov_bound, optimal_window, delta_window,
                        rate_constants, simple_delta_bound,
                        verify_bound_empirically)
-from .config import (build_noise, build_problem, build_schedule, build_scheme,
-                     build_topology, initial_state)
+from .config import (_number, build_noise, build_problem, build_schedule,
+                     build_scheme, build_topology, initial_state)
 from .cyclic import RingOrder
 from .engine import run_batch
 from .errors import ConfigError, NonFiniteError
@@ -346,7 +346,8 @@ def compare_bounds(config, *, jobs=1, write=True):
 
     The config must describe a markov constant-step run and carry a
     ``compare.alphas`` list; the T columns are 0, the optimal window, the
-    delta window, plus any integers in ``compare.Ts``.  One simulation of
+    delta window, plus the windows in ``compare.Ts`` (nonnegative integers,
+    checked before any run).  One simulation of
     R replications runs per alpha; every T cell of that row shares its
     empirical tail-minimum gap (T is an analysis knob, not a run knob).
     """
@@ -357,7 +358,10 @@ def compare_bounds(config, *, jobs=1, write=True):
     alphas = grid.get("alphas")
     if not alphas:
         raise ConfigError("missing compare.alphas list", field="compare.alphas")
-    extra_ts = [int(t) for t in grid.get("Ts", [])]
+    ts = grid.get("Ts", [])
+    if not isinstance(ts, list):
+        raise ConfigError(f"expected a list, got {ts!r}", field="compare.Ts")
+    extra_ts = [_number({"Ts": t}, "compare", "Ts", kind=int, minimum=0) for t in ts]
     try:
         schedules = [Constant(float(alpha)) for alpha in alphas]
     except (TypeError, ValueError) as exc:

@@ -20,6 +20,13 @@ from .errors import DimensionMismatchError, NonFiniteError
 
 CONTAINS_TOL = 1e-9
 
+# the clip ufunc itself: np.clip reaches it through three wrappers, and
+# np.minimum/np.maximum would differ from it on signed zeros
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 
 def _as_batch(x, dim, who):
     x = np.asarray(x, dtype=float)
@@ -59,7 +66,7 @@ class Box:
 
     def project_many(self, x):
         x, squeeze = _as_batch(x, self.dim, "Box.project")
-        out = np.clip(x, self.lower, self.upper)
+        out = _clip(x, self.lower, self.upper)
         return out[0] if squeeze else out
 
     def contains(self, x, tol=CONTAINS_TOL):

@@ -13,6 +13,10 @@ and turns a non-finite step into a :class:`NonFiniteError`.
 
 The CSV schema is fixed: header row, RFC-4180 quoting, '.' decimal
 separator, floats at 17 significant digits so that values round-trip.
+Each row is rendered with one ``%`` format (``%d`` for the iteration and
+the agent, ``%.17g`` for the floats; an absent agent or distance column
+and a NaN step-size are empty fields).  Every field is a number or empty,
+so none needs quoting, and the bytes are those the csv module writes.
 """
 
 from __future__ import annotations
@@ -61,16 +65,16 @@ class RunTrace:
             raise ValueError("running inf must be non-increasing")
 
     def to_csv(self):
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        for i, k in enumerate(self.ks):
-            agent = "" if self.agents is None else str(int(self.agents[i]))
-            dist = "" if self.dists is None else fmt_float(self.dists[i])
-            alpha = "" if np.isnan(self.alphas[i]) else fmt_float(self.alphas[i])
-            writer.writerow([str(int(k)), agent, fmt_float(self.f_vals[i]),
-                             dist, fmt_float(self.running_inf[i]), alpha])
-        return buf.getvalue()
+        cols = (self.ks, self.agents, self.f_vals, self.dists, self.running_inf)
+        specs = ("%d", "%d", "%.17g", "%.17g", "%.17g")
+        fmt = ",".join("" if col is None else spec for col, spec in zip(cols, specs))
+        with_alpha, without_alpha = fmt + ",%.17g\n", fmt + ",\n"
+        rows = zip(*(col.tolist() for col in cols if col is not None),
+                   self.alphas.tolist())
+        lines = [",".join(COLUMNS) + "\n"]
+        lines += [with_alpha % row if row[-1] == row[-1]  # a NaN alpha is empty
+                  else without_alpha % row[:-1] for row in rows]
+        return "".join(lines)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:

@@ -75,3 +75,32 @@ def run_one(problem, noise, schedule, order, x0, steps, seed, **kwargs):
     """The trace of one replication, from a batch of one."""
     return isb.run_batch(problem, noise, schedule, order, x0, steps, [seed],
                          **kwargs)[0]
+
+
+# feasible sets and noise kinds the engines' steps are checked on, draw for
+# draw, against the one-step reference
+STEP_SETS = {
+    "box": isb.Box([-1.0, -1.0], [1.0, 1.0]),
+    "ball": isb.Ball([0.2, -0.1], 0.6),
+    "simplex": isb.Simplex(1.0, 2),
+}
+STEP_NOISES = {
+    "none": isb.NoNoise(),
+    "gaussian": isb.GaussianNoise(0.3),
+    "biased": isb.BiasedGaussianNoise(0.2, 0.3),
+    "uniform": isb.BoundedUniformNoise(0.5),
+}
+
+
+def logging_problem(problem, log):
+    """``problem`` with a copy of every subgradient call's (xs, agents)
+    appended to ``log``; the family's own arrays are returned as they are."""
+    inner = problem.family
+
+    def logged(xs, agents):
+        log.append((xs.copy(), np.array(agents, copy=True)))
+        return inner.subgradient_many(xs, agents)
+
+    return isb.ProblemInstance(
+        CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, logged),
+        problem.feasible_set, problem.optimum, problem.name)

@@ -1,6 +1,7 @@
 """Naive references for the engines: single steps, per-neighbor transitions,
 per-agent objectives.
 
+``sub_step`` is one projected noisy subgradient step of one replication;
 ``cyclic_cycle`` advances one replication by one ring cycle, one sub-step
 at a time, drawing its noise through ``NoiseStream`` one (iteration,
 agent) cell at a time; ``sample_next_agent`` draws one hand-off of the
@@ -17,8 +18,13 @@ its own draws from the topology stream, not from the engine's cache.
 The objective families evaluate all agents at once on stacked parameters;
 ``component`` writes each agent's f_i and g_i as plain Python over one
 point, from the same parameters.
+
+``trace_csv`` renders a trace through ``csv.writer``, one cell at a time;
+``RunTrace.to_csv`` must give the same bytes.
 """
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +33,7 @@ from incsub.errors import NonFiniteError, SchemeViolationError, TopologyError
 from incsub.markov import PeriodicTopology, RandomEdgeTopology, ring_edges
 from incsub.objectives import QuadraticFamily, RegressionFamily, UtilityFamily
 from incsub.streams import BLOCK, DOMAIN_TOPOLOGY, block_generator
+from incsub.trace import COLUMNS, fmt_float
 
 
 class NoiseStream:
@@ -86,6 +93,15 @@ def make_cyclic_noise_stream(noise, problem, seed):
     return NoiseStream(noise, seed, problem.m, problem.n)
 
 
+def sub_step(problem, z, agent, alpha, eps):
+    """One projected noisy subgradient step of the (1, n) point ``z`` by
+    ``agent``; ``eps`` is the (n,) error, or None for error-free steps."""
+    g = problem.subgradient_for_agents(z, agent)
+    if eps is not None:
+        g = g + eps[None, :]
+    return problem.feasible_set.project_many(z - alpha * g)
+
+
 def cyclic_cycle(state, problem, noise_stream, schedule):
     """Advance one full cycle: m projected sub-steps in ring order.
 
@@ -94,15 +110,12 @@ def cyclic_cycle(state, problem, noise_stream, schedule):
     """
     it = state.k + 1
     alpha = schedule.step(it)
-    fset = problem.feasible_set
     z = state.x[None, :].copy()
     subs = [z[0].copy()]
     skip_noise = getattr(noise_stream.model, "is_zero", False)
     for i in range(problem.m):
-        g = problem.subgradient_for_agents(z, i)
-        if not skip_noise:
-            g = g + noise_stream.draw(it, i)[None, :]
-        z = fset.project_many(z - alpha * g)
+        eps = None if skip_noise else noise_stream.draw(it, i)
+        z = sub_step(problem, z, i, alpha, eps)
         subs.append(z[0].copy())
     if not np.isfinite(z).all():
         raise NonFiniteError(f"non-finite iterate during cycle {it}")
@@ -257,3 +270,17 @@ def component(family, i):
 def total(family, x):
     """sum_i f_i(x), one agent at a time."""
     return sum(component(family, i)[0](x) for i in range(family.m))
+
+
+def trace_csv(trace):
+    """CSV text of a :class:`incsub.RunTrace`, row by row through csv.writer."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for i, k in enumerate(trace.ks):
+        agent = "" if trace.agents is None else str(int(trace.agents[i]))
+        dist = "" if trace.dists is None else fmt_float(trace.dists[i])
+        alpha = "" if np.isnan(trace.alphas[i]) else fmt_float(trace.alphas[i])
+        writer.writerow([str(int(k)), agent, fmt_float(trace.f_vals[i]),
+                         dist, fmt_float(trace.running_inf[i]), alpha])
+    return buf.getvalue()

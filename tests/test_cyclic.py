@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import incsub as isb
-from helpers import CallbackFamily, absolute_value, run_one
+from helpers import (STEP_NOISES, STEP_SETS, CallbackFamily, absolute_value,
+                     logging_problem, run_one)
 from incsub.errors import NonFiniteError
 from reference import CyclicState, cyclic_cycle, make_cyclic_noise_stream
 
@@ -218,23 +219,50 @@ def test_squared_distance_drifts_down_across_seeds(quad_m2_line):
     assert mean_sq[-1] <= 0.05 * mean_sq[burn]
 
 
-def test_cycles_match_reference_draw_for_draw(quad_m5_box):
-    # cycle by cycle, the batch engine's recorded f and distance are those of
-    # the one-sub-step-at-a-time reference iterate, and so is its final x
-    noise, sched = isb.GaussianNoise(0.3), isb.PowerLaw(1.0, 1.0)
-    tr = run_one(quad_m5_box, noise, sched, isb.RingOrder(quad_m5_box.m),
-                 np.array([1.0, 1.0]), 5, 6, stride=1)
-    stream = make_cyclic_noise_stream(noise, quad_m5_box, 6)
-    state = CyclicState.initial(
-        quad_m5_box.feasible_set.project_many(np.array([1.0, 1.0])))
-    witness = quad_m5_box.optimum.witness
-    for k in range(1, 6):
-        state = cyclic_cycle(state, quad_m5_box, stream, sched)
-        assert tr.f_vals[k] == quad_m5_box.f(state.x)
-        assert tr.dists[k] == np.linalg.norm(state.x[None, :] - witness, axis=1)[0]
-        short = run_one(quad_m5_box, noise, sched, isb.RingOrder(quad_m5_box.m),
-                        np.array([1.0, 1.0]), k, 6, stride=1)
-        assert short.meta["final_x"] == state.x.tolist()
+def assert_cycles_match_reference(problem, noise, cycles=6, seed=6):
+    """Sub-step by sub-step, the engine's iterates are bit for bit those of
+    the one-sub-step-at-a-time reference, and so are its recorded f and
+    distances."""
+    sched, x0 = isb.PowerLaw(1.0, 1.0), np.array([1.0, 1.0])
+    log = []
+    tr = run_one(logging_problem(problem, log), noise, sched,
+                 isb.RingOrder(problem.m), x0, cycles, seed, stride=1)
+    stream = make_cyclic_noise_stream(noise, problem, seed)
+    state = CyclicState.initial(problem.feasible_set.project_many(x0))
+    expected = []
+    for k in range(1, cycles + 1):
+        state = cyclic_cycle(state, problem, stream, sched)
+        expected.extend(state.sub_iterates[:-1])
+        assert tr.f_vals[k] == problem.f(state.x)
+        assert tr.dists[k] == np.linalg.norm(state.x[None, :] - problem.optimum.witness,
+                                             axis=1)[0]
+    expected.append(state.x)
+    engine = [xs[0] for xs, _ in log] + [np.array(tr.meta["final_x"])]
+    assert [x.tobytes() for x in engine] == [x.tobytes() for x in expected]
+
+
+@pytest.mark.parametrize("noise", sorted(STEP_NOISES))
+@pytest.mark.parametrize("fset", sorted(STEP_SETS))
+def test_cycles_match_reference_draw_for_draw(fset, noise):
+    problem = isb.make_quadratic_suite(5, 2, 1.0, STEP_SETS[fset], seed=42)
+    assert_cycles_match_reference(problem, STEP_NOISES[noise])
+
+
+@pytest.mark.parametrize("noise", sorted(STEP_NOISES))
+def test_steps_never_write_into_a_family_array(noise):
+    # the family returns the same cached array on every call, so a write into
+    # one would change every later step of that agent
+    grads = [np.array([[0.5, -1.0]]), np.array([[-2.0, 0.25]]), np.array([[1.0, 1.0]])]
+    kept = [g.copy() for g in grads]
+    total = np.sum(grads, axis=0)[0]
+    family = CallbackFamily(2, [float(np.linalg.norm(g)) for g in grads],
+                            lambda xs: xs @ total, lambda xs, agent: grads[agent])
+    corner = np.array([1.0, -1.0])  # minimizes x @ total = -0.5 x_0 + 0.25 x_1
+    problem = isb.ProblemInstance(family, isb.Box([-1.0, -1.0], [1.0, 1.0]),
+                                  isb.OptimumCertificate(float(corner @ total), corner,
+                                                         "closed_form"))
+    assert_cycles_match_reference(problem, STEP_NOISES[noise])
+    assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
 
 
 def test_trace_row_count_and_running_inf(quad_m2_line):

@@ -280,6 +280,27 @@ class TestCli:
         assert table[0].startswith("alpha,T_label,T,analytic_gap")
         assert len(table) > 4
 
+    @pytest.mark.parametrize("ts", [[3, -1], [1.5], ["x"], 5],
+                             ids=["negative", "fraction", "string", "not_a_list"])
+    def test_cli_compare_rejects_bad_window_before_simulating(self, tmp_path, capsys,
+                                                             monkeypatch, ts):
+        import incsub.harness as hz
+
+        def no_simulation(*args):
+            raise AssertionError("simulated with a bad compare.Ts")
+
+        monkeypatch.setattr(hz, "_run_all", no_simulation)
+        cfg_path = tmp_path / "cmp.cfg"
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update({"horizon": 50, "replications": 1,
+                     "compare.alphas": [0.05, 0.01],
+                     "compare.Ts": ts,
+                     "out": str(tmp_path / "cmp_out")})
+        write_config(cfg_path, flat)
+        assert cli_main(["compare", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: compare.Ts: ")
+        assert not (tmp_path / "cmp_out").exists()
+
     def test_cli_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         flat = parse_config_text(MARKOV_CFG)

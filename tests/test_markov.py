@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import incsub as isb
-from helpers import CallbackFamily, random_symmetric_topology, run_one
+from helpers import (STEP_NOISES, STEP_SETS, CallbackFamily, logging_problem,
+                     random_symmetric_topology, run_one)
 from incsub.errors import SchemeViolationError, TopologyError
 from incsub.markov import (adjacency_from_edges,
                            path_edges, ring_edges)
 from incsub.streams import init_generator
-from reference import next_from_uniform, sample_next_agent
+from reference import NoiseStream, next_from_uniform, sample_next_agent, sub_step
 
 
 class ZeroStep:
@@ -218,6 +219,30 @@ class TestMarkovEngine:
             assert np.array_equal(xs_seen, xs_prev)  # gradient at x_k
             g = quad_m5_box.subgradient_for_agents(xs_prev, agents_seen)
             xs_prev = quad_m5_box.feasible_set.project_many(xs_prev - 0.05 * g)
+
+    @pytest.mark.parametrize("noise", sorted(STEP_NOISES))
+    @pytest.mark.parametrize("fset", sorted(STEP_SETS))
+    def test_ticks_match_reference_draw_for_draw(self, ring5, fset, noise):
+        # tick by tick and replication by replication, the batch engine's
+        # iterates are bit for bit those of the one-step reference, given the
+        # agents the engine drew
+        problem = isb.make_quadratic_suite(5, 2, 1.0, STEP_SETS[fset], seed=42)
+        noise, sched, seeds = STEP_NOISES[noise], isb.PowerLaw(1.0, 1.0), [11, 12]
+        x0, ticks, log = np.array([1.0, 1.0]), 30, []
+        traces = isb.run_batch(logging_problem(problem, log), noise, sched,
+                               isb.ChainOrder(ring5, isb.EqualProbability()), x0,
+                               ticks, seeds, stride=1)
+        for r, (seed, tr) in enumerate(zip(seeds, traces)):
+            stream = NoiseStream(noise, seed, 1, problem.n)
+            z = problem.feasible_set.project_many(x0[None, :])
+            expected = [z[0]]
+            for k, (_, agents) in enumerate(log, start=1):
+                eps = None if noise.is_zero else stream.draw(k)
+                z = sub_step(problem, z, int(agents[r]), sched.step(k), eps)
+                expected.append(z[0])
+            engine = [xs[r] for xs, _ in log] + [np.array(tr.meta["final_x"])]
+            assert len(log) == ticks
+            assert [x.tobytes() for x in engine] == [x.tobytes() for x in expected]
 
     def test_visit_frequencies_near_uniform(self, quad_m5_box, ring5):
         # reduced-horizon version; the stated 1e6-tick +-0.01 band runs in

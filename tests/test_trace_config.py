@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incsub import ExperimentConfig, RunTrace, record_indices
 from incsub.config import (build_noise, build_problem, build_schedule,
                            build_set, canonical_config_text, config_hash,
                            load_config_file, parse_config_text)
 from incsub.errors import ConfigError
+from reference import trace_csv
 
 
 def sample_trace():
@@ -42,6 +45,39 @@ class TestTrace:
         with pytest.raises(ValueError):
             RunTrace(np.array([0, 1]), np.array([1.0, 1.0]),
                      np.array([1.0, 2.0]), np.array([np.nan, 0.1]), None, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 25),
+           has_agents=st.booleans(), has_dists=st.booleans())
+    def test_csv_bytes_match_csv_writer(self, data, rows, has_agents, has_dists):
+        # the one-format-per-row writer gives the csv.writer bytes, and the
+        # text reads back bit for bit, on edge values: signed zero, the
+        # smallest subnormal, the largest finite floats, exponent forms and
+        # integers stored as floats
+        edges = [-0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 1e-5, 1e16, 3.0, -7.0, 0.1 + 0.2]
+        value = st.one_of(st.sampled_from(edges),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        column = st.lists(value, min_size=rows, max_size=rows)
+        ks = np.array(sorted(data.draw(st.sets(st.integers(1, 10**9),
+                                               min_size=rows - 1, max_size=rows - 1))))
+        ks = np.concatenate([[0], ks]).astype(int)
+        alphas = np.array([np.nan] + data.draw(column)[1:])
+        f = np.array(data.draw(column))
+        inf = np.sort(np.array(data.draw(column)))[::-1].copy()
+        agents = np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=rows,
+                                             max_size=rows))) if has_agents else None
+        dists = np.array(data.draw(column)) if has_dists else None
+        tr = RunTrace(ks, f, inf, alphas, agents, dists)
+        text = tr.to_csv()
+        assert text == trace_csv(tr)
+        back = RunTrace.from_csv(text)
+        for name in ("ks", "f_vals", "running_inf", "alphas", "agents", "dists"):
+            col, got = getattr(tr, name), getattr(back, name)
+            if col is None:
+                assert got is None
+            else:
+                assert got.dtype == col.dtype and got.tobytes() == col.tobytes()
 
     def test_record_indices_shape(self):
         assert record_indices(100, 10) == list(range(0, 101, 10))
