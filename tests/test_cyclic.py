@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -238,14 +240,14 @@ def assert_cycles_match_reference(problem, noise, cycles=6, seed=6):
                                              axis=1)[0]
     expected.append(state.x)
     engine = [xs[0] for xs, _ in log] + [np.array(tr.meta["final_x"])]
-    assert [x.tobytes() for x in engine] == [x.tobytes() for x in expected]
+    assert [x.tobytes() for x in engine] == [x.tobytes() for x in expected], \
+        (problem.feasible_set, noise)
 
 
-@pytest.mark.parametrize("noise", sorted(STEP_NOISES))
-@pytest.mark.parametrize("fset", sorted(STEP_SETS))
-def test_cycles_match_reference_draw_for_draw(fset, noise):
-    problem = isb.make_quadratic_suite(5, 2, 1.0, STEP_SETS[fset], seed=42)
-    assert_cycles_match_reference(problem, STEP_NOISES[noise])
+def test_cycles_match_reference_draw_for_draw():
+    for fset, noise in itertools.product(STEP_SETS.values(), STEP_NOISES.values()):
+        problem = isb.make_quadratic_suite(5, 2, 1.0, fset, seed=42)
+        assert_cycles_match_reference(problem, noise)
 
 
 @pytest.mark.parametrize("noise", sorted(STEP_NOISES))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import incsub as isb
-from helpers import (STEP_NOISES, STEP_SETS, CallbackFamily, logging_problem,
+from helpers import (STEP_NOISES, STEP_SETS, logging_problem,
                      random_symmetric_topology, run_one)
 from incsub.errors import SchemeViolationError, TopologyError
 from incsub.markov import (adjacency_from_edges,
@@ -193,16 +193,8 @@ class TestMarkovEngine:
         # instrumented order check: the subgradient call sees the pre-step
         # iterate, and the active agent matches the chain replayed offline
         seen = []
-        inner = quad_m5_box.family
-
-        def recording(xs, agents):
-            seen.append((xs.copy(), np.array(agents, copy=True)))
-            return inner.subgradient_many(xs, agents)
-
-        prob = isb.ProblemInstance(
-            CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, recording),
-            quad_m5_box.feasible_set, quad_m5_box.optimum)
-        tr = run_one(prob, isb.NoNoise(), isb.Constant(0.05),
+        tr = run_one(logging_problem(quad_m5_box, seen), isb.NoNoise(),
+                     isb.Constant(0.05),
                      isb.ChainOrder(ring5, isb.EqualProbability()),
                      np.array([1.0, -0.5]), 50, 17, stride=1)
         # replay the chain: uniforms and transition rows are deterministic
@@ -232,6 +224,7 @@ class TestMarkovEngine:
         traces = isb.run_batch(logging_problem(problem, log), noise, sched,
                                isb.ChainOrder(ring5, isb.EqualProbability()), x0,
                                ticks, seeds, stride=1)
+        assert len(log) == ticks
         for r, (seed, tr) in enumerate(zip(seeds, traces)):
             stream = NoiseStream(noise, seed, 1, problem.n)
             z = problem.feasible_set.project_many(x0[None, :])
@@ -241,7 +234,6 @@ class TestMarkovEngine:
                 z = sub_step(problem, z, int(agents[r]), sched.step(k), eps)
                 expected.append(z[0])
             engine = [xs[r] for xs, _ in log] + [np.array(tr.meta["final_x"])]
-            assert len(log) == ticks
             assert [x.tobytes() for x in engine] == [x.tobytes() for x in expected]
 
     def test_visit_frequencies_near_uniform(self, quad_m5_box, ring5):
