@@ -31,7 +31,7 @@ from .config import (_number, build_noise, build_problem, build_schedule,
 from .cyclic import RingOrder
 from .engine import run_batch
 from .errors import ConfigError, NonFiniteError
-from .markov import ChainOrder, topology_eta
+from .markov import ChainOrder, build_transition, topology_eta
 from .schedules import Constant
 from .trace import RunTrace, fmt_float
 from .version import __version__
@@ -148,16 +148,17 @@ def _effective_rate(order, m):
     return rate_constants(topology_eta(order.scheme, topology), m, topology.window)
 
 
-def _check_finite(terms):
-    """A ConfigError on ``problem.set`` for named bound terms that overflowed."""
+def _check_finite(terms, field="problem.set",
+                  reason="the set is too large for the bounds"):
+    """A ConfigError on ``field`` for named bound terms that overflowed."""
     bad = [f"{name} = {v!r}" for name, v in terms if not math.isfinite(v)]
     if bad:
-        raise ConfigError("the set is too large for the bounds: " + ", ".join(bad),
-                          field="problem.set")
+        raise ConfigError(f"{reason}: " + ", ".join(bad), field=field)
 
 
-def _finite(report):
-    _check_finite([(f"{report.kind} gap", report.gap)])
+def _finite(report, field):
+    _check_finite([(f"{report.kind} gap", report.gap)], field,
+                  "the bounds overflow at this step size")
     return report
 
 
@@ -186,16 +187,17 @@ class BoundInputs:
                                            self.rate.beta).T),
                 ("delta", delta_window(alpha, self.rate.beta))]
 
-    def markov_report(self, alpha, T):
+    def markov_report(self, alpha, T, field):
         return _finite(markov_bound(alpha, self.c_bounds, self.mu, self.nu,
-                                    self.diameter, self.rate, T))
+                                    self.diameter, self.rate, T), field)
 
 
 def bound_inputs(run):
     """The :class:`BoundInputs` of a built run.  Each bound squares
     ``C_max + nu`` (markov) or ``C_sum + m nu`` (cyclic), and the markov
     windows read ``c0``; any of them that overflows is a ConfigError on
-    ``problem.set``."""
+    ``problem.set``.  A report gap that overflows after these checks is
+    the step size's doing."""
     problem, horizon = run.problem, run.config.horizon
     mu = _supremum(run.noise.mean_bound, horizon)
     nu = _supremum(lambda k: run.noise.rms_bound(k, problem.n), horizon)
@@ -216,22 +218,23 @@ def bound_inputs(run):
 
 def bound_reports(run):
     """Analytic gap reports applicable to a built run, made before any
-    simulation; a non-constant step has none."""
+    simulation; a non-constant step has none.  A gap that overflows is a
+    ConfigError on ``schedule.alpha``."""
     if not isinstance(run.schedule, Constant):
         return []
     inputs = bound_inputs(run)
-    alpha = run.schedule.alpha
+    alpha, field = run.schedule.alpha, "schedule.alpha"
     if isinstance(run.order, RingOrder):
         return [_finite(cyclic_bound(alpha, inputs.c_bounds, inputs.mu,
-                                     inputs.nu, inputs.diameter))]
+                                     inputs.nu, inputs.diameter), field)]
     reports = []
     for label, t in inputs.windows(alpha):
-        report = inputs.markov_report(alpha, t)
+        report = inputs.markov_report(alpha, t, field)
         report.params["label"] = label
         reports.append(report)
     reports.append(_finite(simple_delta_bound(alpha, inputs.c_bounds, inputs.mu,
                                               inputs.nu, inputs.diameter,
-                                              inputs.rate)))
+                                              inputs.rate), field))
     return reports
 
 
@@ -336,8 +339,8 @@ def validate_only(config):
     run = build_run(config)
     bound_reports(run)
     if isinstance(run.order, ChainOrder) and run.order.topology.period is None:
-        for k in range(min(max(config.horizon, 1), 4 * run.order.topology.window)):
-            run.order.transition(k)
+        ticks = min(max(config.horizon, 1), 4 * run.order.topology.window)
+        build_transition(run.order.scheme, run.order.topology.adjacencies(0, ticks))
     return run.problem
 
 
@@ -347,9 +350,11 @@ def compare_bounds(config, *, jobs=1, write=True):
     The config must describe a markov constant-step run and carry a
     ``compare.alphas`` list; the T columns are 0, the optimal window, the
     delta window, plus the windows in ``compare.Ts`` (nonnegative integers,
-    checked before any run).  One simulation of
-    R replications runs per alpha; every T cell of that row shares its
-    empirical tail-minimum gap (T is an analysis knob, not a run knob).
+    checked before any run).  Every alpha's analytic gaps are computed
+    before the first simulation, so a bad alpha fails before any tick.  One
+    simulation of R replications runs per alpha; every T cell of that row
+    shares its empirical tail-minimum gap (T is an analysis knob, not a run
+    knob).
     """
     if config.algorithm != "markov":
         raise ConfigError("bound comparison tables are markov-only",
@@ -371,18 +376,21 @@ def compare_bounds(config, *, jobs=1, write=True):
     inputs = bound_inputs(run)
     f_star = run.problem.optimum.f_star
 
+    extra_cols = [(f"T{t}", t) for t in extra_ts]
+    analytic = [[(label, t, inputs.markov_report(s.alpha, t, "compare.alphas").gap)
+                 for label, t in inputs.windows(s.alpha) + extra_cols]
+                for s in schedules]  # (label, T, gap) of each row, before any run
+
     seeds = [config.seed + r for r in range(config.replications)]
     rows = []
-    for schedule in schedules:
-        alpha = schedule.alpha
+    for schedule, gaps in zip(schedules, analytic):
         traces = _run_all(replace(run, schedule=schedule), seeds, jobs)
         tail_gaps = np.array([tr.meta["tail_min"] - f_star for tr in traces])
         inf_gaps = np.array([tr.running_inf[-1] - f_star for tr in traces])
-        t_cols = inputs.windows(alpha) + [(f"T{t}", t) for t in extra_ts]
-        for label, t in t_cols:
+        for label, t, gap in gaps:
             rows.append({
-                "alpha": alpha, "T_label": label, "T": int(t),
-                "analytic_gap": inputs.markov_report(alpha, t).gap,
+                "alpha": schedule.alpha, "T_label": label, "T": int(t),
+                "analytic_gap": gap,
                 "empirical_tail_gap_median": float(np.median(tail_gaps)),
                 "empirical_tail_gap_max": float(np.max(tail_gaps)),
                 "empirical_inf_gap_max": float(np.max(inf_gaps)),

@@ -7,7 +7,8 @@ time-varying Markov chain whose matrices are built from the instantaneous
 neighbor structure by one of three weight schemes, all of which produce
 doubly stochastic matrices with positive diagonals and entries bounded
 away from zero.  :class:`ChainOrder` draws that sequence for the shared
-step loop, :func:`incsub.engine.run_batch`.
+step loop, :func:`incsub.engine.run_batch`; without a period, it builds
+them as (T, m, m) stacks, a chunk of ticks at a time.
 
 Conventions: agents are 0-indexed; entry (i, j) of a transition matrix is
 the probability of handing off from agent i to agent j.  Neighbor sets
@@ -83,11 +84,11 @@ def _max_degree(adj):
 # -- topology sequences -------------------------------------------------------
 #
 # Every topology serves each instant k as an (m, m) boolean adjacency
-# matrix: entry (i, j) is true when j is a neighbor of i.  The matrix is
-# symmetric with a false diagonal (staying put is the diagonal mass of the
-# transition matrix, not an edge).  Its ``period`` is the number of distinct
-# adjacencies it serves, repeating every ``period`` ticks, or None when each
-# tick may differ.
+# matrix, ``adjacency(k)``: entry (i, j) is true when j is a neighbor of i.
+# The matrix is symmetric with a false diagonal (staying put is the diagonal
+# mass of the transition matrix, not an edge).  Its ``period`` is the number
+# of distinct adjacencies it serves, repeating every ``period`` ticks, or None
+# when each tick may differ (and ``adjacencies`` serves a run of ticks).
 
 @dataclass(frozen=True)
 class StaticTopology:
@@ -190,30 +191,30 @@ class RandomEdgeTopology:
         # flat cell indices of (i, j) and (j, i) for each optional edge
         object.__setattr__(self, "_optional_cells",
                            (optional @ [self.m, 1], optional @ [1, self.m]))
-        object.__setattr__(self, "_mask_cache", {})
 
-    def _inclusion_row(self, k):
-        """Which optional edges are present at tick k; the block's masks are
-        cached as booleans, not as the draws they come from."""
-        block, off = k // BLOCK, k % BLOCK
-        included = self._mask_cache.get(block)
-        if included is None:
-            self._mask_cache.clear()  # keep only the active block
-            gen = block_generator(self.seed, DOMAIN_TOPOLOGY, block)
-            included = (gen.random((BLOCK, max(len(self._optional_cells[0]), 1)))
-                        < self.inclusion_prob)
-            self._mask_cache[block] = included
-        return included[off]
-
-    def adjacency(self, k):
-        adj = self._ring_groups[k % self.window].copy()
+    def adjacencies(self, start, count):
+        """The ``(count, m, m)`` adjacencies of ticks start..start+count-1.
+        Tick k's uniforms are row k mod BLOCK of block k // BLOCK; only the
+        requested rows are drawn, after advancing each block's generator
+        past the rows before them (Philox yields 4 doubles per step)."""
+        adj = self._ring_groups[np.arange(start, start + count) % self.window]
         ij, ji = self._optional_cells
         if len(ij) and self.inclusion_prob > 0:
-            on = self._inclusion_row(k)
-            cells = adj.reshape(-1)
-            cells[ij[on]] = True
-            cells[ji[on]] = True
+            cells = adj.reshape(count, -1)  # optional cells are off the ring
+            for block in range(start // BLOCK, (start + count - 1) // BLOCK + 1):
+                lo = max(start, block * BLOCK)
+                hi = min(start + count, (block + 1) * BLOCK)
+                gen = block_generator(self.seed, DOMAIN_TOPOLOGY, block)
+                steps, partial = divmod((lo - block * BLOCK) * len(ij), 4)
+                gen.bit_generator.advance(steps)
+                gen.random(partial)
+                on = gen.random((hi - lo, len(ij))) < self.inclusion_prob
+                cells[lo - start:hi - start, ij] = on
+                cells[lo - start:hi - start, ji] = on
         return adj
+
+    def adjacency(self, k):
+        return self.adjacencies(k, 1)[0]
 
     def max_degree(self):
         return self._base_degree
@@ -258,27 +259,31 @@ def make_topology(kind, m, **params):
 
 # -- transition matrices ------------------------------------------------------
 #
-# Each scheme writes its weight rule once: ``matrix`` maps an adjacency
-# matrix ``adj`` and its degree vector ``deg`` to a full matrix, and ``eta``
-# maps ``deg`` to the analytic entry floor, in a few array expressions over
-# the number type of ``one``.  With ``one = 1.0`` they build the float matrix
-# and its floor.  Validation evaluates the same rule in ``Fraction``s, with
-# ``deg`` an object array of them, for the rare entries that sit within float
-# rounding of the floor.
+# Each scheme writes its weight rule once: ``matrix`` maps adjacency ``adj``
+# and its degrees ``deg`` to full matrices, and ``eta`` maps ``deg`` to the
+# analytic entry floor, in a few array expressions over the number type of
+# ``one``.  The rules reduce over the last axis, so ``adj`` is one (m, m)
+# instant with ``deg`` of shape (m,), or a (T, m, m) stack of T ticks with
+# ``deg`` of shape (T, m) and one floor per tick.  With ``one = 1.0`` they
+# build the float matrices and their floors.  Validation evaluates the same
+# rule in ``Fraction``s, with ``deg`` an object array of them, for the rare
+# ticks whose entries sit within float rounding of the floor.
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic hand-off probabilities with its scheme's entry floor."""
+    """Row-stochastic hand-off probabilities with their scheme's entry
+    floor: one (m, m) matrix and a float, or a (T, m, m) stack and an array
+    of T floors."""
 
     entries: np.ndarray
-    eta: float
+    eta: object
 
     @property
     def m(self):
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def cumulative(self):
-        return np.cumsum(self.entries, axis=1)
+        return np.cumsum(self.entries, axis=-1)
 
 
 def _like(one, a):
@@ -286,10 +291,15 @@ def _like(one, a):
     return a if isinstance(one, float) else np.frompyfunc(type(one), 1, 1)(a)
 
 
+def _set_diagonal(p, d):
+    i = np.arange(p.shape[-1])
+    p[..., i, i] = d
+    return p
+
+
 def _stay_put(p, one):
     """Fill the diagonal with what each row's hand-offs leave over."""
-    np.fill_diagonal(p, one - p.sum(axis=1))
-    return p
+    return _set_diagonal(p, one - p.sum(axis=-1))
 
 
 class EqualProbability:
@@ -298,13 +308,11 @@ class EqualProbability:
     name = "equal"
 
     def matrix(self, adj, deg, one=1.0):
-        m = len(deg)
-        p = np.where(adj, one / m, 0)
-        np.fill_diagonal(p, one - deg / m)
-        return p
+        m = deg.shape[-1]
+        return _set_diagonal(np.where(adj, one / m, 0), one - deg / m)
 
     def eta(self, deg, one=1.0):
-        return one / len(deg)
+        return one / deg.shape[-1]
 
 
 class MinEqualNeighbor:
@@ -314,10 +322,11 @@ class MinEqualNeighbor:
 
     def matrix(self, adj, deg, one=1.0):
         inv = one / (deg + one)
-        return _stay_put(np.where(adj, np.minimum.outer(inv, inv), 0), one)
+        return _stay_put(np.where(adj, np.minimum(inv[..., :, None], inv[..., None, :]),
+                                  0), one)
 
     def eta(self, deg, one=1.0):
-        return one / (deg.max(initial=0) + one)
+        return one / (deg.max(axis=-1, initial=0) + one)
 
 
 class WeightedMetropolisHastings:
@@ -353,15 +362,16 @@ class WeightedMetropolisHastings:
 
     def matrix(self, adj, deg, one=1.0):
         inv = one / np.maximum(deg, one)
-        pair = self._row_factors(len(deg), one) * np.minimum.outer(inv, inv)
+        pair = (self._row_factors(deg.shape[-1], one)
+                * np.minimum(inv[..., :, None], inv[..., None, :]))
         return _stay_put(np.where(adj, pair, 0), one)
 
     def eta(self, deg, one=1.0):
-        w = self._row_factors(len(deg), one)
+        w = self._row_factors(deg.shape[-1], one)
         floor = self._floors.get(type(one))
         if floor is None:
             floor = self._floors[type(one)] = np.min(np.minimum(w, one - w))
-        return floor / max(deg.max(initial=0), one)
+        return floor / np.maximum(deg.max(axis=-1, initial=0), one)
 
 
 SCHEMES = {
@@ -385,97 +395,108 @@ def make_scheme(kind, **params):
     raise SchemeViolationError(f"unknown scheme kind {kind!r}")
 
 
-def _check_symmetric(adj):
-    """Neighbor-relation contract: no agent is its own neighbor, and
-    j in N_i exactly when i in N_j."""
-    if adj.diagonal().any():
-        i = int(np.argmax(adj.diagonal()))
-        raise SchemeViolationError(f"agent {i} lists itself as a neighbor")
-    if (adj != adj.T).any():
-        i, j = np.argwhere(adj & ~adj.T)[0]
-        raise SchemeViolationError(
-            f"asymmetric neighbors: {j} in N_{i} but {i} not in N_{j}")
-
-
 def validate_transition(p, adj, eta, scheme=None):
     """Assert the probability-matrix contract; raises SchemeViolationError.
 
-    ``adj`` is the instant's ``(m, m)`` boolean adjacency.  Checks: the
+    ``p`` and ``adj`` are one instant's ``(m, m)`` matrix and boolean
+    adjacency with a float ``eta``, or ``(T, m, m)`` stacks of T ticks
+    with one ``eta`` per tick.  Every check runs on every matrix: the
     adjacency is symmetric with no self-loops; entries in [0,1]; rows and
-    columns sum to 1 within 1e-12; strictly positive diagonal; every
-    positive entry at least ``eta``; zeros off the adjacency pattern.
-    Entries within float rounding of the eta floor are re-checked against
-    the scheme's own rule and floor evaluated in exact rational arithmetic
-    when ``scheme`` is given.
+    columns sum to 1 within 1e-12; strictly positive diagonal; zeros off
+    the adjacency pattern; every positive entry at least ``eta``.  On the
+    ticks whose short entries all sit within float rounding of the floor,
+    they are re-checked against the scheme's own rule and floor evaluated
+    in exact rational arithmetic when ``scheme`` is given.  The first
+    failing tick's first failing check is raised.
     """
     adj = np.asarray(adj, dtype=bool)
-    m = len(adj)
-    if adj.shape != (m, m) or p.shape != (m, m):
+    m = adj.shape[-1] if adj.ndim else 0
+    if adj.ndim not in (2, 3) or adj.shape[-2:] != (m, m) or p.shape != adj.shape:
         raise SchemeViolationError(
             f"matrix shape {p.shape} does not match adjacency shape {adj.shape}")
-    _check_symmetric(adj)
-    if not (p.min() >= 0 and p.max() <= 1):  # false for NaN entries too
-        raise SchemeViolationError("entries must lie in [0, 1]")
-    rows = p.sum(axis=1)
-    cols = p.sum(axis=0)
-    if abs(rows - 1.0).max() > _STOCHASTIC_TOL:
-        i = int(np.argmax(abs(rows - 1.0)))
-        raise SchemeViolationError(f"row {i} sums to {float(rows[i])!r}, not 1")
-    if abs(cols - 1.0).max() > _STOCHASTIC_TOL:
-        j = int(np.argmax(abs(cols - 1.0)))
-        raise SchemeViolationError(
-            f"column {j} sums to {float(cols[j])!r}, not 1 (matrix is not doubly stochastic)")
-    diag = p.diagonal()
-    if (diag <= 0).any():
-        i = int(np.flatnonzero(diag <= 0)[0])
-        raise SchemeViolationError(f"agent {i} has non-positive self probability")
+    p, adj = p.reshape(-1, m, m), adj.reshape(-1, m, m)
+    floor = np.broadcast_to(np.asarray(eta, dtype=float), len(p))[:, None, None]
+    i = np.arange(m)
+    rows, cols = p.sum(axis=2), p.sum(axis=1)
     positive = p > 0
     stray = positive & ~adj
-    if np.count_nonzero(stray) > m:  # beyond the (positive) diagonal
-        np.fill_diagonal(stray, False)
-        i, j = np.argwhere(stray)[0]
-        raise SchemeViolationError(
-            f"entry ({i}, {j}) is positive but {j} is not a neighbor of {i}")
-    short = positive & (p < eta)
-    if short.any():
-        borderline = short & (p > eta - 1e-9)
-        if scheme is not None and np.array_equal(short, borderline):
-            one = Fraction(1)
-            deg = _like(one, adj.sum(axis=1))
-            below = short & (scheme.matrix(adj, deg, one) < scheme.eta(deg, one))
-            if below.any():
-                i, j = np.argwhere(below)[0]
-                raise SchemeViolationError(
-                    f"entry ({i},{j}) = {float(p[i, j])!r} is below the scheme floor")
-        else:
-            i, j = np.argwhere(short)[0]
-            raise SchemeViolationError(
-                f"entry ({i},{j}) = {float(p[i, j])!r} is below the scheme floor {float(eta)!r}")
+    stray[:, i, i] = False
+    short = positive & (p < floor)
+    exact = np.zeros(len(p), dtype=bool)  # ticks re-checked in Fractions
+    if scheme is not None and short.any():
+        far = (short & ~(p > floor - 1e-9)).any(axis=(1, 2))
+        one = Fraction(1)
+        for t in np.flatnonzero(short.any(axis=(1, 2)) & ~far):
+            deg = _like(one, adj[t].sum(axis=1))
+            short[t] &= scheme.matrix(adj[t], deg, one) < scheme.eta(deg, one)
+            exact[t] = True
+
+    def at(cells):  # the first failing cell of one tick
+        return tuple(int(x) for x in np.argwhere(cells)[0])
+
+    def worst(sums, t):
+        j = int(np.argmax(abs(sums[t] - 1.0)))
+        return j, float(sums[t, j])
+
+    def below(t):
+        a, b = at(short[t])
+        bound = "" if exact[t] else f" {float(floor[t, 0, 0])!r}"
+        return f"entry ({a},{b}) = {float(p[t, a, b])!r} is below the scheme floor{bound}"
+
+    checks = (  # (failing cells, tick axis first; message of tick t), in order
+        (adj[:, i, i], lambda t: "agent {} lists itself as a neighbor".format(
+            *at(adj[t, i, i]))),
+        (adj != adj.transpose(0, 2, 1),
+         lambda t: "asymmetric neighbors: {1} in N_{0} but {0} not in N_{1}".format(
+             *at(adj[t] & ~adj[t].T))),
+        # false for NaN entries too
+        (~((p.min(axis=(1, 2)) >= 0) & (p.max(axis=(1, 2)) <= 1)),
+         lambda t: "entries must lie in [0, 1]"),
+        (abs(rows - 1.0) > _STOCHASTIC_TOL,
+         lambda t: "row {} sums to {!r}, not 1".format(*worst(rows, t))),
+        (abs(cols - 1.0) > _STOCHASTIC_TOL,
+         lambda t: "column {} sums to {!r}, not 1 (matrix is not doubly "
+                   "stochastic)".format(*worst(cols, t))),
+        (p[:, i, i] <= 0, lambda t: "agent {} has non-positive self probability".format(
+            *at(p[t, i, i] <= 0))),
+        (stray, lambda t: "entry ({0}, {1}) is positive but {1} is not a neighbor "
+                          "of {0}".format(*at(stray[t]))),
+        (short, below),
+    )
+    failed = [(cells.reshape(len(p), -1).any(axis=1), message)
+              for cells, message in checks if cells.any()]
+    if failed:
+        t = min(int(np.argmax(ticks)) for ticks, _ in failed)
+        raise SchemeViolationError(next(msg for ticks, msg in failed if ticks[t])(t))
 
 
 def build_transition(scheme, adj):
-    """Validated :class:`TransitionMatrix` for one instant's adjacency.
-
-    ``adj`` is the ``(m, m)`` boolean adjacency matrix (symmetric, false
-    diagonal).  The result carries the scheme's analytic entry floor for
-    that structure.
-    """
+    """Validated :class:`TransitionMatrix` of one instant's ``(m, m)``
+    boolean adjacency (symmetric, false diagonal), or of a ``(T, m, m)``
+    stack of T ticks' adjacencies.  The result carries the scheme's
+    analytic entry floor for each structure."""
     adj = np.asarray(adj, dtype=bool)
-    deg = adj.sum(axis=1)
+    deg = adj.sum(axis=-1)
     p = scheme.matrix(adj, deg)
-    eta = scheme.eta(deg)
+    eta = np.full(adj.shape[:-2], scheme.eta(deg))
     validate_transition(p, adj, eta, scheme)
-    return TransitionMatrix(p, float(eta))
+    return TransitionMatrix(p, eta if eta.ndim else float(eta))
 
 
 # -- chain order --------------------------------------------------------------
 
+# Ticks per built chunk of a chain without a period: an entry budget, so a
+# chunk's (T, m, m) stacks hold about 2**16 entries whatever m is.
+_CHUNK_ENTRIES = 1 << 16
+
+
 class ChainOrder:
     """One agent per tick, handed off along the chain ``scheme`` builds on
     ``topology``, from agent ``s0`` or, for ``"uniform"``, one drawn per
-    replication.  A topology with a period has every distinct matrix built,
-    validated and cached here, before any tick; a random one validates each
-    tick's matrix as it is built."""
+    replication.  A topology with a period has its distinct matrices built,
+    validated and cached before any tick.  A random one has each block's
+    matrices built, validated and cumulated as (T, m, m) stacks, one chunk
+    of ``max(1, 2**16 // m**2)`` ticks at a time."""
 
     engine = "markov"
     width = 1
@@ -489,22 +510,26 @@ class ChainOrder:
         self.topology = topology
         self.scheme = scheme
         self.s0 = s0
-        self._cache = {}
-        for k in range(topology.period or 0):
-            self.transition(k)
+        self._cache = None  # (P, cumP) of each tick of one period
+        if topology.period:
+            tm = build_transition(scheme, np.array(
+                [topology.adjacency(k) for k in range(topology.period)]))
+            self._cache = list(zip(_frozen(tm.entries), _frozen(tm.cumulative())))
 
     def transition(self, k):
         """The validated (P, cumP) of tick k."""
-        period = self.topology.period
-        key = None if period is None else k % period
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        if self._cache is not None:
+            return self._cache[k % self.topology.period]
         tm = build_transition(self.scheme, self.topology.adjacency(k))
-        value = (tm.entries, tm.cumulative())
-        if key is not None:
-            self._cache[key] = value
-        return value
+        return tm.entries, tm.cumulative()
+
+    def _cumulatives(self, start, count):
+        """cumP of each tick start, ..., start + count - 1."""
+        if self._cache is not None:
+            period = self.topology.period
+            return [self._cache[k % period][1] for k in range(start, start + count)]
+        tm = build_transition(self.scheme, self.topology.adjacencies(start, count))
+        return tm.cumulative()
 
     def start(self, m, seeds):
         if self.topology.m != m:
@@ -519,11 +544,13 @@ class ChainOrder:
         """Each tick's agent: how many of its row's cumulative sums are at
         or below the tick's uniform, at most m - 1."""
         uniforms = np.stack([chain_uniform_block(s, b) for s in seeds])
-        last = self.topology.m - 1
+        m = self.topology.m
+        chunk = BLOCK if self._cache is not None else max(1, _CHUNK_ENTRIES // m**2)
         plan = []
-        for off in range(count):
-            _, cum = self.transition(b * BLOCK + off)
-            agents = np.minimum((uniforms[:, off, None] >= cum[agents]).sum(axis=1),
-                                last)
-            plan.append((agents,))
+        for lo in range(0, count, chunk):
+            cums = self._cumulatives(b * BLOCK + lo, min(chunk, count - lo))
+            for off, cum in enumerate(cums, start=lo):
+                agents = np.minimum((uniforms[:, off, None] >= cum[agents]).sum(axis=1),
+                                    m - 1)
+                plan.append((agents,))
         return plan, agents

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,9 @@ class Constant:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"constant step-size must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:  # false for NaN too
+            raise ValueError(
+                f"constant step-size must be positive and finite, got {self.alpha}")
 
     def step(self, k):
         _check_index(k)
@@ -53,8 +55,8 @@ class PowerLaw:
     p: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"power-law scale must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"power-law scale must be positive and finite, got {self.a}")
         if not 0 < self.p <= 1:
             raise ValueError(f"power-law exponent must be in (0, 1], got {self.p}")
 

@@ -13,7 +13,9 @@ adjacency matrix in a few array expressions.  This module keeps the
 straightforward form of the same rules: neighbor index lists built edge by
 edge, a set-based symmetry check, and one Python loop per matrix row.  The
 random-edge sequence is re-derived here from the topology's parameters and
-its own draws from the topology stream, not from the engine's cache.
+its own draws from the topology stream: each tick's whole block is drawn in
+one call and the tick's row taken from it, where the engine draws only the
+rows it needs.
 
 The objective families evaluate all agents at once on stacked parameters;
 ``component`` writes each agent's f_i and g_i as plain Python over one
@@ -168,6 +170,16 @@ def random_edges_at(topology, k):
         row = gen.random((BLOCK, len(optional)))[k % BLOCK]
         edges.extend(e for j, e in enumerate(optional) if row[j] < topology.inclusion_prob)
     return edges
+
+
+def random_adjacencies(topology, start, count):
+    """``(count, m, m)`` adjacencies of a :class:`RandomEdgeTopology` at
+    ticks start..start+count-1, one full-block draw per tick."""
+    adj = np.zeros((count, topology.m, topology.m), dtype=bool)
+    for t in range(count):
+        for i, j in random_edges_at(topology, start + t):
+            adj[t, i, j] = adj[t, j, i] = True
+    return adj
 
 
 def neighbors_at(topology, k):

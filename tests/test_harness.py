@@ -475,6 +475,46 @@ class TestFailFast:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["run", "validate", "bounds", "compare"])
+    @pytest.mark.parametrize("alpha, message", [
+        (math.inf, "constant step-size must be positive and finite, got inf"),
+        (1e308, "the bounds overflow at this step size: "
+                "markov_constant_step gap = inf"),
+    ], ids=["infinite", "overflowing"])
+    def test_bad_step_names_the_step_before_any_tick(self, tmp_path, capsys,
+                                                     monkeypatch, verb, alpha,
+                                                     message):
+        # the set's own bound terms are finite here, so an overflowing gap
+        # is the step's doing; compare builds every alpha's gaps before the
+        # first alpha's simulation
+        import incsub.harness as hz
+
+        def no_simulation(*args):
+            raise AssertionError("simulated with a bad step size")
+
+        monkeypatch.setattr(hz, "_run_all", no_simulation)
+        flat = parse_config_text(MARKOV_CFG)
+        if verb == "compare":
+            flat["compare.alphas"], field = [0.05, alpha], "compare.alphas"
+        else:
+            flat["schedule.alpha"], field = alpha, "schedule.alpha"
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {field}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "validate", "bounds"])
+    def test_overflowing_cyclic_step_names_the_step(self, tmp_path, capsys, verb):
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update({"algorithm": "cyclic", "schedule.alpha": 1e308})
+        del flat["topology.kind"], flat["scheme.kind"]
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        assert cli_main([verb, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: schedule.alpha: the bounds overflow at this step "
+            "size: cyclic_constant_step gap = inf\n")
+
     @pytest.mark.parametrize("topology", ["ring", "random_edges"])
     def test_weight_count_differs_from_agents(self, tmp_path, capsys, topology):
         flat = parse_config_text(MARKOV_CFG)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,14 @@ def test_invalid_parameters_rejected():
         PowerLaw(1.0, 0.0)
     with pytest.raises(ValueError):
         PowerLaw(1.0, 1.5)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_step_sizes_rejected(value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Constant(value)
+    with pytest.raises(ValueError, match="positive and finite"):
+        PowerLaw(value, 1.0)
 
 
 @given(p=st.floats(min_value=0.01, max_value=1.0))

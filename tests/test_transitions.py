@@ -1,7 +1,9 @@
 """The adjacency-array transition path against the naive per-neighbor
-reference, draw for draw, and the transition contract on that path."""
+reference, draw for draw, the chunked (T, m, m) stacks against per-tick
+builds, and the transition contract on both."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import incsub as isb
 import reference
 from incsub.errors import SchemeViolationError
+from incsub import markov
 from incsub.markov import adjacency_from_edges, complete_edges, ring_edges
 from incsub.streams import BLOCK, chain_uniform_block
 
@@ -25,27 +28,37 @@ def schemes(draw):
     return isb.make_scheme(kind)
 
 
-@st.composite
-def topologies(draw):
-    m = draw(st.integers(2, 9))
+def _chords(draw, m):
     chords = [e for e in complete_edges(m) if e not in set(ring_edges(m))]
-    picked = draw(st.lists(st.sampled_from(chords), unique=True) if chords
-                  else st.just([]))
-    kind = draw(st.sampled_from(["static", "periodic", "random_edges"]))
-    if kind == "static":
-        return isb.make_topology("static", m, edges=ring_edges(m) + picked)
-    if kind == "periodic":
-        period = draw(st.integers(1, 3))
-        # ring edges round-robin over the phases keep every window connected
-        phases = [[e for i, e in enumerate(ring_edges(m)) if i % period == p]
-                  + picked[p::period] for p in range(period)]
-        return isb.make_topology("periodic", m, phases=phases, window=period)
+    return draw(st.lists(st.sampled_from(chords), unique=True) if chords
+                else st.just([]))
+
+
+@st.composite
+def random_edge_topologies(draw, m=None):
+    m = draw(st.integers(2, 9)) if m is None else m
     base = draw(st.sampled_from(["complete", "ring_and_chords"]))
     return isb.make_topology(
         "random_edges", m,
-        base="complete" if base == "complete" else ring_edges(m) + picked,
+        base="complete" if base == "complete" else ring_edges(m) + _chords(draw, m),
         inclusion_prob=draw(st.floats(0.0, 1.0)),
         window=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)))
+
+
+@st.composite
+def topologies(draw):
+    kind = draw(st.sampled_from(["static", "periodic", "random_edges"]))
+    if kind == "random_edges":
+        return draw(random_edge_topologies())
+    m = draw(st.integers(2, 9))
+    picked = _chords(draw, m)
+    if kind == "static":
+        return isb.make_topology("static", m, edges=ring_edges(m) + picked)
+    period = draw(st.integers(1, 3))
+    # ring edges round-robin over the phases keep every window connected
+    phases = [[e for i, e in enumerate(ring_edges(m)) if i % period == p]
+              + picked[p::period] for p in range(period)]
+    return isb.make_topology("periodic", m, phases=phases, window=period)
 
 
 def _diagonal_slack(ref_p):
@@ -182,3 +195,180 @@ class TestContractOnAdjacencyPath:
         with pytest.raises(SchemeViolationError,
                            match=r"\(0, 2\) is positive but 2 is not a neighbor of 0"):
             isb.validate_transition(p, adj, 0.1)
+
+
+# -- chunked stacks -----------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(topology=random_edge_topologies(), block=st.integers(0, 2),
+       back=st.integers(0, 40), count=st.integers(1, 80))
+def test_adjacencies_match_full_block_draws(topology, block, back, count):
+    # the range starts up to 40 ticks before a block boundary, so it often
+    # crosses one; the reference draws each tick's whole block
+    start = max(block * BLOCK - back, 0)
+    adj = topology.adjacencies(start, count)
+    assert adj.shape == (count, topology.m, topology.m)
+    assert np.array_equal(adj, reference.random_adjacencies(topology, start, count))
+    assert all(np.array_equal(adj[t], topology.adjacency(start + t))
+               for t in range(count))
+
+
+@settings(max_examples=100, deadline=None)
+@given(topology=random_edge_topologies(), scheme=schemes(),
+       start=st.integers(0, 3 * BLOCK), count=st.integers(1, 60))
+def test_stacked_build_matches_per_tick_builds(topology, scheme, start, count):
+    stack = isb.build_transition(scheme, topology.adjacencies(start, count))
+    cum = stack.cumulative()
+    assert stack.eta.shape == (count,)
+    for t in range(count):
+        tm = isb.build_transition(scheme, topology.adjacency(start + t))
+        assert _bits(stack.entries[t]) == _bits(tm.entries)
+        assert stack.eta[t] == tm.eta
+        assert _bits(cum[t]) == _bits(tm.cumulative())
+
+
+def _per_tick_walk(order, b, count, seeds, agents):
+    """The agents of ``order.block``, from one build per tick."""
+    uniforms = np.stack([chain_uniform_block(s, b) for s in seeds])
+    m, walked = order.topology.m, []
+    for off in range(count):
+        cum = isb.build_transition(
+            order.scheme, order.topology.adjacency(b * BLOCK + off)).cumulative()
+        agents = np.minimum((uniforms[:, off, None] >= cum[agents]).sum(axis=1), m - 1)
+        walked.append(agents)
+    return walked
+
+
+def _chunked_walk(order, counts, seeds):
+    """The agents of consecutive blocks of ``counts`` ticks, walked by the
+    order itself and tick by tick."""
+    agents = ref_agents = order.start(order.topology.m, seeds)
+    for b, count in enumerate(counts):
+        plan, agents = order.block(b, count, seeds, agents)
+        walked = _per_tick_walk(order, b, count, seeds, ref_agents)
+        ref_agents = walked[-1]
+        assert len(plan) == count
+        assert all(np.array_equal(step[0], ref) for step, ref in zip(plan, walked))
+    assert np.array_equal(agents, ref_agents)
+
+
+@settings(max_examples=15, deadline=None)
+@given(topology=random_edge_topologies(), scheme=schemes(),
+       chunk=st.integers(1, 40), tail=st.integers(1, 100),
+       seed=st.integers(0, 2**32))
+def test_chunked_walk_matches_per_tick_walk(topology, scheme, chunk, tail, seed):
+    # a small entry budget gives chunks of 1..40 ticks: a full block ends in
+    # a partial chunk, and the run ends in a partial block
+    m = topology.m
+    with mock.patch.object(markov, "_CHUNK_ENTRIES", chunk * m * m):
+        _chunked_walk(isb.ChainOrder(topology, scheme), [BLOCK, tail],
+                      [seed, seed + 1, seed + 2])
+
+
+@pytest.mark.parametrize("scheme", [isb.EqualProbability(), isb.MinEqualNeighbor(),
+                                    isb.WeightedMetropolisHastings(0.5)])
+def test_default_chunks_walk_like_per_tick_builds(scheme):
+    # m = 50: chunks of 2**16 // 50**2 = 26 ticks, five of them and a
+    # 10-tick one
+    topology = isb.make_topology("random_edges", 50, base="complete",
+                                 inclusion_prob=0.1, window=2, seed=3)
+    _chunked_walk(isb.ChainOrder(topology, scheme), [140], list(range(5)))
+
+
+class TestStackedValidation:
+    """A stack raises the message of its first failing tick's first failing
+    check, the same message that tick raises alone."""
+
+    M = 4
+    # (name, corruption of one tick's (p, adj, eta), that tick's message)
+    CORRUPTIONS = [
+        ("self_loop", lambda p, adj: adj.__setitem__((2, 2), True),
+         "agent 2 lists itself as a neighbor"),
+        ("asymmetric", lambda p, adj: adj.__setitem__((3, 1), False),
+         "asymmetric neighbors: 3 in N_1 but 1 not in N_3"),
+        ("nan", lambda p, adj: p.__setitem__((0, 1), np.nan),
+         "entries must lie in [0, 1]"),
+        ("row_sum", lambda p, adj: p.__setitem__((1, 1), 0.35),
+         "row 1 sums to 1.1, not 1"),
+        ("column_sum", lambda p, adj: p.__setitem__((2, slice(2, 4)), [0.35, 0.15]),
+         "column 2 sums to 1.1, not 1 (matrix is not doubly stochastic)"),
+        ("diagonal", lambda p, adj: p.__setitem__(..., (1 - np.eye(4)) / 3),
+         "agent 0 has non-positive self probability"),
+        ("stray", lambda p, adj: adj.__setitem__(([0, 2], [2, 0]), False),
+         "entry (0, 2) is positive but 2 is not a neighbor of 0"),
+    ]
+
+    def _base(self, ticks):
+        """``ticks`` copies of the uniform chain on the complete graph."""
+        adj = np.repeat(adjacency_from_edges(self.M, complete_edges(self.M))[None],
+                        ticks, axis=0)
+        return np.full((ticks, self.M, self.M), 0.25), adj, np.full(ticks, 0.25)
+
+    @pytest.mark.parametrize("name, corrupt, message", CORRUPTIONS,
+                             ids=[c[0] for c in CORRUPTIONS])
+    def test_a_tick_raises_its_own_message(self, name, corrupt, message):
+        p, adj, eta = self._base(9)
+        corrupt(p[5], adj[5])
+        with pytest.raises(SchemeViolationError) as alone:
+            isb.validate_transition(p[5], adj[5], 0.25)
+        assert str(alone.value) == message
+        with pytest.raises(SchemeViolationError) as stacked:
+            isb.validate_transition(p, adj, eta)
+        assert str(stacked.value) == message
+
+    @pytest.mark.parametrize("early", range(len(CORRUPTIONS)),
+                             ids=[c[0] for c in CORRUPTIONS])
+    @pytest.mark.parametrize("late", range(len(CORRUPTIONS)),
+                             ids=[c[0] for c in CORRUPTIONS])
+    def test_first_failing_tick_wins(self, early, late):
+        # tick 3 fails check ``early``, tick 7 fails check ``late``: tick
+        # 3's message is raised whichever check comes first in the contract
+        p, adj, eta = self._base(10)
+        self.CORRUPTIONS[early][1](p[3], adj[3])
+        self.CORRUPTIONS[late][1](p[7], adj[7])
+        with pytest.raises(SchemeViolationError) as exc:
+            isb.validate_transition(p, adj, eta)
+        assert str(exc.value) == self.CORRUPTIONS[early][2]
+
+    def test_a_ticks_first_failing_check_wins(self):
+        p, adj, eta = self._base(4)
+        adj[2, [0, 2], [2, 0]] = False  # stray entry (0, 2)
+        adj[2, 1, 1] = True  # and a self-loop, an earlier check
+        eta[1] = 0.3  # tick 1: every entry below its floor
+        with pytest.raises(SchemeViolationError,
+                           match=r"^entry \(0,0\) = 0.25 is below the scheme floor 0.3$"):
+            isb.validate_transition(p, adj, eta)
+        eta[1] = 0.25
+        with pytest.raises(SchemeViolationError,
+                           match="^agent 1 lists itself as a neighbor$"):
+            isb.validate_transition(p, adj, eta)
+
+    def test_borderline_tick_in_a_stack_passes_the_exact_check(self):
+        # tick 1 is the complete graph on 5 agents: its float diagonal
+        # 1 - 4/5 rounds to just below the floor 1/5, the exact one equals it
+        ring = adjacency_from_edges(5, ring_edges(5))
+        adj = np.array([ring, adjacency_from_edges(5, complete_edges(5)), ring])
+        scheme = isb.EqualProbability()
+        tm = isb.build_transition(scheme, adj)
+        assert list(tm.eta) == [0.2, 0.2, 0.2]
+        assert np.diag(tm.entries[1]).max() < 0.2
+        # without the scheme there is no exact re-check, and tick 1 fails
+        with pytest.raises(SchemeViolationError,
+                           match=r"^entry \(0,0\) = 0.19999999999999996 is below "
+                                 r"the scheme floor 0.2$"):
+            isb.validate_transition(tm.entries, adj, tm.eta)
+        # a later tick's failure is still found past the re-checked tick
+        bad = adj.copy()
+        bad[2, 0, 0] = True
+        with pytest.raises(SchemeViolationError,
+                           match="^agent 0 lists itself as a neighbor$"):
+            isb.validate_transition(tm.entries, bad, tm.eta, scheme)
+
+    def test_stack_shapes_must_match(self):
+        p, adj, eta = self._base(3)
+        with pytest.raises(SchemeViolationError, match="does not match adjacency shape"):
+            isb.validate_transition(p[:2], adj, eta)
