@@ -31,7 +31,7 @@ from .config import (_number, build_noise, build_problem, build_schedule,
 from .cyclic import RingOrder
 from .engine import run_batch
 from .errors import ConfigError, NonFiniteError
-from .markov import ChainOrder, build_transition, topology_eta
+from .markov import ChainOrder, topology_eta
 from .schedules import Constant
 from .trace import RunTrace, fmt_float
 from .version import __version__
@@ -339,8 +339,8 @@ def validate_only(config):
     run = build_run(config)
     bound_reports(run)
     if isinstance(run.order, ChainOrder) and run.order.topology.period is None:
-        ticks = min(max(config.horizon, 1), 4 * run.order.topology.window)
-        build_transition(run.order.scheme, run.order.topology.adjacencies(0, ticks))
+        for k in range(min(max(config.horizon, 1), 4 * run.order.topology.window)):
+            run.order.transition(k)
     return run.problem
 
 

@@ -200,7 +200,8 @@ class RandomEdgeTopology:
         adj = self._ring_groups[np.arange(start, start + count) % self.window]
         ij, ji = self._optional_cells
         if len(ij) and self.inclusion_prob > 0:
-            cells = adj.reshape(count, -1)  # optional cells are off the ring
+            # the optional cells are off the ring, so they are only assigned
+            cells = adj.reshape(count, self.m * self.m)
             for block in range(start // BLOCK, (start + count - 1) // BLOCK + 1):
                 lo = max(start, block * BLOCK)
                 hi = min(start + count, (block + 1) * BLOCK)

@@ -61,7 +61,7 @@ class RunTrace:
             col = getattr(self, name)
             if col is not None and len(col) != rows:
                 raise ValueError(f"trace column {name} has wrong length")
-        if np.any(np.diff(self.running_inf) > 0):
+        if np.any(self.running_inf[1:] > self.running_inf[:-1]):  # diff can overflow
             raise ValueError("running inf must be non-increasing")
 
     def to_csv(self):

@@ -45,6 +45,11 @@ class TestTrace:
         with pytest.raises(ValueError):
             RunTrace(np.array([0, 1]), np.array([1.0, 1.0]),
                      np.array([1.0, 2.0]), np.array([np.nan, 0.1]), None, None)
+        # a drop from the largest finite float to its negative is allowed,
+        # and is checked without an overflowing difference
+        RunTrace(np.array([0, 1]), np.array([1.0, 1.0]),
+                 np.array([1.7976931348623157e308, -1.7976931348623157e308]),
+                 np.array([np.nan, 0.1]), None, None)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 25),
