@@ -497,7 +497,13 @@ class ChainOrder:
     replication.  A topology with a period has its distinct matrices built,
     validated and cached before any tick.  A random one has each block's
     matrices built, validated and cumulated as (T, m, m) stacks, one chunk
-    of ``max(1, 2**16 // m**2)`` ticks at a time."""
+    of ``max(1, 2**16 // m**2)`` ticks at a time.
+
+    The walk reads only the first m - 1 cumulative columns of each matrix,
+    kept as a C-contiguous copy: the next agent is how many of them are at
+    or below the tick's uniform.  Rows never decrease, so that is the count
+    over all m columns clamped to m - 1, bit for bit, also when a row's
+    total rounds below 1 and the uniform lies above it."""
 
     engine = "markov"
     width = 1
@@ -512,10 +518,13 @@ class ChainOrder:
         self.scheme = scheme
         self.s0 = s0
         self._cache = None  # (P, cumP) of each tick of one period
+        self._walk = None   # the walk's columns of each tick of one period
         if topology.period:
             tm = build_transition(scheme, np.array(
                 [topology.adjacency(k) for k in range(topology.period)]))
-            self._cache = list(zip(_frozen(tm.entries), _frozen(tm.cumulative())))
+            cum = tm.cumulative()
+            self._cache = list(zip(_frozen(tm.entries), _frozen(cum)))
+            self._walk = list(_frozen(np.ascontiguousarray(cum[..., :-1])))
 
     def transition(self, k):
         """The validated (P, cumP) of tick k."""
@@ -524,13 +533,13 @@ class ChainOrder:
         tm = build_transition(self.scheme, self.topology.adjacency(k))
         return tm.entries, tm.cumulative()
 
-    def _cumulatives(self, start, count):
-        """cumP of each tick start, ..., start + count - 1."""
-        if self._cache is not None:
+    def _walk_columns(self, start, count):
+        """The walk's columns of each tick start, ..., start + count - 1."""
+        if self._walk is not None:
             period = self.topology.period
-            return [self._cache[k % period][1] for k in range(start, start + count)]
+            return [self._walk[k % period] for k in range(start, start + count)]
         tm = build_transition(self.scheme, self.topology.adjacencies(start, count))
-        return tm.cumulative()
+        return np.cumsum(tm.entries[..., :-1], axis=-1)  # a new C-contiguous stack
 
     def start(self, m, seeds):
         if self.topology.m != m:
@@ -542,16 +551,18 @@ class ChainOrder:
         return np.full(len(seeds), self.s0, dtype=int)
 
     def block(self, b, count, seeds, agents):
-        """Each tick's agent: how many of its row's cumulative sums are at
-        or below the tick's uniform, at most m - 1."""
-        uniforms = np.stack([chain_uniform_block(s, b) for s in seeds])
-        m = self.topology.m
-        chunk = BLOCK if self._cache is not None else max(1, _CHUNK_ENTRIES // m**2)
+        """Each tick's agent: how many of the walk's columns in its row are
+        at or below the tick's uniform."""
+        uniforms = np.stack([chain_uniform_block(s, b) for s in seeds], axis=1)
+        chunk = (BLOCK if self._walk is not None
+                 else max(1, _CHUNK_ENTRIES // self.topology.m**2))
+        count_at_or_below, at_or_below = np.add.reduce, np.greater_equal
         plan = []
         for lo in range(0, count, chunk):
-            cums = self._cumulatives(b * BLOCK + lo, min(chunk, count - lo))
-            for off, cum in enumerate(cums, start=lo):
-                agents = np.minimum((uniforms[:, off, None] >= cum[agents]).sum(axis=1),
-                                    m - 1)
+            walks = self._walk_columns(b * BLOCK + lo, min(chunk, count - lo))
+            for off, cumw in enumerate(walks, start=lo):
+                agents = count_at_or_below(
+                    at_or_below(uniforms[off, :, None], cumw.take(agents, axis=0)),
+                    axis=1)
                 plan.append((agents,))
         return plan, agents

@@ -9,9 +9,11 @@ each fixture's family provides them for every agent at once:
   f_{agents[r]} at X[r]; ``agents`` is an index array of length N, or one
   int for all rows.
 
-Each family also has ``m``, ``n`` and ``bounds``, the array of
+Each family also has ``m``, ``n``, ``bounds``, the array of
 C_i >= sup_{x in X} ||g_i(x)|| over the feasible set it was built for,
-exact on the bounded set variants.
+exact on the bounded set variants, and ``eval_width``, how many floats wide
+the per-row temporaries of ``evaluate_many`` are (the recorder sizes its
+flushes by it).
 
 Every row's result depends on that row alone: the families use elementwise
 products and sums along an axis, never a BLAS matrix-vector product, whose
@@ -53,6 +55,7 @@ class QuadraticFamily:
     def __init__(self, centers, feasible_set):
         self.centers = np.array(centers, dtype=float, ndmin=2)
         self.m, self.n = self.centers.shape
+        self.eval_width = self.n
         self.centroid = self.centers.mean(axis=0)
         d = self.centers - self.centroid
         self.offset = float(np.einsum("ij,ij->", d, d))
@@ -79,6 +82,7 @@ class RegressionFamily:
     def __init__(self, features, rbar, var, feasible_set):
         self.features = np.array(features, dtype=float, ndmin=2)
         self.m, self.n = self.features.shape
+        self.eval_width = self.m
         self.rbar = np.asarray(rbar, dtype=float).reshape(self.m)
         self.var = np.asarray(var, dtype=float).reshape(self.m)
         bounds = []
@@ -187,7 +191,7 @@ class UtilityFamily:
 
     def __init__(self, utilities, feasible_set):
         self.utilities = tuple(utilities)
-        self.m = self.n = len(self.utilities)
+        self.m = self.n = self.eval_width = len(self.utilities)
         self.bounds = np.array(
             [float(u.max_slope(*coordinate_range(feasible_set, j)))
              for j, u in enumerate(self.utilities)])

@@ -112,9 +112,17 @@ def record_indices(horizon, stride):
     return ks
 
 
-# A flush evaluates f on (steps * R) rows with O(rows * m) temporaries, so
-# it buffers max(1, _FLUSH_ROWS // (R * m)) steps.
+# A flush evaluates f on (steps * R) rows, and each row's temporaries are
+# as wide as its family's ``eval_width`` (n for the quadratic family, m for
+# regression and allocation), so it buffers
+# max(1, _FLUSH_ROWS // (R * eval_width)) steps.
 _FLUSH_ROWS = 1 << 14
+
+
+def flush_steps(reps, family):
+    """Steps per flush of a run of ``reps`` replications of ``family``."""
+    return max(1, _FLUSH_ROWS // (reps * family.eval_width))
+
 
 _UNITS = {"cyclic": "cycle", "markov": "tick"}
 
@@ -155,7 +163,7 @@ class Recorder:
         self.stride = int(stride)
         self.config_hash = config_hash
         reps, m = len(self.seeds), problem.m
-        self.flush_steps = max(1, _FLUSH_ROWS // (reps * m))
+        self.flush_steps = flush_steps(reps, problem.family)
         self.recs = record_indices(self.horizon, self.stride)
         self.rows_f = np.empty((reps, len(self.recs)))
         self.rows_inf = np.empty_like(self.rows_f)
@@ -171,17 +179,27 @@ class Recorder:
         self.tail_min = np.full(reps, np.inf)
         self.done = -1        # last step whose f has been evaluated
         self.last_x = x0      # iterate of step `done`, or x0
-        self.xs = [x0]        # iterates of steps done + 1, done + 2, ...
-        self.agents = [] if agents is None else [agents]  # their agents
+        # the iterates of steps done + 1, ..., done + held, and their agents
+        # (one more once the next step has reported its agents)
+        self.xs = np.empty((self.flush_steps,) + x0.shape)
+        self.xs[0] = x0
+        self.held = 1
+        self.agents = None
+        if agents is not None:
+            self.agents = np.empty((self.flush_steps + 1, reps), dtype=int)
+            self.agents[0] = agents
+        self.visited = 1
         self.abort = None
 
     def visit(self, agents):
-        self.agents.append(agents)
+        self.agents[self.visited] = agents
+        self.visited += 1
 
     def push(self, x):
-        self.xs.append(x)
-        if len(self.xs) >= self.flush_steps:
+        if self.held == self.flush_steps:
             self._flush()
+        self.xs[self.held] = x
+        self.held += 1
 
     def __enter__(self):
         return self
@@ -191,7 +209,7 @@ class Recorder:
             return False
         self._flush()  # a buffered step with non-finite f aborts first
         if isinstance(exc, NonFiniteError):
-            self._count(len(self.agents))  # the failing step's agents
+            self._count(self.visited)  # the failing step's agents
             raise self._abort(str(exc)) from exc
         return False
 
@@ -200,10 +218,10 @@ class Recorder:
         return self._traces()
 
     def _flush(self):
-        if not self.xs:
+        if not self.held:
             return
-        xs = np.stack(self.xs)
-        self.xs = []
+        xs = self.xs[:self.held]
+        self.held = 0
         steps, reps, n = xs.shape
         with np.errstate(over="ignore", invalid="ignore"):  # aborts below
             f = self.problem.f_many(xs.reshape(steps * reps, n)).reshape(steps, reps)
@@ -239,20 +257,23 @@ class Recorder:
             dist = np.linalg.norm(kept.reshape(-1, kept.shape[-1]) - self.witness, axis=1)
             self.rows_dist[:, cols] = dist.reshape(kept.shape[:2]).T
         if self.rows_agent is not None:
-            self.rows_agent[:, cols] = np.stack(self.agents[:steps])[at].T
+            self.rows_agent[:, cols] = self.agents[at].T
         self._count(steps)
         self.filled = stop
         self.done += steps
-        self.last_x = xs[-1]
+        self.last_x = xs[-1].copy()  # the buffer is refilled
 
     def _count(self, steps):
-        """Count the visits of the next ``steps`` buffered agent batches."""
+        """Count the visits of the next ``steps`` buffered agent batches and
+        move the rest to the front."""
         if self.visits is None or not steps:
             return
         reps, m = self.visits.shape
-        cells = np.stack(self.agents[:steps]) + m * np.arange(reps)
+        cells = self.agents[:steps] + m * np.arange(reps)
         self.visits += np.bincount(cells.ravel(), minlength=reps * m).reshape(reps, m)
-        del self.agents[:steps]
+        rest = self.visited - steps
+        self.agents[:rest] = self.agents[steps:self.visited]
+        self.visited = rest
 
     def _abort(self, reason, replication=None):
         """The abort at the first unrecorded step, ending at its predecessor;

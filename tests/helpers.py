@@ -54,13 +54,15 @@ class CallbackFamily:
 
     ``evaluate(xs)`` gives f at each row of ``xs``; ``subgradient(xs,
     agents)`` gives row r's subgradient of f_{agents[r]}, as the shipped
-    families' ``evaluate_many``/``subgradient_many`` do.
+    families' ``evaluate_many``/``subgradient_many`` do.  ``eval_width``
+    is the width of ``evaluate``'s per-row temporaries, n unless given.
     """
 
-    def __init__(self, n, bounds, evaluate, subgradient):
+    def __init__(self, n, bounds, evaluate, subgradient, eval_width=None):
         self.n = n
         self.bounds = np.asarray(bounds, dtype=float)
         self.m = len(self.bounds)
+        self.eval_width = n if eval_width is None else eval_width
         self.evaluate_many = evaluate
         self.subgradient_many = subgradient
 
@@ -102,5 +104,6 @@ def logging_problem(problem, log):
         return inner.subgradient_many(xs, agents)
 
     return isb.ProblemInstance(
-        CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, logged),
+        CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, logged,
+                       inner.eval_width),
         problem.feasible_set, problem.optimum, problem.name)

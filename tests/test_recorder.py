@@ -13,6 +13,7 @@ import pytest
 
 import incsub as isb
 from helpers import CallbackFamily
+from incsub import trace
 from incsub.streams import init_generator
 from incsub.trace import record_indices
 
@@ -21,6 +22,7 @@ STEPS = 2500
 TAIL = 0.3
 X0 = np.array([1.0, -1.0])
 UNIT = {"markov": "tick", "cyclic": "cycle"}
+NAN_AT = 1300  # the step whose subgradient is NaN in the abort cases
 
 
 def instrumented(problem, log, evaluate=None, subgradient=None):
@@ -34,8 +36,33 @@ def instrumented(problem, log, evaluate=None, subgradient=None):
 
     return isb.ProblemInstance(
         CallbackFamily(inner.n, inner.bounds, evaluate or inner.evaluate_many,
-                       logged),
+                       logged, inner.eval_width),
         problem.feasible_set, problem.optimum, problem.name)
+
+
+def nan_at_step(problem, engine, at):
+    """A subgradient oracle whose result for agent 2 is NaN at step ``at``."""
+    fatal = at - 1 if engine == "markov" else (at - 1) * problem.m + 2
+    calls = []
+
+    def subgradient(rows, agents_):
+        calls.append(None)
+        g = problem.family.subgradient_many(rows, agents_)
+        if len(calls) - 1 == fatal:
+            g[2] = np.nan
+        return g
+
+    return subgradient
+
+
+@pytest.fixture
+def short_flushes(monkeypatch):
+    """A flush budget that puts several flushes inside the horizon."""
+    monkeypatch.setattr(trace, "_FLUSH_ROWS", 1 << 12)
+
+
+def flush_length(problem):
+    return trace.flush_steps(len(SEEDS), problem.family)
 
 
 def run(engine, problem, stride, ring5, steps=STEPS):
@@ -118,14 +145,15 @@ def test_traces_match_per_step_recomputation(engine, stride, quad_m5_box, ring5)
 
 
 @pytest.mark.parametrize("engine", ["markov", "cyclic"])
-def test_tail_minimum_edges_and_flush_starts(engine, quad_m5_box, ring5):
+def test_tail_minimum_edges_and_flush_starts(engine, quad_m5_box, ring5,
+                                             short_flushes):
     # dips in f at the step before the tail (counted by the running minimum
     # only) and at the first step of a flush inside the tail
     xs, _ = clean_run(engine, quad_m5_box, ring5)
-    flush = 2**14 // (len(SEEDS) * quad_m5_box.m)
+    flush = flush_length(quad_m5_box)
     tail_start = STEPS - int(np.floor(STEPS * TAIL))
-    before, at_flush = tail_start - 1, 3 * flush
-    assert tail_start < at_flush <= STEPS
+    before, at_flush = tail_start - 1, flush * (tail_start // flush + 1)
+    assert at_flush >= 3 * flush and tail_start < at_flush <= STEPS
     dips = {before: 2e3, at_flush: 1e3}
 
     def evaluate(rows):
@@ -162,10 +190,12 @@ def assert_abort(info, engine, at, reason, problem, xs, agents, stride):
 @pytest.mark.parametrize("stride", [1, 7])
 @pytest.mark.parametrize("engine", ["markov", "cyclic"])
 def test_infinite_objective_inside_a_flush_aborts_there(engine, stride,
-                                                        quad_m5_box, ring5):
+                                                        quad_m5_box, ring5,
+                                                        short_flushes):
     xs, agents = clean_run(engine, quad_m5_box, ring5)
-    flush = 2**14 // (len(SEEDS) * quad_m5_box.m)
+    flush = flush_length(quad_m5_box)
     at, bad_rep = flush + 100, 1  # in the middle of the second flush
+    assert at < 2 * flush and 3 * flush <= STEPS
     bad = xs[at, bad_rep]
     assert not (xs[:at] == bad).all(axis=-1).any()
 
@@ -184,18 +214,8 @@ def test_infinite_objective_inside_a_flush_aborts_there(engine, stride,
 @pytest.mark.parametrize("engine", ["markov", "cyclic"])
 def test_nan_subgradient_aborts_at_its_step(engine, stride, quad_m5_box, ring5):
     xs, agents = clean_run(engine, quad_m5_box, ring5)
-    at = 1300
-    m = quad_m5_box.m
-    fatal = at - 1 if engine == "markov" else (at - 1) * m + 2  # agent 2
-    calls = []
-
-    def subgradient(rows, agents_):
-        calls.append(None)
-        g = quad_m5_box.family.subgradient_many(rows, agents_)
-        if len(calls) - 1 == fatal:
-            g[2] = np.nan
-        return g
-
+    at = NAN_AT
+    subgradient = nan_at_step(quad_m5_box, engine, at)
     with pytest.raises(isb.NonFiniteError) as info:
         run(engine, instrumented(quad_m5_box, [], subgradient=subgradient),
             stride, ring5)
@@ -229,3 +249,65 @@ def test_nonfinite_objective_at_the_initial_point(engine, stride, quad_m5_box,
         if engine == "markov":
             first = min(int(init_generator(seed).random() * 5), 4)
             assert tr.meta["visit_counts"] == np.eye(5, dtype=int)[first].tolist()
+
+
+def outcome(engine, problem, stride, ring5, evaluate=None, subgradient=None):
+    """The traces, the abort message or None, and the rows per f call."""
+    rows = []
+    inner = evaluate or problem.family.evaluate_many
+
+    def counted(xs):
+        rows.append(len(xs))
+        return inner(xs)
+
+    instr = instrumented(problem, [], evaluate=counted, subgradient=subgradient)
+    try:
+        return run(engine, instr, stride, ring5), None, rows
+    except isb.NonFiniteError as err:
+        return err.partial_traces, str(err), rows
+
+
+def trace_bits(tr):
+    cols = (tr.ks, tr.agents, tr.f_vals, tr.dists, tr.running_inf, tr.alphas)
+    return [None if col is None else col.tobytes() for col in cols], tr.meta
+
+
+@pytest.mark.parametrize("abort", [None, "subgradient", "objective"])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("engine", ["markov", "cyclic"])
+def test_traces_do_not_depend_on_the_flush_length(engine, stride, abort,
+                                                  quad_m5_box, ring5,
+                                                  monkeypatch):
+    # 1 step, 7 steps and the family's default per flush; an infinite
+    # objective at the first step of a 7-step flush, a NaN subgradient at
+    # NAN_AT, both inside a default flush
+    inf_at = 7 * 186
+    evaluate = None
+    if abort == "objective":
+        xs, _ = clean_run(engine, quad_m5_box, ring5)
+        bad = xs[inf_at, 1]
+
+        def evaluate(rows):
+            vals = quad_m5_box.family.evaluate_many(rows)
+            return np.where((rows == bad).all(axis=1), np.inf, vals)
+
+    width = len(SEEDS) * quad_m5_box.family.eval_width
+    default = trace._FLUSH_ROWS
+    last = NAN_AT if abort == "subgradient" else STEPS  # last step flushed
+    results = []
+    for budget, steps in ((width, 1), (7 * width, 7), (default, default // width)):
+        monkeypatch.setattr(trace, "_FLUSH_ROWS", budget)
+        subgradient = (nan_at_step(quad_m5_box, engine, NAN_AT)
+                       if abort == "subgradient" else None)
+        traces, message, rows = outcome(engine, quad_m5_box, stride, ring5,
+                                        evaluate, subgradient)
+        assert max(rows) == min(steps, last) * len(SEEDS)
+        assert (message is None) == (abort is None)
+        results.append((message, [trace_bits(tr) for tr in traces]))
+    assert results[0] == results[1] == results[2]
+    metas = [meta for _, meta in results[0][1]]
+    if abort is None:
+        assert all("tail_min" in meta for meta in metas)
+    else:
+        assert {meta["aborted_at"] for meta in metas} == {
+            inf_at if abort == "objective" else NAN_AT}

@@ -279,6 +279,29 @@ def test_default_chunks_walk_like_per_tick_builds(scheme):
     _chunked_walk(isb.ChainOrder(topology, scheme), [140], list(range(5)))
 
 
+@pytest.mark.parametrize("kind", ["static", "random_edges"])
+def test_walk_clamps_above_a_row_total_below_one(kind):
+    # `equal` on the complete graph with m = 10 has rows whose cumulative
+    # sum ends at 1 - 2**-53; a uniform of 1 - 2**-53 lies at or above every
+    # cumulative entry of such a row, and the walk still hands off to agent
+    # 9, as the reference does
+    m, u = 10, 1.0 - 2.0**-53
+    params = ({"graph": "complete"} if kind == "static"
+              else {"base": "complete", "inclusion_prob": 1.0, "seed": 2})
+    order = isb.ChainOrder(isb.make_topology(kind, m, **params),
+                           isb.EqualProbability())
+    ticks = 3
+    for k in range(ticks):
+        cum = order.transition(k)[1]
+        assert (cum[:, -1] == u).any()
+        assert [reference.next_from_uniform(row, u) for row in cum] == [m - 1] * m
+    with mock.patch.object(markov, "chain_uniform_block",
+                           lambda seed, block: np.full(BLOCK, u)):
+        plan, agents = order.block(0, ticks, list(range(m)), np.arange(m))
+    assert [step[0].tolist() for step in plan] == [[m - 1] * m] * ticks
+    assert agents.tolist() == [m - 1] * m
+
+
 class TestStackedValidation:
     """A stack raises the message of its first failing tick's first failing
     check, the same message that tick raises alone."""
