@@ -16,7 +16,7 @@ from .version import __version__
 from .errors import (CertificateError, ConfigError, DimensionMismatchError,
                      IncsubError, NonFiniteError, SchemeViolationError,
                      TopologyError)
-from .sets import Ball, Box, Simplex, project
+from .sets import Ball, Box, Simplex
 from .schedules import Constant, PowerLaw
 from .noise import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
                     NoNoise)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,9 +29,6 @@ class RateConstants:
 
     b: float
     beta: float
-    eta: Optional[float] = None
-    m: Optional[int] = None
-    window: Optional[int] = None
 
     def __post_init__(self):
         if not (self.b >= 1.0 and 0.0 <= self.beta < 1.0):
@@ -55,7 +51,7 @@ def rate_constants(eta, m, Q):
     if Q < 1 or int(Q) != Q:
         raise ValueError(f"Q must be a positive integer, got {Q}")
     base = 1.0 - eta / (4.0 * m * m)
-    return RateConstants(base**-2, base ** (1.0 / Q), float(eta), int(m), int(Q))
+    return RateConstants(base**-2, base ** (1.0 / Q))
 
 
 def phi_product(matrices):
@@ -105,7 +101,7 @@ class BoundReport:
                 "terms": dict(self.terms), "params": dict(self.params)}
 
 
-def _common_checks(alpha, c_bounds, mu, nu, m, diameter, bounded=True):
+def _common_checks(alpha, c_bounds, mu, nu, diameter, bounded=True):
     """The agent count, max C_i and sum C_i, after the checks every bound
     shares; ``bounded`` requires a finite diameter."""
     c_bounds = np.asarray(c_bounds, dtype=float)
@@ -115,32 +111,29 @@ def _common_checks(alpha, c_bounds, mu, nu, m, diameter, bounded=True):
         raise ValueError(f"step-size must be positive, got {alpha}")
     if mu < 0 or nu < 0 or mu > nu:
         raise ValueError(f"need 0 <= mu <= nu, got mu={mu}, nu={nu}")
-    if m is not None and int(m) != len(c_bounds):
-        raise ValueError(f"m={m} disagrees with {len(c_bounds)} bounds")
     if bounded and (diameter is None or not math.isfinite(diameter)):
         raise ValueError("this bound needs a bounded set: finite diameter required")
     return len(c_bounds), float(c_bounds.max()), float(c_bounds.sum())
 
 
-def cyclic_bound(alpha, c_bounds, mu, nu, diameter=None, m=None):
+def cyclic_bound(alpha, c_bounds, mu, nu, diameter=None):
     """Constant-step gap for the ring-order method.
 
     gap = m * mu * diameter + (alpha / 2) (sum C_i + m nu)^2.  The bias
     term requires a finite diameter; with mu = 0 it vanishes exactly and
     no diameter is needed (the zero-mean form of the bound).
     """
-    m_agents, _, c_sum = _common_checks(alpha, c_bounds, mu, nu, m, diameter,
-                                        bounded=mu > 0)
-    bias = m_agents * mu * diameter if mu > 0 else 0.0
-    step = 0.5 * alpha * (c_sum + m_agents * nu) ** 2
+    m, _, c_sum = _common_checks(alpha, c_bounds, mu, nu, diameter, bounded=mu > 0)
+    bias = m * mu * diameter if mu > 0 else 0.0
+    step = 0.5 * alpha * (c_sum + m * nu) ** 2
     terms = {"bias": bias, "step": step}
     return BoundReport(bias + step, terms,
-                       {"alpha": alpha, "m": m_agents, "mu": mu, "nu": nu,
+                       {"alpha": alpha, "m": m, "mu": mu, "nu": nu,
                         "diameter": diameter, "c_sum": c_sum},
                        "cyclic_constant_step")
 
 
-def markov_bound(alpha, c_bounds, mu, nu, diameter, rate, T, m=None):
+def markov_bound(alpha, c_bounds, mu, nu, diameter, rate, T):
     """Constant-step gap for the randomized-order method at window T.
 
     gap = mu * diam + (alpha/2)(nu + C)^2 + alpha T C (C + nu)
@@ -149,7 +142,7 @@ def markov_bound(alpha, c_bounds, mu, nu, diameter, rate, T, m=None):
     The window term grows linearly in T while the mixing term decays
     geometrically; :func:`optimal_window` trades them off.
     """
-    m_agents, c_max, c_sum = _common_checks(alpha, c_bounds, mu, nu, m, diameter)
+    m, c_max, c_sum = _common_checks(alpha, c_bounds, mu, nu, diameter)
     if T < 0 or int(T) != T:
         raise ValueError(f"window T must be a nonnegative integer, got {T}")
     bias = mu * diameter
@@ -158,7 +151,7 @@ def markov_bound(alpha, c_bounds, mu, nu, diameter, rate, T, m=None):
     mixing = rate.b * c_sum * rate.beta ** (T + 1) * diameter
     terms = {"bias": bias, "step": step, "window": window, "mixing": mixing}
     return BoundReport(bias + step + window + mixing, terms,
-                       {"alpha": alpha, "m": m_agents, "mu": mu, "nu": nu,
+                       {"alpha": alpha, "m": m, "mu": mu, "nu": nu,
                         "diameter": diameter, "T": int(T), "b": rate.b,
                         "beta": rate.beta, "c_max": c_max, "c_sum": c_sum},
                        "markov_constant_step")
@@ -176,7 +169,6 @@ class OptimalWindow:
 
     T: int
     formula_T: int
-    clamped: bool
     discrepancy: bool
 
 
@@ -194,7 +186,7 @@ def optimal_window(alpha, c_effective, c0, beta):
     beta = 0 is the uniform chain: the mixing term vanishes and T = 0.
     """
     if beta == 0.0:
-        return OptimalWindow(0, 0, False, False)
+        return OptimalWindow(0, 0, False)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be 0 or in (0, 1), got {beta}")
     if not (alpha > 0 and c_effective > 0 and c0 > 0):
@@ -205,7 +197,6 @@ def optimal_window(alpha, c_effective, c0, beta):
         raw = 0
     else:
         raw = math.ceil(math.log(ratio) / math.log(beta)) - 1
-    clamped = raw < 0
     formula = max(raw, 0)
 
     t = formula
@@ -214,7 +205,7 @@ def optimal_window(alpha, c_effective, c0, beta):
         t -= 1
     while g(t + 1) < g(t):
         t += 1
-    return OptimalWindow(t, formula, clamped, t != formula)
+    return OptimalWindow(t, formula, t != formula)
 
 
 def delta_window(alpha, beta):
@@ -228,7 +219,7 @@ def delta_window(alpha, beta):
     return math.ceil(math.log(alpha) / math.log(beta)) - 1
 
 
-def simple_delta_bound(alpha, c_bounds, mu, nu, diameter, rate, m=None):
+def simple_delta_bound(alpha, c_bounds, mu, nu, diameter, rate):
     """Topology-light gap using the window delta(alpha, beta).
 
     Choosing T = delta(alpha, beta) makes beta^(T+1) <= alpha, which turns
@@ -237,7 +228,7 @@ def simple_delta_bound(alpha, c_bounds, mu, nu, diameter, rate, m=None):
 
     gap = mu * diam + alpha [ (1/2)(nu+C)^2 + C(C+nu) delta + b (sum C_i) diam ].
     """
-    m_agents, c_max, c_sum = _common_checks(alpha, c_bounds, mu, nu, m, diameter)
+    m, c_max, c_sum = _common_checks(alpha, c_bounds, mu, nu, diameter)
     delta = delta_window(alpha, rate.beta)
     bias = mu * diameter
     step = 0.5 * alpha * (nu + c_max) ** 2
@@ -245,7 +236,7 @@ def simple_delta_bound(alpha, c_bounds, mu, nu, diameter, rate, m=None):
     mixing = alpha * rate.b * c_sum * diameter
     terms = {"bias": bias, "step": step, "window": window, "mixing": mixing}
     return BoundReport(bias + step + window + mixing, terms,
-                       {"alpha": alpha, "m": m_agents, "mu": mu, "nu": nu,
+                       {"alpha": alpha, "m": m, "mu": mu, "nu": nu,
                         "diameter": diameter, "delta": int(delta),
                         "b": rate.b, "beta": rate.beta,
                         "c_max": c_max, "c_sum": c_sum},

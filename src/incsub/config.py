@@ -95,17 +95,8 @@ _MARKOV_ONLY = ("topology", "scheme", "s0")
 _TOP_LEVEL_KEYS = {"algorithm", "problem", "schedule", "noise", "horizon",
                    "replications", "seed", "out", "stride", "topology",
                    "scheme", "s0", "x0", "tail_fraction", "verify", "compare"}
-# Entries each section may hold, over all of its kinds; ``problem`` is
-# checked per fixture by ``build_problem``.
-_SECTION_KEYS = {
-    "schedule": {"kind", "alpha", "a", "p"},
-    "noise": {"kind", "sigma", "bias", "radius"},
-    "topology": {"kind", "graph", "edges", "phases", "window", "base",
-                 "inclusion_prob", "seed"},
-    "scheme": {"kind", "weights", "weight"},
-    "verify": {"slack_rel", "slack_abs", "min_pass_fraction"},
-    "compare": {"alphas", "Ts"},
-}
+# every verify entry and its default; each is a nonnegative number
+_VERIFY_DEFAULTS = {"slack_rel": 0.02, "slack_abs": 0.0, "min_pass_fraction": 1.0}
 
 
 @dataclass(frozen=True)
@@ -126,7 +117,7 @@ class ExperimentConfig:
     s0: object = "uniform"
     x0: object = "auto"
     tail_fraction: float = 0.1
-    verify: dict = field(default_factory=dict)
+    verify: dict = field(default_factory=lambda: dict(_VERIFY_DEFAULTS))
     compare: Optional[dict] = None
     flat: dict = field(default_factory=dict)
 
@@ -137,9 +128,8 @@ class ExperimentConfig:
             flat.update({k: v for k, v in overrides.items() if v is not None})
         nested = _nest(flat)
         _check_keys(nested, None, _TOP_LEVEL_KEYS)
-        for section, keys in _SECTION_KEYS.items():
-            if section in nested:
-                _check_keys(nested[section], section, keys)
+        if "compare" in nested:
+            _check_keys(nested["compare"], "compare", {"alphas", "Ts"})
 
         algorithm = nested.get("algorithm")
         if algorithm not in ("cyclic", "markov"):
@@ -162,6 +152,13 @@ class ExperimentConfig:
         tail = _number(nested, None, "tail_fraction", 0.1)
         if not 0.0 < tail <= 1.0:
             raise ConfigError(f"must be in (0, 1], got {tail}", field="tail_fraction")
+        verify = nested.get("verify", {})
+        _check_keys(verify, "verify", _VERIFY_DEFAULTS)
+        verify = {key: _number(verify, "verify", key, default, minimum=0.0)
+                  for key, default in _VERIFY_DEFAULTS.items()}
+        if not verify["min_pass_fraction"] <= 1.0:
+            raise ConfigError(f"must be in [0, 1], got {verify['min_pass_fraction']}",
+                              field="verify.min_pass_fraction")
         s0 = nested.get("s0", "uniform")
         if s0 != "uniform":
             s0 = _number(nested, None, "s0", minimum=0, kind=int)
@@ -177,7 +174,7 @@ class ExperimentConfig:
                    out_dir=out_dir, stride=stride,
                    topology=nested.get("topology"), scheme=nested.get("scheme"),
                    s0=s0, x0=nested.get("x0", "auto"),
-                   tail_fraction=tail, verify=nested.get("verify", {}),
+                   tail_fraction=tail, verify=verify,
                    compare=nested.get("compare"), flat=flat)
 
     def hash(self):
@@ -236,6 +233,19 @@ def _check_keys(spec, section, allowed):
                               field=key if section is None else f"{section}.{key}")
 
 
+def _kind(spec, section, table, what, key="kind", default=None):
+    """The kind of ``spec``, its ``key`` entry (``default`` when absent),
+    after checking that ``table`` has that kind and that ``spec`` holds
+    only entries of ``table[kind]``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"expected an object, got {spec!r}", field=section)
+    kind = spec.get(key, default)
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {what} {kind!r}", field=f"{section}.{key}")
+    _check_keys(spec, section, table[kind])
+    return kind
+
+
 def _construct(section, cls, *args, **kwargs):
     """``cls(*args, **kwargs)``, with its range checks as ConfigErrors."""
     try:
@@ -250,10 +260,7 @@ _SET_KEYS = {"box": {"kind", "lower", "upper"},
 
 
 def build_set(spec, default_dim=None):
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in _SET_KEYS:
-        raise ConfigError(f"unknown set kind {kind!r}", field="problem.set.kind")
-    _check_keys(spec, "problem.set", _SET_KEYS[kind])
+    kind = _kind(spec, "problem.set", _SET_KEYS, "set kind")
 
     def vector(key, default=_MISSING):
         field = f"problem.set.{key}"
@@ -303,10 +310,7 @@ _UTILITY_KEYS = {"log": {"kind", "weight"}, "sqrt": {"kind", "floor"},
 
 
 def _utility(spec, section):
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in _UTILITY_KEYS:
-        raise ConfigError(f"unknown utility kind {kind!r}", field=f"{section}.kind")
-    _check_keys(spec, section, _UTILITY_KEYS[kind])
+    kind = _kind(spec, section, _UTILITY_KEYS, "utility kind")
     if kind == "log":
         return _construct(section, LogUtility, _number(spec, section, "weight", 1.0))
     if kind == "sqrt":
@@ -331,10 +335,7 @@ def build_problem(spec):
 
 
 def _fixture(spec):
-    fixture = spec.get("fixture")
-    if fixture not in _FIXTURE_KEYS:
-        raise ConfigError(f"unknown fixture {fixture!r}", field="problem.fixture")
-    _check_keys(spec, "problem", _FIXTURE_KEYS[fixture])
+    fixture = _kind(spec, "problem", _FIXTURE_KEYS, "fixture", key="fixture")
     if fixture == "quadratic":
         m = _number(spec, "problem", "m", 1, minimum=1, kind=int)
         n = _number(spec, "problem", "n", 1, minimum=1, kind=int)
@@ -384,20 +385,34 @@ def _fixture(spec):
                       grid_resolution=_grid_resolution(spec, 1e-3))
 
 
+# The entries each kind of the schedule, noise, topology and scheme sections
+# may hold; an entry its kind does not use is a ConfigError.
+_SCHEDULE_KEYS = {"constant": {"kind", "alpha"}, "powerlaw": {"kind", "a", "p"}}
+_NOISE_KEYS = {"none": {"kind"}, "gaussian": {"kind", "sigma"},
+               "biased_gaussian": {"kind", "bias", "sigma"},
+               "bounded_uniform": {"kind", "radius"}}
+_GRAPHS = ("ring", "path", "complete")
+_TOPOLOGY_KEYS = {
+    **{graph: {"kind"} for graph in _GRAPHS},
+    "static": {"kind", "graph", "edges"},
+    "periodic": {"kind", "phases", "window"},
+    "random_edges": {"kind", "base", "graph", "inclusion_prob", "window", "seed"},
+}
+_SCHEME_KEYS = {"equal": {"kind"}, "min_equal": {"kind"},
+                "weighted_mh": {"kind", "weight", "weights"}}
+
+
 def build_schedule(spec):
-    kind = spec.get("kind")
-    if kind == "constant":
+    if _kind(spec, "schedule", _SCHEDULE_KEYS, "schedule kind") == "constant":
         return _construct("schedule.alpha", Constant,
                           _number(spec, "schedule", "alpha"))
-    if kind == "powerlaw":
-        return _construct("schedule", PowerLaw,
-                          _number(spec, "schedule", "a", 1.0),
-                          _number(spec, "schedule", "p", 1.0))
-    raise ConfigError(f"unknown schedule kind {kind!r}", field="schedule.kind")
+    return _construct("schedule", PowerLaw,
+                      _number(spec, "schedule", "a", 1.0),
+                      _number(spec, "schedule", "p", 1.0))
 
 
 def build_noise(spec):
-    kind = spec.get("kind", "none")
+    kind = _kind(spec, "noise", _NOISE_KEYS, "noise kind", default="none")
 
     def level(key):  # noise magnitudes are nonnegative
         return _number(spec, "noise", key, minimum=0.0)
@@ -408,16 +423,11 @@ def build_noise(spec):
         return GaussianNoise(level("sigma"))
     if kind == "biased_gaussian":
         return BiasedGaussianNoise(level("bias"), level("sigma"))
-    if kind == "bounded_uniform":
-        return BoundedUniformNoise(level("radius"))
-    raise ConfigError(f"unknown noise kind {kind!r}", field="noise.kind")
-
-
-_GRAPHS = ("ring", "path", "complete")
+    return BoundedUniformNoise(level("radius"))
 
 
 def build_topology(spec, m):
-    kind = spec.get("kind")
+    kind = _kind(spec, "topology", _TOPOLOGY_KEYS, "topology kind")
     if kind in _GRAPHS:
         return make_topology("static", m, graph=kind)
     if kind == "periodic" and "phases" not in spec:
@@ -438,9 +448,10 @@ def build_topology(spec, m):
 
 
 def build_scheme(spec):
+    kind = _kind(spec, "scheme", _SCHEME_KEYS, "scheme kind")
     params = {k: v for k, v in spec.items() if k != "kind"}
     try:
-        return make_scheme(spec.get("kind"), **params)
+        return make_scheme(kind, **params)
     except (TypeError, ValueError) as exc:  # non-numeric weights
         raise ConfigError(str(exc), field="scheme") from None
 

@@ -31,7 +31,7 @@ from .config import (_number, build_noise, build_problem, build_schedule,
 from .cyclic import RingOrder
 from .engine import run_batch
 from .errors import ConfigError, NonFiniteError
-from .markov import ChainOrder, topology_eta
+from .markov import ChainOrder, build_transition, topology_eta
 from .schedules import Constant
 from .trace import RunTrace, fmt_float
 from .version import __version__
@@ -139,13 +139,15 @@ def _rows_before(trace, step):
         trace.dists)], meta=dict(trace.meta, aborted_at=step))
 
 
-def _effective_rate(order, m):
-    """Envelope constants; an exactly uniform static chain mixes in one step."""
+def _effective_rate(order):
+    """Envelope constants; an exactly uniform static chain (every entry
+    within 1e-12 of 1/m) mixes in one step."""
     topology = order.topology
-    if topology.period == 1 and np.allclose(order.transition(0)[0], 1.0 / m,
-                                            atol=1e-12):
+    if topology.period == 1 and np.allclose(order.matrices[0], 1.0 / topology.m,
+                                            rtol=0, atol=1e-12):
         return RateConstants.uniform()
-    return rate_constants(topology_eta(order.scheme, topology), m, topology.window)
+    return rate_constants(topology_eta(order.scheme, topology), topology.m,
+                          topology.window)
 
 
 def _check_finite(terms, field="problem.set",
@@ -173,8 +175,6 @@ class BoundInputs:
     mu: float
     nu: float
     c_bounds: np.ndarray
-    c_max: float
-    c_sum: float
     diameter: float
     rate: Optional[RateConstants] = None
     c0: Optional[float] = None
@@ -208,11 +208,11 @@ def bound_inputs(run):
     if isinstance(run.order, RingOrder):
         wide = c_sum + problem.m * nu
         _check_finite([("(C_sum + m nu)^2", wide * wide)])
-        return BoundInputs(mu, nu, c_bounds, c_max, c_sum, diameter)
-    rate = _effective_rate(run.order, problem.m)
+        return BoundInputs(mu, nu, c_bounds, diameter)
+    rate = _effective_rate(run.order)
     c0 = rate.b * c_sum * diameter
     _check_finite([("(C_max + nu)^2", (c_max + nu) * (c_max + nu)), ("c0", c0)])
-    return BoundInputs(mu, nu, c_bounds, c_max, c_sum, diameter, rate, c0,
+    return BoundInputs(mu, nu, c_bounds, diameter, rate, c0,
                        math.sqrt(c_max * (c_max + nu)))
 
 
@@ -258,10 +258,8 @@ def _summarize(config, traces, reports):
             entry["visit_counts"] = tr.meta["visit_counts"]
         per_seed.append(entry)
 
-    verify_cfg = config.verify
-    slack_rel = float(verify_cfg.get("slack_rel", 0.02))
-    slack_abs = float(verify_cfg.get("slack_abs", 0.0))
-    min_fraction = float(verify_cfg.get("min_pass_fraction", 1.0))
+    verify = config.verify
+    slack_rel, slack_abs = verify["slack_rel"], verify["slack_abs"]
     bound_rows = []
     all_pass = True
     for report in reports:
@@ -272,7 +270,8 @@ def _summarize(config, traces, reports):
                                              slack_abs=slack_abs)
                     for tr in traces]
         agg = aggregate_verdicts(verdicts)
-        ok = agg["fraction"] is not None and agg["fraction"] >= min_fraction
+        ok = (agg["fraction"] is not None
+              and agg["fraction"] >= verify["min_pass_fraction"])
         all_pass = all_pass and ok
         bound_rows.append({"report": report.to_json_dict(),
                            "verdicts": agg, "pass": ok})
@@ -287,8 +286,7 @@ def _summarize(config, traces, reports):
         "f_star": f_star,
         "per_seed": per_seed,
         "bounds": bound_rows,
-        "verify": {"slack_rel": slack_rel, "slack_abs": slack_abs,
-                   "min_pass_fraction": min_fraction},
+        "verify": dict(verify),
         "bounds_all_pass": all_pass if bound_rows else None,
     }
     return summary
@@ -338,9 +336,10 @@ def validate_only(config):
     transitions of its first ticks."""
     run = build_run(config)
     bound_reports(run)
-    if isinstance(run.order, ChainOrder) and run.order.topology.period is None:
-        for k in range(min(max(config.horizon, 1), 4 * run.order.topology.window)):
-            run.order.transition(k)
+    order = run.order
+    if isinstance(order, ChainOrder) and order.topology.period is None:
+        ticks = min(max(config.horizon, 1), 4 * order.topology.window)
+        build_transition(order.scheme, order.topology.adjacencies(0, ticks))
     return run.problem
 
 

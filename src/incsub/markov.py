@@ -279,13 +279,6 @@ class TransitionMatrix:
     entries: np.ndarray
     eta: object
 
-    @property
-    def m(self):
-        return self.entries.shape[-1]
-
-    def cumulative(self):
-        return np.cumsum(self.entries, axis=-1)
-
 
 def _like(one, a):
     """The numbers ``a`` in the number type of ``one``."""
@@ -491,13 +484,20 @@ def build_transition(scheme, adj):
 _CHUNK_ENTRIES = 1 << 16
 
 
+def _cumulative_columns(p):
+    """The first m - 1 cumulative columns of each row of the matrices ``p``,
+    as a new C-contiguous array."""
+    return np.cumsum(p[..., :-1], axis=-1)
+
+
 class ChainOrder:
     """One agent per tick, handed off along the chain ``scheme`` builds on
     ``topology``, from agent ``s0`` or, for ``"uniform"``, one drawn per
-    replication.  A topology with a period has its distinct matrices built,
-    validated and cached before any tick.  A random one has each block's
-    matrices built, validated and cumulated as (T, m, m) stacks, one chunk
-    of ``max(1, 2**16 // m**2)`` ticks at a time.
+    replication.  A topology with a period has its distinct matrices built
+    and validated before any tick, kept read-only as the (period, m, m)
+    stack ``matrices`` (None without a period).  A random one has each
+    block's matrices built, validated and cumulated as (T, m, m) stacks, one
+    chunk of ``max(1, 2**16 // m**2)`` ticks at a time.
 
     The walk reads only the first m - 1 cumulative columns of each matrix,
     kept as a C-contiguous copy: the next agent is how many of them are at
@@ -517,29 +517,20 @@ class ChainOrder:
         self.topology = topology
         self.scheme = scheme
         self.s0 = s0
-        self._cache = None  # (P, cumP) of each tick of one period
-        self._walk = None   # the walk's columns of each tick of one period
+        self.matrices = None
+        self._walk = None  # the walk's columns of each tick of one period
         if topology.period:
-            tm = build_transition(scheme, np.array(
-                [topology.adjacency(k) for k in range(topology.period)]))
-            cum = tm.cumulative()
-            self._cache = list(zip(_frozen(tm.entries), _frozen(cum)))
-            self._walk = list(_frozen(np.ascontiguousarray(cum[..., :-1])))
-
-    def transition(self, k):
-        """The validated (P, cumP) of tick k."""
-        if self._cache is not None:
-            return self._cache[k % self.topology.period]
-        tm = build_transition(self.scheme, self.topology.adjacency(k))
-        return tm.entries, tm.cumulative()
+            self.matrices = _frozen(build_transition(scheme, np.array(
+                [topology.adjacency(k) for k in range(topology.period)])).entries)
+            self._walk = list(_frozen(_cumulative_columns(self.matrices)))
 
     def _walk_columns(self, start, count):
         """The walk's columns of each tick start, ..., start + count - 1."""
         if self._walk is not None:
             period = self.topology.period
             return [self._walk[k % period] for k in range(start, start + count)]
-        tm = build_transition(self.scheme, self.topology.adjacencies(start, count))
-        return np.cumsum(tm.entries[..., :-1], axis=-1)  # a new C-contiguous stack
+        return _cumulative_columns(build_transition(
+            self.scheme, self.topology.adjacencies(start, count)).entries)
 
     def start(self, m, seeds):
         if self.topology.m != m:

@@ -38,9 +38,9 @@ def _seq_at(value: Sequence, k):
 
 
 def _seq_block(value: Sequence, start: int, count: int) -> np.ndarray:
-    if callable(value):
-        return np.array([float(value(k)) for k in range(start, start + count)])
-    return np.full(count, float(value))
+    """The sequence at iterations start, ..., start + count - 1."""
+    k = np.arange(start, start + count)
+    return np.broadcast_to(_seq_at(value, k), k.shape)
 
 
 class NoNoise:
@@ -52,9 +52,7 @@ class NoNoise:
     def rms_bound(self, k, dim):
         return 0.0
 
-    @property
-    def is_zero(self):
-        return True
+    is_zero = True
 
     def sample_block(self, seed, block, agents, dim):
         return None  # engines skip the add entirely
@@ -69,6 +67,7 @@ class GaussianNoise:
     """
 
     sigma: Sequence
+    is_zero = False
 
     def mean_bound(self, k):
         return 0.0
@@ -76,18 +75,10 @@ class GaussianNoise:
     def rms_bound(self, k, dim):
         return _seq_at(self.sigma, k) * float(np.sqrt(dim))
 
-    @property
-    def is_zero(self):
-        return False
-
     def sample_block(self, seed, block, agents, dim):
         gen = block_generator(seed, DOMAIN_NOISE, block)
         eps = gen.standard_normal((BLOCK, agents, dim))
-        start = block * BLOCK + 1
-        if callable(self.sigma):
-            eps *= _seq_block(self.sigma, start, BLOCK)[:, None, None]
-        else:
-            eps *= float(self.sigma)
+        eps *= _seq_block(self.sigma, block * BLOCK + 1, BLOCK)[:, None, None]
         return eps
 
 
@@ -102,6 +93,7 @@ class BiasedGaussianNoise:
 
     bias: Sequence
     sigma: Sequence
+    is_zero = False
 
     def mean_bound(self, k):
         return _seq_at(self.bias, k)
@@ -112,23 +104,13 @@ class BiasedGaussianNoise:
         rms = np.sqrt(b * b + dim * s * s)
         return rms if np.ndim(rms) else float(rms)
 
-    @property
-    def is_zero(self):
-        return False
-
     def _direction(self, dim):
         return np.full(dim, 1.0 / np.sqrt(dim))
 
     def sample_block(self, seed, block, agents, dim):
-        gen = block_generator(seed, DOMAIN_NOISE, block)
-        eps = gen.standard_normal((BLOCK, agents, dim))
-        start = block * BLOCK + 1
-        if callable(self.sigma):
-            eps *= _seq_block(self.sigma, start, BLOCK)[:, None, None]
-        else:
-            eps *= float(self.sigma)
-        shift = _seq_block(self.bias, start, BLOCK)[:, None, None] * self._direction(dim)
-        eps += shift
+        eps = GaussianNoise(self.sigma).sample_block(seed, block, agents, dim)
+        eps += (_seq_block(self.bias, block * BLOCK + 1, BLOCK)[:, None, None]
+                * self._direction(dim))
         return eps
 
 
@@ -141,16 +123,13 @@ class BoundedUniformNoise:
     """
 
     radius: Sequence
+    is_zero = False
 
     def mean_bound(self, k):
         return 0.0
 
     def rms_bound(self, k, dim):
         return _seq_at(self.radius, k)
-
-    @property
-    def is_zero(self):
-        return False
 
     def sample_block(self, seed, block, agents, dim):
         gen = block_generator(seed, DOMAIN_NOISE, block)

@@ -169,15 +169,6 @@ class Simplex:
         return self.scale * g / g.sum(axis=1, keepdims=True)
 
 
-def project(feasible_set, x):
-    """Euclidean projection of a single point onto the set.
-
-    Idempotent, and returns ``x`` unchanged (up to float identity of the
-    closed-form formulas) when ``x`` already lies in the set.
-    """
-    return feasible_set.project_many(np.asarray(x, dtype=float))
-
-
 def coordinate_range(feasible_set, j):
     """Range [lo, hi] of coordinate j over the set (used for 1-d utilities)."""
     if isinstance(feasible_set, Box):

@@ -1,17 +1,22 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from incsub import ExperimentConfig
+import incsub.harness as hz
+from incsub import (EqualProbability, ExperimentConfig, RateConstants,
+                    build_transition, rate_constants, topology_eta)
 from incsub.cli import main as cli_main
 from incsub.config import parse_config_text
-from incsub.errors import ConfigError
-from incsub.harness import (_supremum, bound_reports, build_run, compare_bounds,
-                            run_experiment, validate_only)
+from incsub.errors import ConfigError, SchemeViolationError
+from incsub.harness import (_supremum, bound_inputs, bound_reports, build_run,
+                            compare_bounds, run_experiment, validate_only)
 from incsub.noise import BiasedGaussianNoise, GaussianNoise
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CYCLIC_CFG = """
 algorithm = cyclic
@@ -153,6 +158,7 @@ class TestRunExperiment:
         flat.update({"topology.kind": "complete", "noise.kind": "none",
                      "horizon": 500, "replications": 2,
                      "out": str(tmp_path / "uniform")})
+        del flat["noise.sigma"]
         config = ExperimentConfig.from_flat(flat)
         summary, _ = run_experiment(config)
         t0 = next(b["report"] for b in summary["bounds"]
@@ -162,6 +168,25 @@ class TestRunExperiment:
         # error-free uniform-chain gap collapses to (alpha/2) C^2
         c_max = t0["params"]["c_max"]
         assert t0["gap"] == pytest.approx(0.5 * 0.02 * c_max**2)
+
+    @pytest.mark.parametrize("scheme, uniform", [
+        ({"scheme.kind": "equal"}, True),
+        ({"scheme.kind": "min_equal"}, True),
+        ({"scheme.kind": "weighted_mh", "scheme.weight": 0.8}, True),
+        ({"scheme.kind": "weighted_mh", "scheme.weight": 0.8000001}, False),
+    ], ids=["equal", "min_equal", "weight_0.8", "weight_0.8000001"])
+    def test_only_a_uniform_chain_skips_the_mixing_term(self, scheme, uniform):
+        # on the complete graph with m = 5, weight 0.8000001 puts every
+        # entry within 1.0e-7 of 1/m: inside numpy's default relative
+        # tolerance of 1e-5, outside the absolute 1e-12 of a uniform chain
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update({"topology.kind": "complete", **scheme})
+        run = build_run(ExperimentConfig.from_flat(flat))
+        deviation = np.abs(run.order.matrices[0] - 0.2).max()
+        assert (deviation <= 1e-12) == uniform
+        expected = (RateConstants.uniform() if uniform else rate_constants(
+            topology_eta(run.order.scheme, run.order.topology), 5, 1))
+        assert bound_inputs(run).rate == expected
 
     def test_partial_outputs_written_on_abort(self, tmp_path, monkeypatch):
         import incsub.harness as hz
@@ -316,6 +341,66 @@ class TestCli:
         assert (out_a / "trace_0.csv").read_text() != \
             (out_b / "trace_0.csv").read_text()
 
+    def test_readme_example_config_validates(self, capsys):
+        path = ROOT / "examples" / "markov_ring_m5.cfg"
+        text = path.read_text()
+        assert f"```\n{text}```\n" in (ROOT / "README.md").read_text()
+        assert cli_main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == \
+            "ok: quadratic_m5_n2 validates (markov, horizon 1000000)\n"
+
+
+class TestValidateRandomEdges:
+    """``validate`` builds and validates the first min(max(horizon, 1),
+    4 window) ticks of a chain without a period, as one stack."""
+
+    def config(self, **entries):
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update({"topology.kind": "random_edges", "topology.window": 2,
+                     "topology.seed": 3, **entries})
+        return ExperimentConfig.from_flat(flat)
+
+    @pytest.mark.parametrize("horizon, ticks", [(0, 1), (3, 3), (1500, 8)])
+    def test_builds_the_first_ticks_in_one_call(self, monkeypatch, horizon, ticks):
+        calls = []
+
+        def recording(scheme, adj):
+            calls.append(np.array(adj))
+            return build_transition(scheme, adj)
+
+        monkeypatch.setattr(hz, "build_transition", recording)
+        config = self.config(horizon=horizon)
+        validate_only(config)
+        assert len(calls) == 1
+        topology = build_run(config).order.topology
+        assert np.array_equal(calls[0], topology.adjacencies(0, ticks))
+
+    def test_first_failing_tick_gives_its_own_message(self, monkeypatch):
+        class BreaksOnChord(EqualProbability):
+            # takes 0.01 deg_0 off agent 0's stay-put mass on the ticks
+            # whose graph holds the chord (0, 2)
+            def matrix(self, adj, deg, one=1.0):
+                p = super().matrix(adj, deg, one)
+                p[..., 0, 0] -= np.where(adj[..., 0, 2], 0.01 * deg[..., 0], 0.0)
+                return p
+
+        monkeypatch.setattr(hz, "build_scheme", lambda spec: BreaksOnChord())
+        config = self.config()
+        topology = build_run(config).order.topology
+        failures = []  # (tick, message) of every failing tick, built alone
+        for k in range(8):
+            try:
+                build_transition(BreaksOnChord(), topology.adjacency(k))
+            except SchemeViolationError as exc:
+                failures.append((k, str(exc)))
+        # the seed puts the first failure after tick 0, and a later
+        # failing tick says something else
+        assert failures[0][0] > 0
+        assert any(message != failures[0][1] for _, message in failures)
+        with pytest.raises(SchemeViolationError) as exc:
+            validate_only(config)
+        assert str(exc.value) == failures[0][1]
+
 
 def write_config(path, flat):
     path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in flat.items()))
@@ -360,6 +445,8 @@ class TestFailFast:
                                                 value, field):
         flat = parse_config_text(MARKOV_CFG)
         flat[entry] = value
+        if entry == "noise.kind":  # sigma is not an entry of the new kind
+            del flat["noise.sigma"]
         cfg = write_config(tmp_path / "exp.cfg", flat)
         assert cli_main(["validate", "--config", cfg]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
@@ -422,11 +509,21 @@ class TestFailFast:
         ("x0", "origin", "x0"),
         ("topology.window", "wide", "topology.window"),
         ("topology.graph", "star", "topology.graph"),
+        # entries a kind other than the configured one uses
+        ("noise.bias", 0.5, "noise.bias"),
+        ("schedule.p", 0.5, "schedule.p"),
+        ("topology.inclusion_prob", 0.5, "topology.inclusion_prob"),
+        ("scheme.weight", 0.5, "scheme.weight"),
+        ("verify.slack_rel", "abc", "verify.slack_rel"),
+        ("verify.slack_rel", -5, "verify.slack_rel"),
+        ("verify.slack_abs", -1.0, "verify.slack_abs"),
+        ("verify.min_pass_fraction", 2, "verify.min_pass_fraction"),
+        ("verify.min_pass_fraction", -0.5, "verify.min_pass_fraction"),
     ])
     def test_bad_run_entries(self, tmp_path, capsys, verb, entry, value, field):
         flat = parse_config_text(MARKOV_CFG)
         flat[entry] = value
-        if entry.startswith("topology.") and entry != "topology.windw":
+        if entry in ("topology.window", "topology.graph"):
             flat["topology.kind"] = "random_edges"
         cfg = write_config(tmp_path / "exp.cfg", flat)
         out = tmp_path / "out"

@@ -198,7 +198,7 @@ class TestMarkovEngine:
                      isb.ChainOrder(ring5, isb.EqualProbability()),
                      np.array([1.0, -0.5]), 50, 17, stride=1)
         # replay the chain: uniforms and transition rows are deterministic
-        _, cum = isb.ChainOrder(ring5, isb.EqualProbability()).transition(0)
+        cum = np.cumsum(isb.ChainOrder(ring5, isb.EqualProbability()).matrices[0], axis=1)
         u0 = init_generator(17).random()
         agent = min(int(u0 * 5), 4)
         assert tr.agents[0] == agent
@@ -251,7 +251,7 @@ class TestMarkovEngine:
         prob = isb.make_quadratic_suite(4, 2, 0.5, isb.Box([-1, -1], [1, 1]),
                                         seed=3)
         topo = isb.make_topology("static", 4, graph="complete")
-        p, _ = isb.ChainOrder(topo, isb.EqualProbability()).transition(0)
+        p = isb.ChainOrder(topo, isb.EqualProbability()).matrices[0]
         assert np.allclose(p, 0.25)
         traces = isb.run_batch(prob, isb.NoNoise(), isb.PowerLaw(1.0, 0.8),
                                isb.ChainOrder(topo, isb.EqualProbability()),

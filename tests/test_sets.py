@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from incsub import Ball, Box, DimensionMismatchError, Simplex, project
+from incsub import Ball, Box, DimensionMismatchError, Simplex
 
 
 def brute_force_simplex_projection(x, scale, resolution):
@@ -13,17 +13,17 @@ def brute_force_simplex_projection(x, scale, resolution):
 
 
 def test_box_clamps_coordinates():
-    assert np.allclose(project(Box([0, 0], [1, 1]), [1.5, -0.3]), [1.0, 0.0])
+    assert np.allclose(Box([0, 0], [1, 1]).project_many([1.5, -0.3]), [1.0, 0.0])
 
 
 def test_ball_scales_radially():
-    assert np.allclose(project(Ball([0, 0], 1.0), [3.0, 4.0]), [0.6, 0.8])
+    assert np.allclose(Ball([0, 0], 1.0).project_many([3.0, 4.0]), [0.6, 0.8])
 
 
 def test_simplex_matches_brute_force_oracle():
     x = np.array([0.8, 0.8])
     oracle = brute_force_simplex_projection(x, 1.0, 1e-4)
-    got = project(Simplex(1.0, 2), x)
+    got = Simplex(1.0, 2).project_many(x)
     assert np.allclose(got, [0.5, 0.5], atol=1e-12)
     assert np.linalg.norm(got - oracle) <= 2e-4
 
@@ -32,7 +32,7 @@ def test_simplex_matches_brute_force_oracle():
 def test_simplex_agrees_with_oracle_at_random_points(x):
     x = np.array(x, dtype=float)
     oracle = brute_force_simplex_projection(x, 1.0, 1e-4)
-    got = project(Simplex(1.0, 2), x)
+    got = Simplex(1.0, 2).project_many(x)
     # the oracle is lattice-limited; distances must agree to lattice accuracy
     assert np.linalg.norm(got - x) <= np.linalg.norm(oracle - x) + 1e-12
     assert np.linalg.norm(got - oracle) <= 2e-4
@@ -83,7 +83,7 @@ def test_membership_and_dimension_checks():
     assert box.contains([0.5, 0.5])
     assert not box.contains([1.5, 0.5])
     with pytest.raises(DimensionMismatchError):
-        project(box, [0.1, 0.2, 0.3])
+        box.project_many([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         Box([1.0], [0.0])
     with pytest.raises(ValueError):

@@ -73,6 +73,13 @@ def _diagonal_slack(ref_p):
     return 2 * np.maximum(d - 1, 0) * np.spacing(s) + np.spacing(np.diag(ref_p))
 
 
+def _matrix(order, k):
+    """Tick k's matrix as the order holds it, or one build of that tick."""
+    if order.matrices is not None:
+        return order.matrices[k % order.topology.period]
+    return isb.build_transition(order.scheme, order.topology.adjacency(k)).entries
+
+
 @settings(max_examples=150, deadline=None)
 @given(topology=topologies(), scheme=schemes(),
        start=st.integers(0, 3 * BLOCK), chain_seed=st.integers(0, 2**32))
@@ -95,8 +102,9 @@ def test_adjacency_path_matches_neighbor_list_reference(topology, scheme, start,
         assert np.all(np.abs(np.diag(tm.entries) - np.diag(ref_p))
                       <= _diagonal_slack(ref_p))
 
-        p, cum = order.transition(k)
+        p = _matrix(order, k)
         assert np.array_equal(p, tm.entries)
+        cum = np.cumsum(p, axis=1)
         u = uniforms[t]
         agents = np.minimum((u >= cum[agents]).sum(axis=1), m - 1)
         ref_cum = np.cumsum(ref_p, axis=1)
@@ -222,13 +230,13 @@ def test_adjacencies_match_full_block_draws(topology, block, back, count):
        start=st.integers(0, 3 * BLOCK), count=st.integers(1, 60))
 def test_stacked_build_matches_per_tick_builds(topology, scheme, start, count):
     stack = isb.build_transition(scheme, topology.adjacencies(start, count))
-    cum = stack.cumulative()
+    cum = np.cumsum(stack.entries, axis=-1)
     assert stack.eta.shape == (count,)
     for t in range(count):
         tm = isb.build_transition(scheme, topology.adjacency(start + t))
         assert _bits(stack.entries[t]) == _bits(tm.entries)
         assert stack.eta[t] == tm.eta
-        assert _bits(cum[t]) == _bits(tm.cumulative())
+        assert _bits(cum[t]) == _bits(np.cumsum(tm.entries, axis=-1))
 
 
 def _per_tick_walk(order, b, count, seeds, agents):
@@ -236,8 +244,8 @@ def _per_tick_walk(order, b, count, seeds, agents):
     uniforms = np.stack([chain_uniform_block(s, b) for s in seeds])
     m, walked = order.topology.m, []
     for off in range(count):
-        cum = isb.build_transition(
-            order.scheme, order.topology.adjacency(b * BLOCK + off)).cumulative()
+        cum = np.cumsum(isb.build_transition(
+            order.scheme, order.topology.adjacency(b * BLOCK + off)).entries, axis=1)
         agents = np.minimum((uniforms[:, off, None] >= cum[agents]).sum(axis=1), m - 1)
         walked.append(agents)
     return walked
@@ -292,7 +300,7 @@ def test_walk_clamps_above_a_row_total_below_one(kind):
                            isb.EqualProbability())
     ticks = 3
     for k in range(ticks):
-        cum = order.transition(k)[1]
+        cum = np.cumsum(_matrix(order, k), axis=1)
         assert (cum[:, -1] == u).any()
         assert [reference.next_from_uniform(row, u) for row in cum] == [m - 1] * m
     with mock.patch.object(markov, "chain_uniform_block",
