@@ -162,12 +162,15 @@ class ExperimentConfig:
         s0 = nested.get("s0", "uniform")
         if s0 != "uniform":
             s0 = _number(nested, None, "s0", minimum=0, kind=int)
-        if "problem" not in nested or "fixture" not in nested["problem"]:
+        problem = nested.get("problem", {})
+        if not isinstance(problem, dict):
+            raise ConfigError(f"expected an object, got {problem!r}", field="problem")
+        if "fixture" not in problem:
             raise ConfigError("missing problem.fixture", field="problem.fixture")
         if "schedule" not in nested:
             raise ConfigError("missing schedule section", field="schedule")
 
-        return cls(algorithm=algorithm, problem=nested["problem"],
+        return cls(algorithm=algorithm, problem=problem,
                    schedule=nested["schedule"],
                    noise=nested.get("noise", {"kind": "none"}),
                    horizon=horizon, replications=replications, seed=seed,
@@ -189,10 +192,13 @@ class ExperimentConfig:
 _MISSING = object()
 
 
-def _number(spec, section, key, default=_MISSING, minimum=None, kind=float):
-    """``spec[key]`` as a float, or as an int with ``kind=int`` (a float
-    must then be integral); ``minimum`` is inclusive.  ``section`` is None
-    for a top-level entry."""
+def _number(spec, section, key, default=_MISSING, minimum=None, kind=float,
+            finite=True):
+    """``spec[key]`` as a finite float, or as an int with ``kind=int`` (a
+    float must then be integral); ``minimum`` is inclusive.  ``section`` is
+    None for a top-level entry.  ``finite=False`` lets an infinite or NaN
+    float through to a constructor that range-checks it with its own
+    message."""
     field = key if section is None else f"{section}.{key}"
     raw = spec.get(key, default)
     if raw is _MISSING:
@@ -204,6 +210,8 @@ def _number(spec, section, key, default=_MISSING, minimum=None, kind=float):
     except (TypeError, ValueError, OverflowError):
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"expected {expected}, got {raw!r}", field=field) from None
+    if finite and not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}", field=field)
     if minimum is not None and not value >= minimum:
         raise ConfigError(f"must be >= {minimum}, got {value}", field=field)
     return value
@@ -405,7 +413,7 @@ _SCHEME_KEYS = {"equal": {"kind"}, "min_equal": {"kind"},
 def build_schedule(spec):
     if _kind(spec, "schedule", _SCHEDULE_KEYS, "schedule kind") == "constant":
         return _construct("schedule.alpha", Constant,
-                          _number(spec, "schedule", "alpha"))
+                          _number(spec, "schedule", "alpha", finite=False))
     return _construct("schedule", PowerLaw,
                       _number(spec, "schedule", "a", 1.0),
                       _number(spec, "schedule", "p", 1.0))

@@ -28,7 +28,7 @@ log = logging.getLogger(__name__)
 
 
 def run_batch(problem, noise, schedule, order, x0, steps, seeds, *, stride=1,
-              tail_fraction=None, config_hash=None):
+              tail_fraction=None):
     """Run ``len(seeds)`` independent replications for ``steps`` steps.
 
     A step is one cycle of the ring order or one tick of the chain; its
@@ -38,7 +38,7 @@ def run_batch(problem, noise, schedule, order, x0, steps, seeds, *, stride=1,
     the updating agent of each recorded step and each agent's visit count.
     The running minimum of f covers every step regardless of the stride;
     when ``tail_fraction`` is set the minimum over the trailing window
-    lands in the trace metadata as well (see :class:`incsub.trace.Recorder`).
+    is each trace's ``tail_min`` (see :class:`incsub.trace.Recorder`).
 
     The initial point is projected onto the feasible set if it is outside
     (with a logged warning); the run aborts with a diagnostic if an iterate
@@ -55,8 +55,7 @@ def run_batch(problem, noise, schedule, order, x0, steps, seeds, *, stride=1,
     agents = order.start(problem.m, seeds)
     track = agents is not None
     recorder = Recorder(order.engine, problem, schedule, seeds, steps, x_batch,
-                        agents=agents, stride=stride,
-                        tail_fraction=tail_fraction, config_hash=config_hash)
+                        agents=agents, stride=stride, tail_fraction=tail_fraction)
 
     skip_noise = getattr(noise, "is_zero", False)
     subgradient, project = problem.subgradient_for_agents, fset.project_many

@@ -33,7 +33,7 @@ from .engine import run_batch
 from .errors import ConfigError, NonFiniteError
 from .markov import ChainOrder, build_transition, topology_eta
 from .schedules import Constant
-from .trace import RunTrace, fmt_float
+from .trace import fmt_float
 from .version import __version__
 
 
@@ -87,56 +87,24 @@ def _run_seeds(run, seeds):
     config = run.config
     return run_batch(run.problem, run.noise, run.schedule, run.order, run.x0,
                      config.horizon, seeds, stride=config.stride,
-                     tail_fraction=config.tail_fraction, config_hash=config.hash())
+                     tail_fraction=config.tail_fraction)
 
 
 def _run_all(run, seeds, jobs):
+    """The traces of ``seeds`` under ``run``, on up to ``jobs`` processes.
+    When a worker aborts, the seeds run again serially, so the abort raised
+    and its partial traces are the serial run's."""
     if jobs <= 1 or len(seeds) <= 1:
         return _run_seeds(run, seeds)
     chunks = np.array_split(np.asarray(seeds), min(jobs, len(seeds)))
-    outcomes = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_run_seeds, run, [int(s) for s in chunk])
                    for chunk in chunks if len(chunk)]
-        for fut in futures:  # submission order == replication order
-            try:
-                outcomes.append(fut.result())
-            except NonFiniteError as exc:
-                outcomes.append(exc)
-    if any(isinstance(out, NonFiniteError) for out in outcomes):
-        raise _serial_abort(outcomes, run.config.seed)
-    return [tr for traces in outcomes for tr in traces]
-
-
-def _serial_abort(outcomes, base_seed):
-    """The abort a serial run of all the chunks' replications raises: the
-    earliest failing step; there a failed projection (no replication named)
-    before a non-finite objective in the lowest replication, named by its
-    index among all.  Every partial trace keeps its rows before that step."""
-    def rank(exc):
-        named = exc.replication is not None
-        seed = exc.partial_traces[exc.replication].meta["seed"] if named else -1
-        return exc.partial_traces[0].meta["aborted_at"], seed
-
-    first = min((out for out in outcomes if isinstance(out, NonFiniteError)),
-                key=rank)
-    step, seed = rank(first)
-    index = None if first.replication is None else seed - base_seed
-    err = NonFiniteError(str(first).replace(  # no-op when no replication is named
-        f"replication {first.replication} (", f"replication {index} ("))
-    err.replication = index
-    err.partial_traces = [
-        _rows_before(tr, step) for out in outcomes
-        for tr in (out.partial_traces if isinstance(out, NonFiniteError) else out)]
-    return err
-
-
-def _rows_before(trace, step):
-    """``trace`` cut to its rows before ``step``, marked as aborted there."""
-    rows = int(np.searchsorted(trace.ks, step))
-    return RunTrace(*[None if col is None else col[:rows] for col in (
-        trace.ks, trace.f_vals, trace.running_inf, trace.alphas, trace.agents,
-        trace.dists)], meta=dict(trace.meta, aborted_at=step))
+        try:  # submission order == replication order
+            return [tr for fut in futures for tr in fut.result()]
+        except NonFiniteError:
+            pass
+    return _run_seeds(run, seeds)
 
 
 def _effective_rate(order):
@@ -238,24 +206,25 @@ def bound_reports(run):
     return reports
 
 
-def _summarize(config, traces, reports):
-    f_star = traces[0].meta.get("f_star")
+def _summarize(run, traces, reports):
+    config, f_star = run.config, run.problem.optimum.f_star
+    f_star = None if f_star is None else float(f_star)
     per_seed = []
     for tr in traces:
         entry = {
-            "seed": tr.meta["seed"],
+            "seed": tr.seed,
             "final_f": float(tr.f_vals[-1]),
             "inf_f": float(tr.running_inf[-1]),
         }
-        if "tail_min" in tr.meta:
-            entry["tail_min_f"] = tr.meta["tail_min"]
+        if tr.tail_min is not None:
+            entry["tail_min_f"] = tr.tail_min
         if f_star is not None:
             entry["final_gap"] = float(tr.f_vals[-1] - f_star)
             entry["inf_gap"] = float(tr.running_inf[-1] - f_star)
-            if "tail_min" in tr.meta:
-                entry["tail_min_gap"] = tr.meta["tail_min"] - f_star
-        if "visit_counts" in tr.meta:
-            entry["visit_counts"] = tr.meta["visit_counts"]
+            if tr.tail_min is not None:
+                entry["tail_min_gap"] = tr.tail_min - f_star
+        if tr.visit_counts is not None:
+            entry["visit_counts"] = tr.visit_counts
         per_seed.append(entry)
 
     verify = config.verify
@@ -282,7 +251,7 @@ def _summarize(config, traces, reports):
         "algorithm": config.algorithm,
         "horizon": config.horizon,
         "replications": config.replications,
-        "seeds": [tr.meta["seed"] for tr in traces],
+        "seeds": [tr.seed for tr in traces],
         "f_star": f_star,
         "per_seed": per_seed,
         "bounds": bound_rows,
@@ -320,7 +289,7 @@ def run_experiment(config, *, jobs=1, write=True):
             for r, tr in enumerate(partial):  # one per replication, in order
                 tr.write_csv(os.path.join(config.out_dir, f"trace_{r}.csv"))
         raise
-    summary = _summarize(config, traces, reports)
+    summary = _summarize(run, traces, reports)
     if write:
         os.makedirs(config.out_dir, exist_ok=True)
         for r, tr in enumerate(traces):
@@ -384,7 +353,7 @@ def compare_bounds(config, *, jobs=1, write=True):
     rows = []
     for schedule, gaps in zip(schedules, analytic):
         traces = _run_all(replace(run, schedule=schedule), seeds, jobs)
-        tail_gaps = np.array([tr.meta["tail_min"] - f_star for tr in traces])
+        tail_gaps = np.array([tr.tail_min - f_star for tr in traces])
         inf_gaps = np.array([tr.running_inf[-1] - f_star for tr in traces])
         for label, t, gap in gaps:
             rows.append({

@@ -24,13 +24,12 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NonFiniteError
-from .version import __version__
 
 COLUMNS = ("k", "agent", "f", "dist_to_witness", "running_inf_f", "alpha")
 
@@ -42,7 +41,14 @@ def fmt_float(x):
 
 @dataclass
 class RunTrace:
-    """Thinned per-iteration record of one replication."""
+    """Thinned per-iteration record of one replication.
+
+    Besides the CSV columns a trace holds the replication's ``seed``, its
+    last finite iterate ``final_x``, the agents' ``visit_counts`` (None for
+    the ring order), the minimum of f over the tail window ``tail_min``
+    (None without a tail window or after an abort) and ``aborted_at``, the
+    step at which the run aborted (None unless it did).
+    """
 
     ks: np.ndarray
     f_vals: np.ndarray
@@ -50,7 +56,11 @@ class RunTrace:
     alphas: np.ndarray            # NaN at k = 0 (no step produced x_0)
     agents: Optional[np.ndarray]  # None for the cyclic engine
     dists: Optional[np.ndarray]   # None when the problem has no witness
-    meta: dict = field(default_factory=dict)
+    seed: Optional[int] = None
+    final_x: Optional[list] = None
+    visit_counts: Optional[list] = None
+    tail_min: Optional[float] = None
+    aborted_at: Optional[int] = None
 
     def __post_init__(self):
         rows = len(self.ks)
@@ -81,7 +91,7 @@ class RunTrace:
             fh.write(self.to_csv())
 
     @classmethod
-    def from_csv(cls, text, meta=None):
+    def from_csv(cls, text):
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         if tuple(header) != COLUMNS:
@@ -98,8 +108,7 @@ class RunTrace:
         has_dists = any(not np.isnan(d) for d in dists)
         return cls(np.array(ks), np.array(fs), np.array(infs), np.array(alphas),
                    np.array(agents) if has_agents else None,
-                   np.array(dists) if has_dists else None,
-                   meta=dict(meta or {}))
+                   np.array(dists) if has_dists else None)
 
 
 def record_indices(horizon, stride):
@@ -148,23 +157,19 @@ class Recorder:
     ``final_x`` the iterate of step k - 1, and visit counts that include
     step k's agents.  A non-finite f(x_0) aborts at step 0 with no rows and
     ``final_x = x_0``.  An objective that overflows aborts the same way,
-    without a numpy warning.  The error's ``replication`` is the batch index
-    of the replication whose f failed, or None for a failed step.
+    without a numpy warning.
     """
 
     def __init__(self, engine, problem, schedule, seeds, horizon, x0, *,
-                 agents=None, stride=1, tail_fraction=None, config_hash=None):
-        self.engine = engine
+                 agents=None, stride=1, tail_fraction=None):
         self.unit = _UNITS[engine]
         self.problem = problem
         self.schedule = schedule
         self.seeds = list(seeds)
-        self.horizon = int(horizon)
-        self.stride = int(stride)
-        self.config_hash = config_hash
+        horizon = int(horizon)
         reps, m = len(self.seeds), problem.m
         self.flush_steps = flush_steps(reps, problem.family)
-        self.recs = record_indices(self.horizon, self.stride)
+        self.recs = record_indices(horizon, int(stride))
         self.rows_f = np.empty((reps, len(self.recs)))
         self.rows_inf = np.empty_like(self.rows_f)
         self.witness = problem.optimum.witness
@@ -174,7 +179,7 @@ class Recorder:
         self.filled = 0
         self.tail_start = None
         if tail_fraction is not None:
-            self.tail_start = self.horizon - int(np.floor(self.horizon * tail_fraction))
+            self.tail_start = horizon - int(np.floor(horizon * tail_fraction))
         self.run_min = np.full(reps, np.inf)
         self.tail_min = np.full(reps, np.inf)
         self.done = -1        # last step whose f has been evaluated
@@ -232,7 +237,7 @@ class Recorder:
             self._record(xs[:t], f[:t])
             self._count(1)
             raise self._abort(f"non-finite objective in replication {r} "
-                              f"(seed {self.seeds[r]})", replication=r)
+                              f"(seed {self.seeds[r]})")
         self._record(xs, f)
 
     def _record(self, xs, f):
@@ -275,16 +280,14 @@ class Recorder:
         self.agents[:rest] = self.agents[steps:self.visited]
         self.visited = rest
 
-    def _abort(self, reason, replication=None):
-        """The abort at the first unrecorded step, ending at its predecessor;
-        ``replication`` is the batch index the reason names, if any."""
+    def _abort(self, reason):
+        """The abort at the first unrecorded step, ending at its predecessor."""
         k = self.done + 1
         if k:
             message = f"{self.unit} {k}: {reason}; last finite state at {self.unit} {k - 1}"
         else:
             message = f"{self.unit} 0: {reason} at the initial point"
         self.abort = NonFiniteError(message)
-        self.abort.replication = replication
         self.abort.partial_traces = self._traces(aborted_at=k)
         return self.abort
 
@@ -293,35 +296,17 @@ class Recorder:
         ks = np.array(self.recs[:self.filled], dtype=int)
         alphas = np.array([np.nan if k == 0 else self.schedule.step(k)
                            for k in self.recs[:self.filled]])
-        f_star = self.problem.optimum.f_star
+        tail = aborted_at is None and self.tail_start is not None
 
         def row(cols, r):
             return None if cols is None else cols[r, :self.filled].copy()
 
-        traces = []
-        for r, seed in enumerate(self.seeds):
-            meta = {
-                "engine": self.engine,
-                "engine_version": __version__,
-                "seed": int(seed),
-                "horizon": self.horizon,
-                "stride": self.stride,
-                "m": self.problem.m,
-                "n": self.problem.n,
-                "problem": self.problem.name,
-                "f_star": None if f_star is None else float(f_star),
-                "final_x": [float(v) for v in self.last_x[r]],
-                "config_hash": self.config_hash,
-            }
-            if self.visits is not None:
-                meta["visit_counts"] = [int(v) for v in self.visits[r]]
-            if aborted_at is not None:
-                meta["aborted_at"] = int(aborted_at)
-            elif self.tail_start is not None:
-                meta["tail_start"] = int(self.tail_start)
-                meta["tail_min"] = float(self.tail_min[r])
-            traces.append(RunTrace(ks.copy(), row(self.rows_f, r),
-                                   row(self.rows_inf, r), alphas.copy(),
-                                   row(self.rows_agent, r), row(self.rows_dist, r),
-                                   meta))
-        return traces
+        return [RunTrace(ks.copy(), row(self.rows_f, r), row(self.rows_inf, r),
+                         alphas.copy(), row(self.rows_agent, r),
+                         row(self.rows_dist, r), seed=int(seed),
+                         final_x=[float(v) for v in self.last_x[r]],
+                         visit_counts=(None if self.visits is None else
+                                       [int(v) for v in self.visits[r]]),
+                         tail_min=float(self.tail_min[r]) if tail else None,
+                         aborted_at=aborted_at)
+                for r, seed in enumerate(self.seeds)]

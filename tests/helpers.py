@@ -107,3 +107,11 @@ def logging_problem(problem, log):
         CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, logged,
                        inner.eval_width),
         problem.feasible_set, problem.optimum, problem.name)
+
+
+def trace_state(tr):
+    """Everything a trace holds, comparable with ``==``: each column's bytes
+    (None for an absent one) and the typed fields."""
+    cols = (tr.ks, tr.agents, tr.f_vals, tr.dists, tr.running_inf, tr.alphas)
+    return ([None if col is None else col.tobytes() for col in cols],
+            tr.seed, tr.final_x, tr.visit_counts, tr.tail_min, tr.aborted_at)

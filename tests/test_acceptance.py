@@ -82,13 +82,16 @@ def crit5_run(out_root):
     return config, summary, traces
 
 
+CRIT4_TICKS = 1_000_000
+
+
 @pytest.fixture(scope="module")
 def crit4_traces(fixture_problem):
     topo = isb.make_topology("static", 5, graph="ring")
     return isb.run_batch(fixture_problem, isb.GaussianNoise(SIGMA_FOR_HALF_RMS),
                          isb.PowerLaw(1.0, 0.8),
                          isb.ChainOrder(topo, isb.EqualProbability()),
-                         np.array([0.0, 0.0]), 1_000_000, list(range(4000, 4020)),
+                         np.array([0.0, 0.0]), CRIT4_TICKS, list(range(4000, 4020)),
                          stride=100_000, tail_fraction=0.1)
 
 
@@ -166,11 +169,11 @@ def test_criterion_3_geometric_mixing_envelope():
 def test_criterion_4_markov_diminishing_convergence(crit4_traces,
                                                     fixture_problem):
     f_star = fixture_problem.optimum.f_star
-    tail_gaps = [tr.meta["tail_min"] - f_star for tr in crit4_traces]
+    tail_gaps = [tr.tail_min - f_star for tr in crit4_traces]
     hits = sum(g <= 1e-2 for g in tail_gaps)
-    freqs = np.array([tr.meta["visit_counts"] for tr in crit4_traces],
+    freqs = np.array([tr.visit_counts for tr in crit4_traces],
                      dtype=float)
-    freqs /= (crit4_traces[0].meta["horizon"] + 1)
+    freqs /= CRIT4_TICKS + 1
     freq_ok = bool(np.all(np.abs(freqs - 0.2) <= 0.01))
     ok = hits >= 19 and freq_ok
     report(4, ok, f"tail-min gap <= 1e-2 in {hits}/20 seeds "

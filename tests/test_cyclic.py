@@ -48,14 +48,14 @@ def test_single_subgradient_step_on_abs():
                                                       "closed_form"))
     tr = run_one(prob, isb.NoNoise(), isb.Constant(0.5), isb.RingOrder(prob.m),
                  np.array([1.0]), 1, 0)
-    assert tr.meta["final_x"] == [0.5]
+    assert tr.final_x == [0.5]
 
 
 def test_two_agent_cycle_matches_reference(quad_m2_line):
     tr = run_one(quad_m2_line, isb.NoNoise(), isb.Constant(0.25),
                  isb.RingOrder(quad_m2_line.m), np.array([0.0]), 1, 0)
     ref = reference_two_agent_cycle(0.0, [0.0, 2.0], (0.0, 10.0), 0.25)
-    assert tr.meta["final_x"][0] == ref == 1.0  # lands on the optimum
+    assert tr.final_x[0] == ref == 1.0  # lands on the optimum
 
 
 def test_many_cycles_match_reference_on_abs():
@@ -72,7 +72,7 @@ def test_many_cycles_match_reference_on_abs():
 def test_zero_step_freezes_iterate(quad_m2_line):
     tr = run_one(quad_m2_line, isb.GaussianNoise(1.0), ZeroStep(),
                  isb.RingOrder(quad_m2_line.m), np.array([3.0]), 25, 4)
-    assert tr.meta["final_x"] == [3.0]
+    assert tr.final_x == [3.0]
     assert np.all(tr.f_vals == tr.f_vals[0])
 
 
@@ -99,7 +99,7 @@ def test_traces_are_deterministic(quad_m5_box):
                       **kwargs)
     for ta, tb in zip(a, b):
         assert ta.to_csv() == tb.to_csv()
-        assert ta.meta["final_x"] == tb.meta["final_x"]
+        assert ta.final_x == tb.final_x
 
 
 def test_batch_lane_equals_solo_run(quad_m5_box, regr_m5_box):
@@ -182,8 +182,8 @@ def test_nonfinite_iterate_aborts_with_diagnostic():
     partial = info.value.partial_traces
     assert len(partial) == 1
     assert list(partial[0].ks) == [0]
-    assert partial[0].meta["aborted_at"] == 1
-    assert partial[0].meta["final_x"] == [0.0]
+    assert partial[0].aborted_at == 1
+    assert partial[0].final_x == [0.0]
 
 
 def test_partial_trace_keeps_finite_prefix():
@@ -239,7 +239,7 @@ def assert_cycles_match_reference(problem, noise, cycles=6, seed=6):
         assert tr.dists[k] == np.linalg.norm(state.x[None, :] - problem.optimum.witness,
                                              axis=1)[0]
     expected.append(state.x)
-    engine = [xs[0] for xs, _ in log] + [np.array(tr.meta["final_x"])]
+    engine = [xs[0] for xs, _ in log] + [np.array(tr.final_x)]
     assert [x.tobytes() for x in engine] == [x.tobytes() for x in expected], \
         (problem.feasible_set, noise)
 

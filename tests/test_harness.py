@@ -10,11 +10,12 @@ import incsub.harness as hz
 from incsub import (EqualProbability, ExperimentConfig, RateConstants,
                     build_transition, rate_constants, topology_eta)
 from incsub.cli import main as cli_main
-from incsub.config import parse_config_text
-from incsub.errors import ConfigError, SchemeViolationError
+from incsub.config import build_problem, parse_config_text
+from incsub.errors import ConfigError, NonFiniteError, SchemeViolationError
 from incsub.harness import (_supremum, bound_inputs, bound_reports, build_run,
                             compare_bounds, run_experiment, validate_only)
 from incsub.noise import BiasedGaussianNoise, GaussianNoise
+from helpers import trace_state
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -195,7 +196,7 @@ class TestRunExperiment:
         import numpy as np
 
         stub = RunTrace(np.array([0]), np.array([1.0]), np.array([1.0]),
-                        np.array([np.nan]), None, None, {"seed": 0})
+                        np.array([np.nan]), None, None, seed=0)
 
         def exploding(run, seeds):
             err = NonFiniteError("tick 3: boom; last finite state at tick 2")
@@ -480,6 +481,7 @@ class TestFailFast:
         (1, "floor", "low", "problem.utilities[1].floor"),
         (1, "floor", -1.0, "problem.utilities[1]"),
         (2, "slope", "steep", "problem.utilities[2].slope"),
+        (2, "cap", 1e400, "problem.utilities[2].cap"),
         (0, "wieght", 2.0, "problem.utilities[0].wieght"),
     ])
     def test_bad_utility_entries(self, tmp_path, capsys, verb, index, key,
@@ -519,6 +521,10 @@ class TestFailFast:
         ("verify.slack_abs", -1.0, "verify.slack_abs"),
         ("verify.min_pass_fraction", 2, "verify.min_pass_fraction"),
         ("verify.min_pass_fraction", -0.5, "verify.min_pass_fraction"),
+        # 1e400 parses to infinity
+        ("verify.slack_rel", 1e400, "verify.slack_rel"),
+        ("noise.sigma", 1e400, "noise.sigma"),
+        ("problem.spread", 1e400, "problem.spread"),
     ])
     def test_bad_run_entries(self, tmp_path, capsys, verb, entry, value, field):
         flat = parse_config_text(MARKOV_CFG)
@@ -529,6 +535,17 @@ class TestFailFast:
         out = tmp_path / "out"
         assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    def test_problem_section_must_be_an_object(self, tmp_path, capsys, verb):
+        flat = parse_config_text(MARKOV_CFG)
+        flat["problem"] = 3  # after the problem.* entries, so it replaces them
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: problem: expected an object, got 3\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("entries", [{"s0": 4}, {"x0": [0.25, -0.5]},
@@ -663,6 +680,26 @@ def test_jobs_abort_matches_serial(tmp_path, capsys):
     assert jobs_err == serial_err
     assert list(serial_files) == [f"trace_{r}.csv" for r in range(8)]
     assert jobs_files == serial_files
+
+
+def test_jobs_abort_is_the_serial_abort(monkeypatch):
+    # the in-memory error too: same message, same partial traces in every
+    # column and field; the serial replay reuses the built run
+    builds = []
+    monkeypatch.setattr(hz, "build_problem",
+                        lambda spec: builds.append(spec) or build_problem(spec))
+    config = ExperimentConfig.from_flat(parse_config_text(OVERFLOW_CFG))
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(NonFiniteError) as info:
+            run_experiment(config, jobs=jobs, write=False)
+        errors.append(info.value)
+    assert len(builds) == 2  # one per run_experiment call
+    serial, jobs = errors
+    assert str(jobs) == str(serial)
+    assert len(serial.partial_traces) == 8
+    assert ([trace_state(tr) for tr in jobs.partial_traces]
+            == [trace_state(tr) for tr in serial.partial_traces])
 
 
 class TestSingleBuild:

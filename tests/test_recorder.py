@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import incsub as isb
-from helpers import CallbackFamily
+from helpers import CallbackFamily, trace_state
 from incsub import trace
 from incsub.streams import init_generator
 from incsub.trace import record_indices
@@ -77,7 +77,7 @@ def iterates(engine, log, traces, m):
     """(steps + 1, R, n) iterates and, for markov, (steps + 1, R) agents."""
     calls = log if engine == "markov" else log[::m]
     xs = np.stack([x for x, _ in calls]
-                  + [np.array([tr.meta["final_x"] for tr in traces])])
+                  + [np.array([tr.final_x for tr in traces])])
     if engine == "cyclic":
         return xs, None
     first = [min(int(init_generator(s).random() * m), m - 1) for s in SEEDS]
@@ -131,17 +131,16 @@ def test_traces_match_per_step_recomputation(engine, stride, quad_m5_box, ring5)
     f, _, _ = per_step(quad_m5_box, xs)
     tail_start = STEPS - int(np.floor(STEPS * TAIL))
     for r, tr in enumerate(traces):
-        assert tr.meta["final_x"] == xs[-1, r].tolist()
-        assert tr.meta["tail_start"] == tail_start
+        assert tr.final_x == xs[-1, r].tolist()
         tail_min = f[tail_start, r]
         for k in range(tail_start + 1, STEPS + 1):
             tail_min = np.minimum(tail_min, f[k, r])
-        assert tr.meta["tail_min"] == tail_min
-        assert "aborted_at" not in tr.meta
+        assert tr.tail_min == tail_min
+        assert tr.aborted_at is None
     if engine == "markov":
-        assert [tr.meta["visit_counts"] for tr in traces] == visit_counts(agents, 5)
+        assert [tr.visit_counts for tr in traces] == visit_counts(agents, 5)
     else:
-        assert all("visit_counts" not in tr.meta for tr in traces)
+        assert all(tr.visit_counts is None for tr in traces)
 
 
 @pytest.mark.parametrize("engine", ["markov", "cyclic"])
@@ -168,7 +167,7 @@ def test_tail_minimum_edges_and_flush_starts(engine, quad_m5_box, ring5,
     f, _, _ = per_step(quad_m5_box, xs)
     for r, tr in enumerate(traces):
         assert tr.running_inf[-1] == f[before, r] - dips[before]
-        assert tr.meta["tail_min"] == f[at_flush, r] - dips[at_flush]
+        assert tr.tail_min == f[at_flush, r] - dips[at_flush]
 
 
 def assert_abort(info, engine, at, reason, problem, xs, agents, stride):
@@ -179,11 +178,11 @@ def assert_abort(info, engine, at, reason, problem, xs, agents, stride):
     ks = [k for k in record_indices(STEPS, stride) if k < at]
     assert_rows(partial, problem, xs, agents, ks)
     for r, tr in enumerate(partial):
-        assert tr.meta["aborted_at"] == at
-        assert tr.meta["final_x"] == xs[at - 1, r].tolist()
-        assert "tail_min" not in tr.meta
+        assert tr.aborted_at == at
+        assert tr.final_x == xs[at - 1, r].tolist()
+        assert tr.tail_min is None
     if engine == "markov":  # the failing step's agent is a visit too
-        assert ([tr.meta["visit_counts"] for tr in partial]
+        assert ([tr.visit_counts for tr in partial]
                 == visit_counts(agents[:at + 1], problem.m))
 
 
@@ -244,11 +243,11 @@ def test_nonfinite_objective_at_the_initial_point(engine, stride, quad_m5_box,
                                f"(seed {SEEDS[0]}) at the initial point")
     for seed, tr in zip(SEEDS, info.value.partial_traces):
         assert len(tr.ks) == len(tr.f_vals) == 0
-        assert tr.meta["aborted_at"] == 0
-        assert tr.meta["final_x"] == start.tolist()
+        assert tr.aborted_at == 0
+        assert tr.final_x == start.tolist()
         if engine == "markov":
             first = min(int(init_generator(seed).random() * 5), 4)
-            assert tr.meta["visit_counts"] == np.eye(5, dtype=int)[first].tolist()
+            assert tr.visit_counts == np.eye(5, dtype=int)[first].tolist()
 
 
 def outcome(engine, problem, stride, ring5, evaluate=None, subgradient=None):
@@ -265,11 +264,6 @@ def outcome(engine, problem, stride, ring5, evaluate=None, subgradient=None):
         return run(engine, instr, stride, ring5), None, rows
     except isb.NonFiniteError as err:
         return err.partial_traces, str(err), rows
-
-
-def trace_bits(tr):
-    cols = (tr.ks, tr.agents, tr.f_vals, tr.dists, tr.running_inf, tr.alphas)
-    return [None if col is None else col.tobytes() for col in cols], tr.meta
 
 
 @pytest.mark.parametrize("abort", [None, "subgradient", "objective"])
@@ -303,11 +297,10 @@ def test_traces_do_not_depend_on_the_flush_length(engine, stride, abort,
                                         evaluate, subgradient)
         assert max(rows) == min(steps, last) * len(SEEDS)
         assert (message is None) == (abort is None)
-        results.append((message, [trace_bits(tr) for tr in traces]))
+        results.append((message, [trace_state(tr) for tr in traces]))
     assert results[0] == results[1] == results[2]
-    metas = [meta for _, meta in results[0][1]]
     if abort is None:
-        assert all("tail_min" in meta for meta in metas)
+        assert all(tr.tail_min is not None for tr in traces)
     else:
-        assert {meta["aborted_at"] for meta in metas} == {
+        assert {tr.aborted_at for tr in traces} == {
             inf_at if abort == "objective" else NAN_AT}

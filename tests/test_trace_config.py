@@ -20,13 +20,13 @@ def sample_trace():
     alphas = np.array([np.nan, 0.1, 0.05, 0.04])
     agents = np.array([2, 0, 1, 4])
     dists = np.array([1.0, 0.5, 0.75, 0.25])
-    return RunTrace(ks, f, inf, alphas, agents, dists, {"seed": 7})
+    return RunTrace(ks, f, inf, alphas, agents, dists, seed=7)
 
 
 class TestTrace:
     def test_csv_round_trip_preserves_floats(self):
         tr = sample_trace()
-        back = RunTrace.from_csv(tr.to_csv(), meta=tr.meta)
+        back = RunTrace.from_csv(tr.to_csv())
         assert np.array_equal(back.ks, tr.ks)
         assert np.array_equal(back.f_vals, tr.f_vals)
         assert np.array_equal(back.running_inf, tr.running_inf)
