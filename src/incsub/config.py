@@ -198,12 +198,14 @@ def _number(spec, section, key, default=_MISSING, minimum=None, kind=float,
     float must then be integral); ``minimum`` is inclusive.  ``section`` is
     None for a top-level entry.  ``finite=False`` lets an infinite or NaN
     float through to a constructor that range-checks it with its own
-    message."""
+    message.  A JSON boolean is not a number."""
     field = key if section is None else f"{section}.{key}"
     raw = spec.get(key, default)
     if raw is _MISSING:
         raise ConfigError("missing required entry", field=field)
     try:
+        if isinstance(raw, bool):
+            raise TypeError(raw)
         value = kind(raw)
         if kind is int and isinstance(raw, float) and value != raw:
             raise ValueError(raw)
@@ -217,10 +219,19 @@ def _number(spec, section, key, default=_MISSING, minimum=None, kind=float,
     return value
 
 
+def _has_bool(raw):
+    """Whether ``raw`` is a boolean or a (nested) list holding one."""
+    if isinstance(raw, (list, tuple)):
+        return any(map(_has_bool, raw))
+    return isinstance(raw, bool)
+
+
 def _floats(raw, field):
-    """``raw`` as a float array; any non-number or non-finite number in it
-    is a ConfigError."""
+    """``raw`` as a float array; any non-number (a boolean too) or
+    non-finite number in it is a ConfigError."""
     try:
+        if _has_bool(raw):
+            raise TypeError(raw)
         value = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError("expected numbers", field=field) from None

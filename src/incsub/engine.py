@@ -6,8 +6,10 @@ only in which agent computes next, which an order decides: ring order
 (:class:`incsub.markov.ChainOrder`).  An order has ``engine`` (the trace's
 engine name), ``width`` (sub-steps per step, the noise draw's agent axis),
 ``start(m, seeds)`` (the initial agents, or None when it records none) and
-``block(b, count, seeds, agents)``: block b's sub-step agents, one tuple
-per step, and the agents the block ends on.
+``block(b, count, seeds, agents)``: block b's agents and the agents the
+block ends on.  An order that records agents has one sub-step per step and
+gives them as one (count, R) array; the ring order gives one tuple of
+sub-step agents per step.
 
 Noise and chain draws are keyed per replication seed on counter-based
 streams, and every array operation is row-independent, so each
@@ -59,19 +61,20 @@ def run_batch(problem, noise, schedule, order, x0, steps, seeds, *, stride=1,
 
     skip_noise = getattr(noise, "is_zero", False)
     subgradient, project = problem.subgradient_for_agents, fset.project_many
-    visit, push = recorder.visit, recorder.push
+    push = recorder.push
     with recorder:
         for b in range((steps + BLOCK - 1) // BLOCK):
             count = min(BLOCK, steps - b * BLOCK)
             alphas = schedule.steps(b * BLOCK + 1, count).tolist()
             plan, agents = order.block(b, count, seeds, agents)
+            if track:  # before the steps, so an abort counts its agents
+                recorder.walked(plan)
+                plan = [(tick,) for tick in plan]  # one sub-step per tick
             eps = None
             if not skip_noise:
                 eps = np.stack([noise.sample_block(s, b, order.width, problem.n)
                                 for s in seeds], axis=2)  # (count, width, R, n)
             for off, alpha in enumerate(alphas):
-                if track:  # before the step, so an abort counts its agents
-                    visit(plan[off][0])
                 for j, agent in enumerate(plan[off]):
                     g = subgradient(x_batch, agent)
                     # in place only on arrays allocated here: a family may

@@ -265,10 +265,15 @@ def make_topology(kind, m, **params):
 # analytic entry floor, in a few array expressions over the number type of
 # ``one``.  The rules reduce over the last axis, so ``adj`` is one (m, m)
 # instant with ``deg`` of shape (m,), or a (T, m, m) stack of T ticks with
-# ``deg`` of shape (T, m) and one floor per tick.  With ``one = 1.0`` they
-# build the float matrices and their floors.  Validation evaluates the same
-# rule in ``Fraction``s, with ``deg`` an object array of them, for the rare
-# ticks whose entries sit within float rounding of the floor.
+# ``deg`` of shape (T, m) and one floor per tick.  The rules take ``deg`` in
+# any number type and use it in the type of ``one``: with ``one = 1.0``
+# they build the float matrices and their floors.  Validation evaluates the
+# same rule in ``Fraction``s for the rare ticks whose entries sit within
+# float rounding of the floor, and only on the block of the rows holding
+# such entries and of their neighbours' columns: ``matrix`` then gives the
+# block of one instant whose rows are the agents ``rows`` and whose columns
+# are the agents ``cols`` (sorted, holding ``rows``), and ``adj`` holds
+# just that block, while ``deg`` still holds every agent's degree.
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -285,15 +290,26 @@ def _like(one, a):
     return a if isinstance(one, float) else np.frompyfunc(type(one), 1, 1)(a)
 
 
-def _set_diagonal(p, d):
-    i = np.arange(p.shape[-1])
-    p[..., i, i] = d
+def _of(one, a, agents):
+    """The per-agent numbers ``a`` of ``agents`` (all for None) in the
+    number type of ``one``."""
+    return _like(one, a if agents is None else a[..., agents])
+
+
+def _set_diagonal(p, d, rows=None, cols=None):
+    """Set each row's cell of its own agent, in the block of agents ``rows``
+    by ``cols`` (the whole matrix for None)."""
+    if rows is None:
+        i = j = np.arange(p.shape[-1])
+    else:
+        i, j = np.arange(len(rows)), np.searchsorted(cols, rows)
+    p[..., i, j] = d
     return p
 
 
-def _stay_put(p, one):
+def _stay_put(p, one, rows=None, cols=None):
     """Fill the diagonal with what each row's hand-offs leave over."""
-    return _set_diagonal(p, one - p.sum(axis=-1))
+    return _set_diagonal(p, one - p.sum(axis=-1), rows, cols)
 
 
 class EqualProbability:
@@ -301,9 +317,10 @@ class EqualProbability:
 
     name = "equal"
 
-    def matrix(self, adj, deg, one=1.0):
+    def matrix(self, adj, deg, one=1.0, rows=None, cols=None):
         m = deg.shape[-1]
-        return _set_diagonal(np.where(adj, one / m, 0), one - deg / m)
+        return _set_diagonal(np.where(adj, one / m, 0),
+                             one - _of(one, deg, rows) / m, rows, cols)
 
     def eta(self, deg, one=1.0):
         return one / deg.shape[-1]
@@ -314,10 +331,11 @@ class MinEqualNeighbor:
 
     name = "min_equal"
 
-    def matrix(self, adj, deg, one=1.0):
-        inv = one / (deg + one)
-        return _stay_put(np.where(adj, np.minimum(inv[..., :, None], inv[..., None, :]),
-                                  0), one)
+    def matrix(self, adj, deg, one=1.0, rows=None, cols=None):
+        def inv(agents):
+            return one / (_of(one, deg, agents) + one)
+        pair = np.minimum(inv(rows)[..., :, None], inv(cols)[..., None, :])
+        return _stay_put(np.where(adj, pair, 0), one, rows, cols)
 
     def eta(self, deg, one=1.0):
         return one / (deg.max(axis=-1, initial=0) + one)
@@ -347,18 +365,21 @@ class WeightedMetropolisHastings:
         self._w = w
         self._floors = {}  # min_i min(w_i, 1 - w_i) by number type
 
-    def _row_factors(self, m, one):
+    def _row_factors(self, m, one, rows=None):
         """The factors as a column (one per row) or a scalar."""
         if self._w.ndim and self._w.shape != (m,):
             raise SchemeViolationError(
                 f"need one weight per agent ({m}), got shape {self._w.shape}")
-        return _like(one, self._w[:, None] if self._w.ndim else self._w)
+        if self._w.ndim:
+            return _of(one, self._w, rows)[:, None]
+        return _like(one, self._w)
 
-    def matrix(self, adj, deg, one=1.0):
-        inv = one / np.maximum(deg, one)
-        pair = (self._row_factors(deg.shape[-1], one)
-                * np.minimum(inv[..., :, None], inv[..., None, :]))
-        return _stay_put(np.where(adj, pair, 0), one)
+    def matrix(self, adj, deg, one=1.0, rows=None, cols=None):
+        def inv(agents):
+            return one / np.maximum(_of(one, deg, agents), one)
+        pair = (self._row_factors(deg.shape[-1], one, rows)
+                * np.minimum(inv(rows)[..., :, None], inv(cols)[..., None, :]))
+        return _stay_put(np.where(adj, pair, 0), one, rows, cols)
 
     def eta(self, deg, one=1.0):
         w = self._row_factors(deg.shape[-1], one)
@@ -399,9 +420,10 @@ def validate_transition(p, adj, eta, scheme=None):
     columns sum to 1 within 1e-12; strictly positive diagonal; zeros off
     the adjacency pattern; every positive entry at least ``eta``.  On the
     ticks whose short entries all sit within float rounding of the floor,
-    they are re-checked against the scheme's own rule and floor evaluated
-    in exact rational arithmetic when ``scheme`` is given.  The first
-    failing tick's first failing check is raised.
+    the rows holding them are re-checked, over their neighbours' columns,
+    against the scheme's own rule and floor evaluated in exact rational
+    arithmetic when ``scheme`` is given.  The first failing tick's first
+    failing check is raised.
     """
     adj = np.asarray(adj, dtype=bool)
     m = adj.shape[-1] if adj.ndim else 0
@@ -421,8 +443,14 @@ def validate_transition(p, adj, eta, scheme=None):
         far = (short & ~(p > floor - 1e-9)).any(axis=(1, 2))
         one = Fraction(1)
         for t in np.flatnonzero(short.any(axis=(1, 2)) & ~far):
-            deg = _like(one, adj[t].sum(axis=1))
-            short[t] &= scheme.matrix(adj[t], deg, one) < scheme.eta(deg, one)
+            held = np.flatnonzero(short[t].any(axis=1))  # rows holding them
+            near = adj[t, held].any(axis=0)
+            near[held] = True
+            near = np.flatnonzero(near)  # the rows' only cells that are not 0
+            block = np.ix_(held, near)
+            deg = adj[t].sum(axis=1).astype(object)  # Python ints
+            short[t][block] &= (scheme.matrix(adj[t][block], deg, one, held, near)
+                                < scheme.eta(deg, one))
             exact[t] = True
 
     def at(cells):  # the first failing cell of one tick
@@ -479,8 +507,9 @@ def build_transition(scheme, adj):
 
 # -- chain order --------------------------------------------------------------
 
-# Ticks per built chunk of a chain without a period: an entry budget, so a
-# chunk's (T, m, m) stacks hold about 2**16 entries whatever m is.
+# Entry budget of the walk: a random-edge chunk's (T, m, m) stacks, and the
+# lookup table of a chain with a period, hold about 2**16 entries whatever
+# m is.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -488,6 +517,30 @@ def _cumulative_columns(p):
     """The first m - 1 cumulative columns of each row of the matrices ``p``,
     as a new C-contiguous array."""
     return np.cumsum(p[..., :-1], axis=-1)
+
+
+def _lookup_table(cumw):
+    """The walk over the (period, m, m - 1) cumulative columns ``cumw`` as a
+    table, or None when it would exceed the entry budget.
+
+    ``U`` is the sorted set of the distinct values in ``cumw``, and
+    ``table[t, j, a]`` is how many columns of row a of matrix t are at or
+    below ``U[j - 1]`` (none for j = 0).  Every column is one of the ``U``,
+    so for a uniform u with ``j = np.searchsorted(U, u, side="right")``, it
+    is how many of them are at or below u: the count walk's agent."""
+    period, m, _ = cumw.shape
+    # np.unique or np.sort would page in numpy's sort kernels, about 0.25 MB
+    # of peak RSS
+    values = np.array(sorted(set(cumw.ravel().tolist())))
+    width = len(values) + 1
+    if period * width * m > _CHUNK_ENTRIES:
+        return None
+    # a column at U[i] counts from j = i + 1 on
+    first = np.searchsorted(values, cumw) + 1
+    cells = (np.arange(period)[:, None, None] * width + first) * m \
+        + np.arange(m)[:, None]
+    table = np.bincount(cells.ravel(), minlength=period * width * m)
+    return values, _frozen(table.reshape(period, width, m).cumsum(axis=1).ravel())
 
 
 class ChainOrder:
@@ -499,11 +552,13 @@ class ChainOrder:
     block's matrices built, validated and cumulated as (T, m, m) stacks, one
     chunk of ``max(1, 2**16 // m**2)`` ticks at a time.
 
-    The walk reads only the first m - 1 cumulative columns of each matrix,
-    kept as a C-contiguous copy: the next agent is how many of them are at
-    or below the tick's uniform.  Rows never decrease, so that is the count
-    over all m columns clamped to m - 1, bit for bit, also when a row's
-    total rounds below 1 and the uniform lies above it."""
+    The walk reads only the first m - 1 cumulative columns of each matrix:
+    the next agent is how many of them are at or below the tick's uniform.
+    Rows never decrease, so that is the count over all m columns clamped to
+    m - 1, bit for bit, also when a row's total rounds below 1 and the
+    uniform lies above it.  A chain with a period whose lookup table (see
+    :func:`_lookup_table`) fits the entry budget walks by one table lookup
+    per tick; any other counts over a C-contiguous copy of the columns."""
 
     engine = "markov"
     width = 1
@@ -518,11 +573,15 @@ class ChainOrder:
         self.scheme = scheme
         self.s0 = s0
         self.matrices = None
-        self._walk = None  # the walk's columns of each tick of one period
+        self._walk = None  # the count walk's columns of each tick of one period
+        self._table = None  # (U, flat lookup table) of a tabulated period
         if topology.period:
             self.matrices = _frozen(build_transition(scheme, np.array(
                 [topology.adjacency(k) for k in range(topology.period)])).entries)
-            self._walk = list(_frozen(_cumulative_columns(self.matrices)))
+            cumw = _cumulative_columns(self.matrices)
+            self._table = _lookup_table(cumw)
+            if self._table is None:
+                self._walk = list(_frozen(cumw))
 
     def _walk_columns(self, start, count):
         """The walk's columns of each tick start, ..., start + count - 1."""
@@ -542,18 +601,31 @@ class ChainOrder:
         return np.full(len(seeds), self.s0, dtype=int)
 
     def block(self, b, count, seeds, agents):
-        """Each tick's agent: how many of the walk's columns in its row are
+        """Block b's agents as a (count, R) array, and the agents it ends
+        on: each tick's are how many of the walk's columns in its row are
         at or below the tick's uniform."""
         uniforms = np.stack([chain_uniform_block(s, b) for s in seeds], axis=1)
+        if self._table is not None:
+            values, table = self._table
+            m, period = self.topology.m, self.topology.period
+            phase = (b * BLOCK + np.arange(count)) % period
+            # each tick's offset in the table; plus an agent, the cell that
+            # holds the agent's next one
+            walk = np.searchsorted(values, uniforms[:count], side="right")
+            walk += phase[:, None] * (len(values) + 1)
+            walk *= m
+            for row in walk:  # in place: take buffers ``out`` in mode "raise"
+                row += agents
+                agents = table.take(row, out=row)
+            return walk, agents
+        walk = np.empty((count, len(seeds)), dtype=int)
         chunk = (BLOCK if self._walk is not None
                  else max(1, _CHUNK_ENTRIES // self.topology.m**2))
         count_at_or_below, at_or_below = np.add.reduce, np.greater_equal
-        plan = []
         for lo in range(0, count, chunk):
             walks = self._walk_columns(b * BLOCK + lo, min(chunk, count - lo))
             for off, cumw in enumerate(walks, start=lo):
                 agents = count_at_or_below(
                     at_or_below(uniforms[off, :, None], cumw.take(agents, axis=0)),
-                    axis=1)
-                plan.append((agents,))
-        return plan, agents
+                    axis=1, out=walk[off])
+        return walk, agents

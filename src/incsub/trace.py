@@ -143,7 +143,8 @@ class Recorder:
     agents of a markov run (None for the ring order, which has no agent
     column and no visit counts).  The engine steps; after each step it
     pushes the ``(R, n)`` iterate batch with :meth:`push`, and a markov
-    engine first reports the step's updating agents with :meth:`visit`.
+    engine first hands over each block's ``(count, R)`` updating agents
+    with :meth:`walked`.
     The engine's loop runs inside ``with recorder:``; on exit the recorder
     flushes the last steps, and a :class:`NonFiniteError` raised by a step
     (the projection of a non-finite point) becomes the run's abort there.
@@ -189,16 +190,13 @@ class Recorder:
         self.xs = np.empty((self.flush_steps,) + x0.shape)
         self.xs[0] = x0
         self.held = 1
-        self.agents = None
-        if agents is not None:
-            self.agents = np.empty((self.flush_steps + 1, reps), dtype=int)
-            self.agents[0] = agents
-        self.visited = 1
+        # the agents of steps done + 1, ... up to the last one handed over
+        self.agents = None if agents is None else np.asarray(agents)[None]
         self.abort = None
 
-    def visit(self, agents):
-        self.agents[self.visited] = agents
-        self.visited += 1
+    def walked(self, agents):
+        """Take the ``(count, R)`` agents of the next ``count`` steps."""
+        self.agents = np.concatenate([self.agents, agents])
 
     def push(self, x):
         if self.held == self.flush_steps:
@@ -214,7 +212,7 @@ class Recorder:
             return False
         self._flush()  # a buffered step with non-finite f aborts first
         if isinstance(exc, NonFiniteError):
-            self._count(self.visited)  # the failing step's agents
+            self._count(1)  # the failing step's agents
             raise self._abort(str(exc)) from exc
         return False
 
@@ -269,16 +267,14 @@ class Recorder:
         self.last_x = xs[-1].copy()  # the buffer is refilled
 
     def _count(self, steps):
-        """Count the visits of the next ``steps`` buffered agent batches and
-        move the rest to the front."""
+        """Count the visits of the next ``steps`` steps' agents and drop
+        them."""
         if self.visits is None or not steps:
             return
         reps, m = self.visits.shape
         cells = self.agents[:steps] + m * np.arange(reps)
         self.visits += np.bincount(cells.ravel(), minlength=reps * m).reshape(reps, m)
-        rest = self.visited - steps
-        self.agents[:rest] = self.agents[steps:self.visited]
-        self.visited = rest
+        self.agents = self.agents[steps:]
 
     def _abort(self, reason):
         """The abort at the first unrecorded step, ending at its predecessor."""

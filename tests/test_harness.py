@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,26 @@ class TestRunExperiment:
             s1.pop("config"), s2.pop("config")  # differ only in the out path
             s1.pop("config_hash"), s2.pop("config_hash")
             assert json.dumps(s1, sort_keys=True) == json.dumps(s2, sort_keys=True)
+
+    @pytest.mark.parametrize("topology", [
+        {"topology.kind": "ring"},
+        {"topology.kind": "periodic", "topology.window": 2,
+         "topology.phases": [[[0, 1], [2, 3], [4, 0]], [[1, 2], [3, 4]]]},
+    ], ids=["ring", "periodic"])
+    def test_pickled_run_gives_the_serial_traces(self, tmp_path, topology):
+        # a --jobs worker receives the Run pickled, its chain's lookup table
+        # with it
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update(topology, out=str(tmp_path / "out"))
+        config = ExperimentConfig.from_flat(flat)
+        run = build_run(config)
+        assert run.order._table is not None
+        seeds = [config.seed + r for r in range(config.replications)]
+        serial = [trace_state(tr) for tr in hz._run_seeds(run, seeds)]
+        clone = pickle.loads(pickle.dumps(run))
+        assert [trace_state(tr) for tr in hz._run_seeds(clone, seeds)] == serial
+        _, traces = run_experiment(config, jobs=2, write=False)
+        assert [trace_state(tr) for tr in traces] == serial
 
     def test_constant_step_bounds_verified(self, tmp_path):
         config = make_config(MARKOV_CFG, tmp_path, "bnd")
@@ -379,10 +400,12 @@ class TestValidateRandomEdges:
     def test_first_failing_tick_gives_its_own_message(self, monkeypatch):
         class BreaksOnChord(EqualProbability):
             # takes 0.01 deg_0 off agent 0's stay-put mass on the ticks
-            # whose graph holds the chord (0, 2)
-            def matrix(self, adj, deg, one=1.0):
-                p = super().matrix(adj, deg, one)
-                p[..., 0, 0] -= np.where(adj[..., 0, 2], 0.01 * deg[..., 0], 0.0)
+            # whose graph holds the chord (0, 2); an exact re-check of some
+            # rows evaluates the rule itself
+            def matrix(self, adj, deg, one=1.0, rows=None, cols=None):
+                p = super().matrix(adj, deg, one, rows, cols)
+                if rows is None:
+                    p[..., 0, 0] -= np.where(adj[..., 0, 2], 0.01 * deg[..., 0], 0.0)
                 return p
 
         monkeypatch.setattr(hz, "build_scheme", lambda spec: BreaksOnChord())
@@ -525,6 +548,13 @@ class TestFailFast:
         ("verify.slack_rel", 1e400, "verify.slack_rel"),
         ("noise.sigma", 1e400, "noise.sigma"),
         ("problem.spread", 1e400, "problem.spread"),
+        # a JSON boolean is not a number
+        ("replications", True, "replications"),
+        ("stride", True, "stride"),
+        ("noise.sigma", False, "noise.sigma"),
+        ("verify.slack_rel", True, "verify.slack_rel"),
+        ("problem.set", {"kind": "box", "lower": [True, 0], "upper": [1.0, 1.0]},
+         "problem.set.lower"),
     ])
     def test_bad_run_entries(self, tmp_path, capsys, verb, entry, value, field):
         flat = parse_config_text(MARKOV_CFG)

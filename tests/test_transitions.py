@@ -129,6 +129,28 @@ def test_exact_rule_meets_the_contract(topology, scheme, k):
     assert isb.build_transition(scheme, adj).eta == float(eta)
 
 
+@settings(max_examples=100, deadline=None)
+@given(topology=topologies(), scheme=schemes(), k=st.integers(0, 3 * BLOCK),
+       data=st.data())
+def test_exact_rule_on_a_block_is_the_full_rules_block(topology, scheme, k, data):
+    """The re-check evaluates the rule on the block of some rows and of
+    their neighbours' columns only; there it equals the whole matrix."""
+    adj = topology.adjacency(k)
+    m, one = topology.m, Fraction(1)
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1))))
+    near = adj[rows].any(axis=0)
+    near[rows] = True
+    cols = np.flatnonzero(near)
+    deg = adj.sum(axis=1)
+    full = scheme.matrix(adj, np.array([Fraction(int(d)) for d in deg], dtype=object),
+                         one)
+    block = np.ix_(rows, cols)
+    part = scheme.matrix(adj[block], deg.astype(object), one, rows, cols)
+    assert part.tolist() == full[block].tolist()
+    assert scheme.eta(deg.astype(object), one) == scheme.eta(
+        np.array([Fraction(int(d)) for d in deg], dtype=object), one)
+
+
 def test_period_counts_distinct_adjacencies():
     ring = ring_edges(4)
     assert isb.make_topology("static", 4, edges=ring).period == 1
@@ -259,8 +281,8 @@ def _chunked_walk(order, counts, seeds):
         plan, agents = order.block(b, count, seeds, agents)
         walked = _per_tick_walk(order, b, count, seeds, ref_agents)
         ref_agents = walked[-1]
-        assert len(plan) == count
-        assert all(np.array_equal(step[0], ref) for step, ref in zip(plan, walked))
+        assert plan.shape == (count, len(seeds))
+        assert all(np.array_equal(step, ref) for step, ref in zip(plan, walked))
     assert np.array_equal(agents, ref_agents)
 
 
@@ -287,17 +309,26 @@ def test_default_chunks_walk_like_per_tick_builds(scheme):
     _chunked_walk(isb.ChainOrder(topology, scheme), [140], list(range(5)))
 
 
-@pytest.mark.parametrize("kind", ["static", "random_edges"])
+@pytest.mark.parametrize("kind", ["static", "periodic", "random_edges",
+                                  "static_counted"])
 def test_walk_clamps_above_a_row_total_below_one(kind):
     # `equal` on the complete graph with m = 10 has rows whose cumulative
     # sum ends at 1 - 2**-53; a uniform of 1 - 2**-53 lies at or above every
     # cumulative entry of such a row, and the walk still hands off to agent
-    # 9, as the reference does
+    # 9, as the reference does.  Static and periodic chains look the agents
+    # up in their table; random edges, and a static chain without a table
+    # budget, count.
     m, u = 10, 1.0 - 2.0**-53
-    params = ({"graph": "complete"} if kind == "static"
-              else {"base": "complete", "inclusion_prob": 1.0, "seed": 2})
-    order = isb.ChainOrder(isb.make_topology(kind, m, **params),
-                           isb.EqualProbability())
+    params = {"static": ("static", {"graph": "complete"}),
+              "static_counted": ("static", {"graph": "complete"}),
+              "periodic": ("periodic", {"phases": [complete_edges(m)] * 2}),
+              "random_edges": ("random_edges", {"base": "complete",
+                                                "inclusion_prob": 1.0, "seed": 2})}
+    topology = isb.make_topology(params[kind][0], m, **params[kind][1])
+    budget = 0 if kind == "static_counted" else markov._CHUNK_ENTRIES
+    with mock.patch.object(markov, "_CHUNK_ENTRIES", budget):
+        order = isb.ChainOrder(topology, isb.EqualProbability())
+    assert (order._table is not None) == (kind in ("static", "periodic"))
     ticks = 3
     for k in range(ticks):
         cum = np.cumsum(_matrix(order, k), axis=1)
@@ -306,8 +337,88 @@ def test_walk_clamps_above_a_row_total_below_one(kind):
     with mock.patch.object(markov, "chain_uniform_block",
                            lambda seed, block: np.full(BLOCK, u)):
         plan, agents = order.block(0, ticks, list(range(m)), np.arange(m))
-    assert [step[0].tolist() for step in plan] == [[m - 1] * m] * ticks
+    assert plan.tolist() == [[m - 1] * m] * ticks
     assert agents.tolist() == [m - 1] * m
+
+
+def _period_walks(topology, scheme, uniforms, b, count):
+    """The agents of block b's first ``count`` ticks from every start agent,
+    replication r starting at agent r with ``uniforms[r]`` as its chain
+    uniforms: the order's table walk, its count walk (no table budget), and
+    the reference's per-tick search."""
+    m = topology.m
+    tabulated = isb.ChainOrder(topology, scheme)
+    with mock.patch.object(markov, "_CHUNK_ENTRIES", 0):
+        counted = isb.ChainOrder(topology, scheme)
+    assert tabulated._table is not None and counted._table is None
+    seeds, start = list(range(m)), np.arange(m)
+    with mock.patch.object(markov, "chain_uniform_block",
+                           lambda seed, block: uniforms[seed]):
+        walks = [order.block(b, count, seeds, start) for order in (tabulated, counted)]
+    agents, expected = list(range(m)), []
+    for off in range(count):
+        p = isb.build_transition(scheme, topology.adjacency(b * BLOCK + off)).entries
+        cum = np.cumsum(p, axis=1)
+        agents = [reference.next_from_uniform(cum[a], uniforms[r][off])
+                  for r, a in enumerate(agents)]
+        expected.append(agents)
+    return walks, expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(topology=topologies().filter(lambda t: t.period is not None),
+       scheme=schemes(), b=st.integers(0, 3), count=st.integers(1, 12),
+       data=st.data())
+def test_table_walk_matches_count_walk_and_reference(topology, scheme, b, count,
+                                                     data):
+    # block b starts at tick 1024 b, so with periods 2 and 3 its ticks start
+    # in every phase and cross phase boundaries; the uniforms include 0, the
+    # breakpoints themselves and the largest uniform below 1
+    m = topology.m
+    breaks = np.cumsum(isb.ChainOrder(topology, scheme).matrices[..., :-1], axis=-1)
+    special = st.sampled_from([0.0, 1.0 - 2.0**-53, *breaks.ravel().tolist()])
+    draws = data.draw(st.lists(
+        st.one_of(special, st.floats(0.0, 1.0, exclude_max=True)),
+        min_size=m * count, max_size=m * count))
+    uniforms = np.full((m, BLOCK), 0.5)
+    uniforms[:, :count] = np.reshape(draws, (m, count))
+    walks, expected = _period_walks(topology, scheme, uniforms, b, count)
+    for plan, agents in walks:
+        assert plan.tolist() == expected
+        assert agents.tolist() == expected[-1]
+
+
+def test_period_chain_over_the_table_budget_counts():
+    # min_equal on a ring plus a third of the chords at m = 100 has
+    # thousands of distinct cumulative values: its table would exceed the
+    # entry budget, so the chain counts, and gives the table's agents
+    m = 100
+    rng = np.random.default_rng(0)
+    chords = [e for e in complete_edges(m) if e not in set(ring_edges(m))]
+    picked = [chords[i] for i in rng.choice(len(chords), len(chords) // 3,
+                                            replace=False)]
+    topology = isb.make_topology("static", m, edges=ring_edges(m) + picked)
+    scheme = isb.MinEqualNeighbor()
+    order = isb.ChainOrder(topology, scheme)
+    values = np.unique(np.cumsum(order.matrices[..., :-1], axis=-1))
+    size = m * (len(values) + 1)
+    assert size > markov._CHUNK_ENTRIES and order._table is None
+    with mock.patch.object(markov, "_CHUNK_ENTRIES", size - 1):
+        assert isb.ChainOrder(topology, scheme)._table is None
+    with mock.patch.object(markov, "_CHUNK_ENTRIES", size):
+        tabulated = isb.ChainOrder(topology, scheme)
+    assert tabulated._table is not None
+    seeds = [5, 6, 7]
+    agents = table_agents = order.start(m, seeds)
+    for b, count in enumerate([BLOCK, 300]):
+        plan, agents = order.block(b, count, seeds, agents)
+        table_plan, table_agents = tabulated.block(b, count, seeds, table_agents)
+        assert np.array_equal(plan, table_plan)
+    assert np.array_equal(agents, table_agents)
+    uniforms = np.random.default_rng(1).random((m, BLOCK))
+    with mock.patch.object(markov, "_CHUNK_ENTRIES", size):
+        walks, expected = _period_walks(topology, scheme, uniforms, 0, 20)
+    assert [plan.tolist() for plan, _ in walks] == [expected, expected]
 
 
 class TestStackedValidation:
