@@ -28,9 +28,9 @@ from .engine import run_batch
 from .cyclic import RingOrder
 from .markov import (ChainOrder, EqualProbability, MinEqualNeighbor,
                      PeriodicTopology, RandomEdgeTopology, StaticTopology,
-                     TransitionMatrix, WeightedMetropolisHastings,
-                     adjacency_from_edges, build_transition, make_scheme,
-                     make_topology, topology_eta, validate_transition)
+                     WeightedMetropolisHastings, adjacency_from_edges,
+                     build_transition, complete_edges, path_edges, ring_edges,
+                     topology_eta, validate_transition)
 from .analysis import (BoundReport, BoundVerdict, OptimalWindow, RateConstants,
                        aggregate_verdicts, cyclic_bound, delta_window,
                        markov_bound, max_uniform_deviation, optimal_window,

@@ -57,12 +57,10 @@ def rate_constants(eta, m, Q):
 def phi_product(matrices):
     """Ordered product M_0 @ M_1 @ ... of transition matrices.
 
-    Accepts :class:`TransitionMatrix` objects or plain arrays.  The result
-    of multiplying doubly stochastic factors stays doubly stochastic up to
-    accumulated rounding (about count * 1e-12).
+    The result of multiplying doubly stochastic factors stays doubly
+    stochastic up to accumulated rounding (about count * 1e-12).
     """
-    mats = [m.entries if hasattr(m, "entries") else np.asarray(m, dtype=float)
-            for m in matrices]
+    mats = [np.asarray(m, dtype=float) for m in matrices]
     if not mats:
         raise ValueError("need at least one matrix")
     shape = mats[0].shape

@@ -25,7 +25,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .markov import make_scheme, make_topology
+from .markov import (EqualProbability, MinEqualNeighbor, PeriodicTopology,
+                     RandomEdgeTopology, StaticTopology,
+                     WeightedMetropolisHastings, complete_edges, path_edges,
+                     ring_edges)
 from .noise import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
                     NoNoise)
 from .objectives import LinearUtility, LogUtility, SqrtUtility
@@ -410,7 +413,7 @@ _SCHEDULE_KEYS = {"constant": {"kind", "alpha"}, "powerlaw": {"kind", "a", "p"}}
 _NOISE_KEYS = {"none": {"kind"}, "gaussian": {"kind", "sigma"},
                "biased_gaussian": {"kind", "bias", "sigma"},
                "bounded_uniform": {"kind", "radius"}}
-_GRAPHS = ("ring", "path", "complete")
+_GRAPHS = {"ring": ring_edges, "path": path_edges, "complete": complete_edges}
 _TOPOLOGY_KEYS = {
     **{graph: {"kind"} for graph in _GRAPHS},
     "static": {"kind", "graph", "edges"},
@@ -445,34 +448,69 @@ def build_noise(spec):
     return BoundedUniformNoise(level("radius"))
 
 
+def _either(spec, section, key, alias, default=_MISSING):
+    """``spec[key]``, or else ``spec[alias]``, or else ``default``, with the
+    field it came from; giving both entries is a ConfigError."""
+    if key in spec and alias in spec:
+        raise ConfigError(f"conflicts with {section}.{alias}; give one of them",
+                          field=f"{section}.{key}")
+    name = alias if alias in spec else key
+    if name not in spec and default is _MISSING:
+        raise ConfigError(f"missing required entry (or {section}.{alias})",
+                          field=f"{section}.{key}")
+    return spec.get(name, default), f"{section}.{name}"
+
+
+def _edge_list(raw, field, m):
+    """The edges of a graph name, or of a list of [i, j] pairs of agent
+    indices: integral numbers (not booleans) in [0, m)."""
+    if isinstance(raw, str) and raw in _GRAPHS:
+        return _GRAPHS[raw](m)
+
+    def agent(x):
+        return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                and 0 <= x < m and x == int(x))
+
+    if not (isinstance(raw, list) and all(
+            isinstance(e, list) and len(e) == 2 and all(map(agent, e)) for e in raw)):
+        raise ConfigError(f"expected one of {', '.join(_GRAPHS)} or a list of "
+                          f"[i, j] pairs of agent indices in [0, {m}), got {raw!r}",
+                          field=field)
+    return [(int(i), int(j)) for i, j in raw]
+
+
 def build_topology(spec, m):
+    """The configured topology; building it checks its connectivity."""
     kind = _kind(spec, "topology", _TOPOLOGY_KEYS, "topology kind")
     if kind in _GRAPHS:
-        return make_topology("static", m, graph=kind)
-    if kind == "periodic" and "phases" not in spec:
-        raise ConfigError("missing required entry", field="topology.phases")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    for key in ("base", "graph"):
-        if isinstance(params.get(key), str) and params[key] not in _GRAPHS:
-            raise ConfigError(f"expected one of {', '.join(_GRAPHS)} or an edge "
-                              f"list, got {params[key]!r}", field=f"topology.{key}")
-    for key, minimum, as_type in (("window", 1, int), ("seed", 0, int),
-                                  ("inclusion_prob", None, float)):
-        if key in params:
-            params[key] = _number(spec, "topology", key, minimum=minimum, kind=as_type)
-    try:
-        return make_topology(kind, m, **params)
-    except (TypeError, ValueError) as exc:  # malformed edge lists
-        raise ConfigError(str(exc), field="topology") from None
+        return StaticTopology(m, _GRAPHS[kind](m))
+    if kind == "static":
+        return StaticTopology(
+            m, _edge_list(*_either(spec, "topology", "edges", "graph"), m))
+    if kind == "periodic":
+        phases = spec.get("phases")
+        if not isinstance(phases, list) or not phases:
+            raise ConfigError(f"expected a nonempty list of phases, got {phases!r}",
+                              field="topology.phases")
+        return PeriodicTopology(
+            m, [_edge_list(p, f"topology.phases[{i}]", m)
+                for i, p in enumerate(phases)],
+            _number(spec, "topology", "window", len(phases), minimum=1, kind=int))
+    return RandomEdgeTopology(
+        m, _edge_list(*_either(spec, "topology", "base", "graph", "complete"), m),
+        _number(spec, "topology", "inclusion_prob", 0.5),
+        _number(spec, "topology", "window", 1, minimum=1, kind=int),
+        _number(spec, "topology", "seed", 0, minimum=0, kind=int))
 
 
 def build_scheme(spec):
     kind = _kind(spec, "scheme", _SCHEME_KEYS, "scheme kind")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    try:
-        return make_scheme(kind, **params)
-    except (TypeError, ValueError) as exc:  # non-numeric weights
-        raise ConfigError(str(exc), field="scheme") from None
+    if kind == "equal":
+        return EqualProbability()
+    if kind == "min_equal":
+        return MinEqualNeighbor()
+    return WeightedMetropolisHastings(
+        _floats(*_either(spec, "scheme", "weights", "weight", 0.5)))
 
 
 def initial_state(config, problem):

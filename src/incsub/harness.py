@@ -68,8 +68,7 @@ class Run:
 
 def build_run(config):
     """The :class:`Run` of ``config``.  Every builder check runs here, and
-    :func:`incsub.markov.make_topology` validates the topology, before any
-    tick."""
+    the topology validates itself when it is built, before any tick."""
     problem = build_problem(config.problem)
     schedule = build_schedule(config.schedule)
     noise = build_noise(config.noise)

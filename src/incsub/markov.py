@@ -89,6 +89,8 @@ def _max_degree(adj):
 # mass of the transition matrix, not an edge).  Its ``period`` is the number
 # of distinct adjacencies it serves, repeating every ``period`` ticks, or None
 # when each tick may differ (and ``adjacencies`` serves a run of ticks).
+# Each topology checks its connectivity requirement when it is built, so a
+# built topology is a valid one.
 
 @dataclass(frozen=True)
 class StaticTopology:
@@ -96,23 +98,21 @@ class StaticTopology:
 
     m: int
     edges: tuple
-    window: int = 1
+    window = 1
     period = 1
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(sorted(set(map(tuple, self.edges)))))
         object.__setattr__(self, "_adjacency",
                            _frozen(adjacency_from_edges(self.m, self.edges)))
+        if not _connected(self._adjacency):
+            raise TopologyError("static topology must be a connected graph")
 
     def adjacency(self, k):
         return self._adjacency
 
     def max_degree(self):
         return _max_degree(self._adjacency)
-
-    def validate(self):
-        if not _connected(self._adjacency):
-            raise TopologyError("static topology must be a connected graph")
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,18 @@ class PeriodicTopology:
 
     def __post_init__(self):
         phases = tuple(tuple(sorted(set(map(tuple, p)))) for p in self.phases)
+        if not phases:
+            raise TopologyError("need at least one phase")
+        if self.window < 1:
+            raise TopologyError("window must be >= 1")
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "_adjacency", _frozen(np.array(
             [adjacency_from_edges(self.m, p) for p in phases], dtype=bool)))
+        for k in range(self.period):
+            span = [(k + j) % self.period for j in range(self.window)]
+            if not _connected(self._adjacency[span].any(axis=0)):
+                raise TopologyError(
+                    f"union of phases over window starting at {k} is not connected")
 
     @property
     def period(self):
@@ -139,15 +148,6 @@ class PeriodicTopology:
 
     def max_degree(self):
         return _max_degree(self._adjacency)
-
-    def validate(self):
-        if self.window < 1:
-            raise TopologyError("window must be >= 1")
-        for k in range(self.period):
-            phases = [(k + j) % self.period for j in range(self.window)]
-            if not _connected(self._adjacency[phases].any(axis=0)):
-                raise TopologyError(
-                    f"union of phases over window starting at {k} is not connected")
 
 
 @dataclass(frozen=True)
@@ -220,43 +220,6 @@ class RandomEdgeTopology:
     def max_degree(self):
         return self._base_degree
 
-    def validate(self):
-        # Connectivity is structural: each window's union contains the ring.
-        if not _connected(self._ring_groups.any(axis=0)):
-            raise TopologyError("agent ring must be connected")
-
-
-def make_topology(kind, m, **params):
-    """Build a topology sequence by name.
-
-    kind: "static" (params: edges or graph in {"ring","path","complete"}),
-    "periodic" (params: phases, window), or "random_edges" (params:
-    base_edges or graph, inclusion_prob, window, seed).
-    """
-    named = {"ring": ring_edges, "path": path_edges, "complete": complete_edges}
-
-    def edge_list(spec):
-        if isinstance(spec, str):
-            return named[spec](m)
-        return [tuple(e) for e in spec]
-
-    if kind == "static":
-        topo = StaticTopology(m, edge_list(params.get("graph", params.get("edges"))))
-    elif kind == "periodic":
-        phases = [edge_list(p) for p in params["phases"]]
-        topo = PeriodicTopology(m, tuple(map(tuple, phases)),
-                                int(params.get("window", len(phases))))
-    elif kind == "random_edges":
-        base = edge_list(params.get("base", params.get("graph", "complete")))
-        topo = RandomEdgeTopology(m, tuple(base),
-                                  float(params.get("inclusion_prob", 0.5)),
-                                  int(params.get("window", 1)),
-                                  int(params.get("seed", 0)))
-    else:
-        raise TopologyError(f"unknown topology kind {kind!r}")
-    topo.validate()
-    return topo
-
 
 # -- transition matrices ------------------------------------------------------
 #
@@ -274,16 +237,6 @@ def make_topology(kind, m, **params):
 # block of one instant whose rows are the agents ``rows`` and whose columns
 # are the agents ``cols`` (sorted, holding ``rows``), and ``adj`` holds
 # just that block, while ``deg`` still holds every agent's degree.
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic hand-off probabilities with their scheme's entry
-    floor: one (m, m) matrix and a float, or a (T, m, m) stack and an array
-    of T floors."""
-
-    entries: np.ndarray
-    eta: object
-
 
 def _like(one, a):
     """The numbers ``a`` in the number type of ``one``."""
@@ -389,25 +342,10 @@ class WeightedMetropolisHastings:
         return floor / np.maximum(deg.max(axis=-1, initial=0), one)
 
 
-SCHEMES = {
-    "equal": EqualProbability,
-    "min_equal": MinEqualNeighbor,
-    "weighted_mh": WeightedMetropolisHastings,
-}
-
-
 def topology_eta(scheme, topology):
     """The scheme's entry floor over every instant of ``topology``: its
     ``eta`` rule at the topology's worst-case degree."""
     return float(scheme.eta(np.full(topology.m, topology.max_degree())))
-
-
-def make_scheme(kind, **params):
-    if kind == "weighted_mh":
-        return WeightedMetropolisHastings(params.get("weights", params.get("weight", 0.5)))
-    if kind in SCHEMES:
-        return SCHEMES[kind]()
-    raise SchemeViolationError(f"unknown scheme kind {kind!r}")
 
 
 def validate_transition(p, adj, eta, scheme=None):
@@ -493,16 +431,15 @@ def validate_transition(p, adj, eta, scheme=None):
 
 
 def build_transition(scheme, adj):
-    """Validated :class:`TransitionMatrix` of one instant's ``(m, m)``
-    boolean adjacency (symmetric, false diagonal), or of a ``(T, m, m)``
-    stack of T ticks' adjacencies.  The result carries the scheme's
-    analytic entry floor for each structure."""
+    """The validated transition matrix of one instant's ``(m, m)`` boolean
+    adjacency (symmetric, false diagonal), or the ``(T, m, m)`` stack of a
+    stack of T ticks' adjacencies, checked against the scheme's entry
+    floor ``scheme.eta(adj.sum(axis=-1))``."""
     adj = np.asarray(adj, dtype=bool)
     deg = adj.sum(axis=-1)
     p = scheme.matrix(adj, deg)
-    eta = np.full(adj.shape[:-2], scheme.eta(deg))
-    validate_transition(p, adj, eta, scheme)
-    return TransitionMatrix(p, eta if eta.ndim else float(eta))
+    validate_transition(p, adj, scheme.eta(deg), scheme)
+    return p
 
 
 # -- chain order --------------------------------------------------------------
@@ -577,7 +514,7 @@ class ChainOrder:
         self._table = None  # (U, flat lookup table) of a tabulated period
         if topology.period:
             self.matrices = _frozen(build_transition(scheme, np.array(
-                [topology.adjacency(k) for k in range(topology.period)])).entries)
+                [topology.adjacency(k) for k in range(topology.period)])))
             cumw = _cumulative_columns(self.matrices)
             self._table = _lookup_table(cumw)
             if self._table is None:
@@ -589,7 +526,7 @@ class ChainOrder:
             period = self.topology.period
             return [self._walk[k % period] for k in range(start, start + count)]
         return _cumulative_columns(build_transition(
-            self.scheme, self.topology.adjacencies(start, count)).entries)
+            self.scheme, self.topology.adjacencies(start, count)))
 
     def start(self, m, seeds):
         if self.topology.m != m:

@@ -117,6 +117,9 @@ class LogUtility:
         return self.weight / (1.0 + t)
 
     def max_slope(self, lo, hi):
+        if not lo > -1.0:
+            raise ValueError(f"log utility needs a coordinate range above -1, "
+                             f"got lower end {lo!r}")
         return self.slope(lo)
 
 

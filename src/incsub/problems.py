@@ -321,12 +321,14 @@ def make_allocation(utilities, feasible_set, *, grid_resolution=1e-3,
             f"allocation couples agent i to coordinate i: need set dimension "
             f"{m}, got {dim}")
 
+    # the slope bounds reject a range a utility is undefined on, before the
+    # screening evaluates it there
+    family = UtilityFamily(utilities, feasible_set)
     rng = np.random.default_rng(check_seed)
     for j, u in enumerate(utilities):
         lo, hi = coordinate_range(feasible_set, j)
         _check_concave_increasing(u, lo, hi, rng)
 
-    family = UtilityFamily(utilities, feasible_set)
     if m <= GRID_MAX_DIM:
         cert = _grid_certificate(family, feasible_set, grid_resolution)
     else:

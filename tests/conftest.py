@@ -31,7 +31,7 @@ def regr_m5_box():
 
 @pytest.fixture(scope="session")
 def ring5():
-    return isb.make_topology("static", 5, graph="ring")
+    return isb.StaticTopology(5, isb.ring_edges(5))
 
 
 def rng(seed=0):

@@ -131,8 +131,9 @@ def next_from_uniform(cum_row, u):
 
 
 def sample_next_agent(transition, current, rng):
-    """Draw the next agent from row ``current``; deterministic given rng state."""
-    return next_from_uniform(np.cumsum(transition.entries, axis=-1)[current], rng.random())
+    """Draw the next agent from row ``current`` of the matrix ``transition``;
+    deterministic given rng state."""
+    return next_from_uniform(np.cumsum(transition, axis=-1)[current], rng.random())
 
 
 def neighbors_from_edges(m, edges):

@@ -67,15 +67,13 @@ class TestGeometricEnvelope:
                                         isb.MinEqualNeighbor(),
                                         isb.WeightedMetropolisHastings(0.5)])
     def test_ring_and_path(self, scheme):
-        for topo in (isb.make_topology("static", 4, graph="ring"),
-                     isb.make_topology("static", 5, graph="path")):
+        for topo in (isb.StaticTopology(4, isb.ring_edges(4)),
+                     isb.StaticTopology(5, isb.path_edges(5))):
             ok, k, dev = geometric_envelope_holds(scheme, topo)
             assert ok, f"envelope violated at k={k}: deviation {dev}"
 
     def test_periodic_matchings(self):
-        topo = isb.make_topology("periodic", 4,
-                                 phases=[[(0, 1), (2, 3)], [(1, 2), (0, 3)]],
-                                 window=2)
+        topo = isb.PeriodicTopology(4, [[(0, 1), (2, 3)], [(1, 2), (0, 3)]], 2)
         for scheme in (isb.EqualProbability(), isb.MinEqualNeighbor(),
                        isb.WeightedMetropolisHastings(0.5)):
             ok, k, dev = geometric_envelope_holds(scheme, topo)

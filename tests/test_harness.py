@@ -434,6 +434,24 @@ def write_config(path, flat):
 class TestFailFast:
     """Bad builder inputs stop with exit code 2 before any tick runs."""
 
+    # the other entries a case of test_bad_run_entries needs, by (entry,
+    # field): the kind that reads the entry, and the other half of an alias
+    # pair
+    ALONGSIDE = {
+        ("topology.window", "topology.window"): {"topology.kind": "random_edges"},
+        ("topology.graph", "topology.graph"): {"topology.kind": "random_edges"},
+        ("topology.phases", "topology.phases[1]"): {"topology.kind": "periodic"},
+        ("topology.phases", "topology.phases"): {"topology.kind": "periodic"},
+        ("topology.edges", "topology.edges"): {"topology.kind": "static"},
+        ("topology.graph", "topology.edges"): {
+            "topology.kind": "static",
+            "topology.edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]},
+        ("topology.base", "topology.base"): {"topology.kind": "random_edges",
+                                             "topology.graph": "ring"},
+        ("scheme.weights", "scheme.weights"): {"scheme.kind": "weighted_mh",
+                                               "scheme.weight": 0.5},
+    }
+
     @pytest.mark.parametrize("verb", ["run", "validate", "bounds"])
     def test_missing_constant_step(self, tmp_path, capsys, verb):
         flat = parse_config_text(MARKOV_CFG)
@@ -555,12 +573,22 @@ class TestFailFast:
         ("verify.slack_rel", True, "verify.slack_rel"),
         ("problem.set", {"kind": "box", "lower": [True, 0], "upper": [1.0, 1.0]},
          "problem.set.lower"),
+        # edge lists hold [i, j] pairs of integral agent indices, phase lists
+        # are nonempty, and each entry of an alias pair excludes the other
+        ("topology.phases", ["ring", "bogus"], "topology.phases[1]"),
+        ("topology.phases", [], "topology.phases"),
+        ("topology.edges", [[0, 1.5], [1, 2], [2, 3], [3, 4], [4, 0]],
+         "topology.edges"),
+        ("topology.edges", [[0, True], [1, 2], [2, 3], [3, 4], [4, 0]],
+         "topology.edges"),
+        ("topology.graph", "ring", "topology.edges"),
+        ("topology.base", "complete", "topology.base"),
+        ("scheme.weights", 0.3, "scheme.weights"),
     ])
     def test_bad_run_entries(self, tmp_path, capsys, verb, entry, value, field):
         flat = parse_config_text(MARKOV_CFG)
         flat[entry] = value
-        if entry in ("topology.window", "topology.graph"):
-            flat["topology.kind"] = "random_edges"
+        flat.update(self.ALONGSIDE.get((entry, field), {}))
         cfg = write_config(tmp_path / "exp.cfg", flat)
         out = tmp_path / "out"
         assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
@@ -668,6 +696,22 @@ class TestFailFast:
         assert cli_main(["bounds", "--config", cfg]) == 2
         assert "one weight per agent (5)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    @pytest.mark.parametrize("lower", [-1.0, -2.0])
+    def test_log_utility_range_reaches_minus_one(self, tmp_path, capsys, verb,
+                                                 lower):
+        # log(1 + t) is undefined at t = -1 and below; the utility's slope
+        # bound rejects the range before anything evaluates it there
+        flat = parse_config_text(ALLOCATION_CFG)
+        flat["problem.set"] = {"kind": "box", "lower": lower, "upper": 1.0}
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: problem: log utility needs a coordinate range "
+            f"above -1, got lower end {lower!r}\n")
+        assert not out.exists()
+
     def test_allocation_config_validates(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "exp.cfg", parse_config_text(ALLOCATION_CFG))
         assert cli_main(["validate", "--config", cfg]) == 0
@@ -743,7 +787,7 @@ class TestSingleBuild:
         import incsub.markov as mk
 
         parent = os.getpid()
-        counts = {"build_problem": 0, "build_topology": 0, "validate": 0}
+        counts = {"build_problem": 0, "build_topology": 0, "_connected": 0}
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -754,8 +798,8 @@ class TestSingleBuild:
 
         for name in ("build_problem", "build_topology"):
             monkeypatch.setattr(hz, name, counting(name, getattr(hz, name)))
-        monkeypatch.setattr(mk.StaticTopology, "validate",
-                            counting("validate", mk.StaticTopology.validate))
+        # a topology checks its connectivity when it is built
+        monkeypatch.setattr(mk, "_connected", counting("_connected", mk._connected))
         return counts
 
     @pytest.mark.parametrize("verb", [
@@ -770,7 +814,7 @@ class TestSingleBuild:
         flat.update({"horizon": 200, "replications": 2,
                      "compare.alphas": [0.05, 0.02]})
         verb(ExperimentConfig.from_flat(flat))
-        assert counts == {"build_problem": 1, "build_topology": 1, "validate": 1}
+        assert counts == {"build_problem": 1, "build_topology": 1, "_connected": 1}
 
 
 class TestSupremum:

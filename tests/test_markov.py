@@ -5,7 +5,7 @@ import incsub as isb
 from helpers import (STEP_NOISES, STEP_SETS, logging_problem,
                      random_symmetric_topology, run_one)
 from incsub.errors import SchemeViolationError, TopologyError
-from incsub.markov import (adjacency_from_edges,
+from incsub.markov import (adjacency_from_edges, complete_edges,
                            path_edges, ring_edges)
 from incsub.streams import init_generator
 from reference import NoiseStream, next_from_uniform, sample_next_agent, sub_step
@@ -24,31 +24,33 @@ class ZeroStep:
 class TestTransitionSchemes:
     def test_equal_probability_complete_graph(self):
         nb = adjacency_from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        tm = isb.build_transition(isb.EqualProbability(), nb)
-        assert np.allclose(tm.entries, np.full((3, 3), 1 / 3))
-        assert tm.eta == pytest.approx(1 / 3)
+        scheme = isb.EqualProbability()
+        p = isb.build_transition(scheme, nb)
+        assert np.allclose(p, np.full((3, 3), 1 / 3))
+        assert scheme.eta(nb.sum(axis=1)) == pytest.approx(1 / 3)
 
     def test_min_equal_two_agents(self):
         nb = adjacency_from_edges(2, [(0, 1)])
-        tm = isb.build_transition(isb.MinEqualNeighbor(), nb)
-        assert np.allclose(tm.entries, [[0.5, 0.5], [0.5, 0.5]])
+        p = isb.build_transition(isb.MinEqualNeighbor(), nb)
+        assert np.allclose(p, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_equal_probability_path(self):
         nb = adjacency_from_edges(3, path_edges(3))
-        tm = isb.build_transition(isb.EqualProbability(), nb)
+        p = isb.build_transition(isb.EqualProbability(), nb)
         expect = np.array([[2 / 3, 1 / 3, 0.0],
                            [1 / 3, 1 / 3, 1 / 3],
                            [0.0, 1 / 3, 2 / 3]])
-        assert np.allclose(tm.entries, expect)
-        assert np.allclose(tm.entries.sum(axis=0), 1.0, atol=1e-12)
-        assert np.allclose(tm.entries.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(p, expect)
+        assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
+        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_weighted_mh_ring(self):
         nb = adjacency_from_edges(4, ring_edges(4))
-        tm = isb.build_transition(isb.WeightedMetropolisHastings(0.5), nb)
-        assert np.allclose(tm.entries.sum(axis=0), 1.0, atol=1e-12)
-        assert np.allclose(np.diag(tm.entries), 0.5)
-        assert tm.eta == pytest.approx(0.25)
+        scheme = isb.WeightedMetropolisHastings(0.5)
+        p = isb.build_transition(scheme, nb)
+        assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
+        assert np.allclose(np.diag(p), 0.5)
+        assert scheme.eta(nb.sum(axis=1)) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("scheme", [isb.EqualProbability(),
                                         isb.MinEqualNeighbor(),
@@ -57,13 +59,13 @@ class TestTransitionSchemes:
         rng = np.random.default_rng(99)
         for _ in range(200):
             m, edges = random_symmetric_topology(rng)
-            tm = isb.build_transition(scheme, adjacency_from_edges(m, edges))
+            adj = adjacency_from_edges(m, edges)
+            p = isb.build_transition(scheme, adj)
             # build_transition already validates; re-assert the key facts
-            p = tm.entries
             assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
             assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(np.diag(p) > 0)
-            assert np.all(p[p > 0] >= tm.eta - 1e-15)
+            assert np.all(p[p > 0] >= scheme.eta(adj.sum(axis=1)) - 1e-15)
 
     def test_unequal_mh_weights_break_double_stochasticity(self):
         nb = adjacency_from_edges(2, [(0, 1)])
@@ -89,9 +91,8 @@ class TestTransitionSchemes:
 
 class TestAgentSampling:
     def test_identity_row_always_stays(self):
-        tm = isb.TransitionMatrix(np.eye(3), 1.0)
         rng = np.random.default_rng(0)
-        assert all(sample_next_agent(tm, 1, rng) == 1 for _ in range(100))
+        assert all(sample_next_agent(np.eye(3), 1, rng) == 1 for _ in range(100))
 
     def test_half_half_frequencies(self):
         # binomial concentration: 1e5 draws land within the 0.49/0.51 band
@@ -117,29 +118,31 @@ class TestAgentSampling:
 
 class TestTopologies:
     def test_static_ring_is_valid(self):
-        topo = isb.make_topology("static", 4, graph="ring")
-        topo.validate()
+        topo = isb.StaticTopology(4, ring_edges(4))  # validated when built
         assert topo.window == 1
 
     def test_disconnected_static_rejected(self):
         with pytest.raises(TopologyError):
-            isb.make_topology("static", 4, edges=[(0, 1), (2, 3)])
+            isb.StaticTopology(4, [(0, 1), (2, 3)])
 
     def test_periodic_matchings_connect_over_window(self):
         phases = [[(0, 1), (2, 3)], [(1, 2), (0, 3)]]
-        topo = isb.make_topology("periodic", 4, phases=phases, window=2)
-        topo.validate()
+        isb.PeriodicTopology(4, phases, 2)  # validated when built
 
     def test_periodic_disconnected_union_rejected(self):
         phases = [[(0, 1), (2, 3)], [(0, 1), (2, 3)]]
         with pytest.raises(TopologyError):
-            isb.make_topology("periodic", 4, phases=phases, window=2)
+            isb.PeriodicTopology(4, phases, 2)
+
+    def test_periodic_needs_a_phase_and_a_window(self):
+        with pytest.raises(TopologyError, match="at least one phase"):
+            isb.PeriodicTopology(4, [], 1)
+        with pytest.raises(TopologyError, match="window must be >= 1"):
+            isb.PeriodicTopology(4, [ring_edges(4)], 0)
 
     def test_random_edges_deterministic_and_ring_guaranteed(self):
-        topo = isb.make_topology("random_edges", 5, base="complete",
-                                 inclusion_prob=0.3, window=2, seed=7)
-        again = isb.make_topology("random_edges", 5, base="complete",
-                                  inclusion_prob=0.3, window=2, seed=7)
+        topo = isb.RandomEdgeTopology(5, complete_edges(5), 0.3, 2, 7)
+        again = isb.RandomEdgeTopology(5, complete_edges(5), 0.3, 2, 7)
         for k in range(20):
             assert np.array_equal(topo.adjacency(k), again.adjacency(k))
         ring = adjacency_from_edges(5, ring_edges(5))
@@ -251,7 +254,7 @@ class TestMarkovEngine:
         # becomes the randomized single-agent order and still converges
         prob = isb.make_quadratic_suite(4, 2, 0.5, isb.Box([-1, -1], [1, 1]),
                                         seed=3)
-        topo = isb.make_topology("static", 4, graph="complete")
+        topo = isb.StaticTopology(4, complete_edges(4))
         p = isb.ChainOrder(topo, isb.EqualProbability()).matrices[0]
         assert np.allclose(p, 0.25)
         traces = isb.run_batch(prob, isb.NoNoise(), isb.PowerLaw(1.0, 0.8),
@@ -289,17 +292,16 @@ class TestMarkovEngine:
         assert np.all(tr.f_vals >= quad_m5_box.optimum.f_star - 1e-12)
 
     def test_validation_failure_aborts_before_running(self):
-        # make_topology validates the topology, and the chain order every
+        # a topology validates itself when built, and the chain order every
         # distinct matrix of a periodic one, before any tick can run
         with pytest.raises(TopologyError):
-            isb.make_topology("static", 5, edges=[(0, 1), (2, 3)])
-        ring = isb.make_topology("static", 5, graph="ring")
+            isb.StaticTopology(5, [(0, 1), (2, 3)])
+        ring = isb.StaticTopology(5, ring_edges(5))
         with pytest.raises(SchemeViolationError, match="doubly stochastic"):
             isb.ChainOrder(ring, isb.WeightedMetropolisHastings([0.3, 0.7] * 2 + [0.5]))
 
     def test_time_varying_topology_runs(self, quad_m5_box):
-        topo = isb.make_topology("random_edges", 5, base="complete",
-                                 inclusion_prob=0.4, window=2, seed=11)
+        topo = isb.RandomEdgeTopology(5, complete_edges(5), 0.4, 2, 11)
         tr = run_one(quad_m5_box, isb.NoNoise(), isb.PowerLaw(1.0, 0.8),
                      isb.ChainOrder(topo, isb.MinEqualNeighbor()), np.array([1.0, 1.0]),
                      2000, 2, stride=200)

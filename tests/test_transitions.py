@@ -25,7 +25,7 @@ def schemes(draw):
     kind = draw(st.sampled_from(["equal", "min_equal", "weighted_mh"]))
     if kind == "weighted_mh":
         return isb.WeightedMetropolisHastings(draw(st.floats(0.05, 0.95)))
-    return isb.make_scheme(kind)
+    return {"equal": isb.EqualProbability, "min_equal": isb.MinEqualNeighbor}[kind]()
 
 
 def _chords(draw, m):
@@ -38,11 +38,10 @@ def _chords(draw, m):
 def random_edge_topologies(draw, m=None):
     m = draw(st.integers(2, 9)) if m is None else m
     base = draw(st.sampled_from(["complete", "ring_and_chords"]))
-    return isb.make_topology(
-        "random_edges", m,
-        base="complete" if base == "complete" else ring_edges(m) + _chords(draw, m),
-        inclusion_prob=draw(st.floats(0.0, 1.0)),
-        window=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32)))
+    edges = (complete_edges(m) if base == "complete"
+             else ring_edges(m) + _chords(draw, m))
+    return isb.RandomEdgeTopology(m, edges, draw(st.floats(0.0, 1.0)),
+                                  draw(st.integers(1, 3)), draw(st.integers(0, 2**32)))
 
 
 @st.composite
@@ -53,12 +52,12 @@ def topologies(draw):
     m = draw(st.integers(2, 9))
     picked = _chords(draw, m)
     if kind == "static":
-        return isb.make_topology("static", m, edges=ring_edges(m) + picked)
+        return isb.StaticTopology(m, ring_edges(m) + picked)
     period = draw(st.integers(1, 3))
     # ring edges round-robin over the phases keep every window connected
     phases = [[e for i, e in enumerate(ring_edges(m)) if i % period == p]
               + picked[p::period] for p in range(period)]
-    return isb.make_topology("periodic", m, phases=phases, window=period)
+    return isb.PeriodicTopology(m, phases, period)
 
 
 def _diagonal_slack(ref_p):
@@ -77,7 +76,7 @@ def _matrix(order, k):
     """Tick k's matrix as the order holds it, or one build of that tick."""
     if order.matrices is not None:
         return order.matrices[k % order.topology.period]
-    return isb.build_transition(order.scheme, order.topology.adjacency(k)).entries
+    return isb.build_transition(order.scheme, order.topology.adjacency(k))
 
 
 @settings(max_examples=150, deadline=None)
@@ -96,14 +95,14 @@ def test_adjacency_path_matches_neighbor_list_reference(topology, scheme, start,
         adj = topology.adjacency(k)
         assert np.array_equal(adj, adjacency_from_edges(
             m, [(i, j) for i in range(m) for j in nb[i]]))
-        tm = isb.build_transition(scheme, adj)
-        assert tm.eta == ref_eta
-        assert np.array_equal(tm.entries[off], ref_p[off])
-        assert np.all(np.abs(np.diag(tm.entries) - np.diag(ref_p))
+        built = isb.build_transition(scheme, adj)
+        assert scheme.eta(adj.sum(axis=1)) == ref_eta
+        assert np.array_equal(built[off], ref_p[off])
+        assert np.all(np.abs(np.diag(built) - np.diag(ref_p))
                       <= _diagonal_slack(ref_p))
 
         p = _matrix(order, k)
-        assert np.array_equal(p, tm.entries)
+        assert np.array_equal(p, built)
         cum = np.cumsum(p, axis=1)
         u = uniforms[t]
         agents = np.minimum((u >= cum[agents]).sum(axis=1), m - 1)
@@ -126,7 +125,7 @@ def test_exact_rule_meets_the_contract(topology, scheme, k):
     assert all(d > 0 for d in np.diag(p))
     assert not np.any((p != 0) & ~adj & ~np.eye(topology.m, dtype=bool))
     assert all(x >= eta for x in p[p != 0])
-    assert isb.build_transition(scheme, adj).eta == float(eta)
+    assert scheme.eta(adj.sum(axis=1)) == float(eta)
 
 
 @settings(max_examples=100, deadline=None)
@@ -153,11 +152,9 @@ def test_exact_rule_on_a_block_is_the_full_rules_block(topology, scheme, k, data
 
 def test_period_counts_distinct_adjacencies():
     ring = ring_edges(4)
-    assert isb.make_topology("static", 4, edges=ring).period == 1
-    assert isb.make_topology("periodic", 4, phases=[ring[:2], ring[2:]],
-                             window=2).period == 2
-    assert isb.make_topology("random_edges", 4, base="complete",
-                             inclusion_prob=0.5).period is None
+    assert isb.StaticTopology(4, ring).period == 1
+    assert isb.PeriodicTopology(4, [ring[:2], ring[2:]], 2).period == 2
+    assert isb.RandomEdgeTopology(4, complete_edges(4), 0.5, 1).period is None
 
 
 class TestContractOnAdjacencyPath:
@@ -208,10 +205,11 @@ class TestContractOnAdjacencyPath:
         # complete graph on 5 agents: the float diagonal 1 - 4/5 rounds to
         # just below the floor 1/5, while the exact diagonal equals it
         adj = adjacency_from_edges(5, complete_edges(5))
-        tm = isb.build_transition(isb.EqualProbability(), adj)
-        assert tm.eta == 0.2
-        assert np.diag(tm.entries).max() < tm.eta
-        assert np.all(np.diag(tm.entries) > tm.eta - 1e-9)
+        scheme = isb.EqualProbability()
+        p, eta = isb.build_transition(scheme, adj), scheme.eta(adj.sum(axis=1))
+        assert eta == 0.2
+        assert np.diag(p).max() < eta
+        assert np.all(np.diag(p) > eta - 1e-9)
 
     def test_nan_entry(self):
         adj = adjacency_from_edges(2, [(0, 1)])
@@ -251,14 +249,17 @@ def test_adjacencies_match_full_block_draws(topology, block, back, count):
 @given(topology=random_edge_topologies(), scheme=schemes(),
        start=st.integers(0, 3 * BLOCK), count=st.integers(1, 60))
 def test_stacked_build_matches_per_tick_builds(topology, scheme, start, count):
-    stack = isb.build_transition(scheme, topology.adjacencies(start, count))
-    cum = np.cumsum(stack.entries, axis=-1)
-    assert stack.eta.shape == (count,)
+    adj = topology.adjacencies(start, count)
+    stack = isb.build_transition(scheme, adj)
+    cum = np.cumsum(stack, axis=-1)
+    floors = scheme.eta(adj.sum(axis=-1))  # one per tick, or one for all
+    assert np.shape(floors) in ((count,), ())
     for t in range(count):
-        tm = isb.build_transition(scheme, topology.adjacency(start + t))
-        assert _bits(stack.entries[t]) == _bits(tm.entries)
-        assert stack.eta[t] == tm.eta
-        assert _bits(cum[t]) == _bits(np.cumsum(tm.entries, axis=-1))
+        tick = topology.adjacency(start + t)
+        p = isb.build_transition(scheme, tick)
+        assert _bits(stack[t]) == _bits(p)
+        assert np.broadcast_to(floors, count)[t] == scheme.eta(tick.sum(axis=1))
+        assert _bits(cum[t]) == _bits(np.cumsum(p, axis=-1))
 
 
 def _per_tick_walk(order, b, count, seeds, agents):
@@ -267,7 +268,7 @@ def _per_tick_walk(order, b, count, seeds, agents):
     m, walked = order.topology.m, []
     for off in range(count):
         cum = np.cumsum(isb.build_transition(
-            order.scheme, order.topology.adjacency(b * BLOCK + off)).entries, axis=1)
+            order.scheme, order.topology.adjacency(b * BLOCK + off)), axis=1)
         agents = np.minimum((uniforms[:, off, None] >= cum[agents]).sum(axis=1), m - 1)
         walked.append(agents)
     return walked
@@ -304,8 +305,7 @@ def test_chunked_walk_matches_per_tick_walk(topology, scheme, chunk, tail, seed)
 def test_default_chunks_walk_like_per_tick_builds(scheme):
     # m = 50: chunks of 2**16 // 50**2 = 26 ticks, five of them and a
     # 10-tick one
-    topology = isb.make_topology("random_edges", 50, base="complete",
-                                 inclusion_prob=0.1, window=2, seed=3)
+    topology = isb.RandomEdgeTopology(50, complete_edges(50), 0.1, 2, 3)
     _chunked_walk(isb.ChainOrder(topology, scheme), [140], list(range(5)))
 
 
@@ -319,12 +319,11 @@ def test_walk_clamps_above_a_row_total_below_one(kind):
     # up in their table; random edges, and a static chain without a table
     # budget, count.
     m, u = 10, 1.0 - 2.0**-53
-    params = {"static": ("static", {"graph": "complete"}),
-              "static_counted": ("static", {"graph": "complete"}),
-              "periodic": ("periodic", {"phases": [complete_edges(m)] * 2}),
-              "random_edges": ("random_edges", {"base": "complete",
-                                                "inclusion_prob": 1.0, "seed": 2})}
-    topology = isb.make_topology(params[kind][0], m, **params[kind][1])
+    complete = complete_edges(m)
+    topology = {"static": isb.StaticTopology(m, complete),
+                "static_counted": isb.StaticTopology(m, complete),
+                "periodic": isb.PeriodicTopology(m, [complete] * 2, 2),
+                "random_edges": isb.RandomEdgeTopology(m, complete, 1.0, 1, 2)}[kind]
     budget = 0 if kind == "static_counted" else markov._CHUNK_ENTRIES
     with mock.patch.object(markov, "_CHUNK_ENTRIES", budget):
         order = isb.ChainOrder(topology, isb.EqualProbability())
@@ -357,7 +356,7 @@ def _period_walks(topology, scheme, uniforms, b, count):
         walks = [order.block(b, count, seeds, start) for order in (tabulated, counted)]
     agents, expected = list(range(m)), []
     for off in range(count):
-        p = isb.build_transition(scheme, topology.adjacency(b * BLOCK + off)).entries
+        p = isb.build_transition(scheme, topology.adjacency(b * BLOCK + off))
         cum = np.cumsum(p, axis=1)
         agents = [reference.next_from_uniform(cum[a], uniforms[r][off])
                   for r, a in enumerate(agents)]
@@ -397,7 +396,7 @@ def test_period_chain_over_the_table_budget_counts():
     chords = [e for e in complete_edges(m) if e not in set(ring_edges(m))]
     picked = [chords[i] for i in rng.choice(len(chords), len(chords) // 3,
                                             replace=False)]
-    topology = isb.make_topology("static", m, edges=ring_edges(m) + picked)
+    topology = isb.StaticTopology(m, ring_edges(m) + picked)
     scheme = isb.MinEqualNeighbor()
     order = isb.ChainOrder(topology, scheme)
     values = np.unique(np.cumsum(order.matrices[..., :-1], axis=-1))
@@ -495,20 +494,20 @@ class TestStackedValidation:
         ring = adjacency_from_edges(5, ring_edges(5))
         adj = np.array([ring, adjacency_from_edges(5, complete_edges(5)), ring])
         scheme = isb.EqualProbability()
-        tm = isb.build_transition(scheme, adj)
-        assert list(tm.eta) == [0.2, 0.2, 0.2]
-        assert np.diag(tm.entries[1]).max() < 0.2
+        p, eta = isb.build_transition(scheme, adj), scheme.eta(adj.sum(axis=-1))
+        assert list(np.broadcast_to(eta, 3)) == [0.2, 0.2, 0.2]
+        assert np.diag(p[1]).max() < 0.2
         # without the scheme there is no exact re-check, and tick 1 fails
         with pytest.raises(SchemeViolationError,
                            match=r"^entry \(0,0\) = 0.19999999999999996 is below "
                                  r"the scheme floor 0.2$"):
-            isb.validate_transition(tm.entries, adj, tm.eta)
+            isb.validate_transition(p, adj, eta)
         # a later tick's failure is still found past the re-checked tick
         bad = adj.copy()
         bad[2, 0, 0] = True
         with pytest.raises(SchemeViolationError,
                            match="^agent 0 lists itself as a neighbor$"):
-            isb.validate_transition(tm.entries, bad, tm.eta, scheme)
+            isb.validate_transition(p, bad, eta, scheme)
 
     def test_stack_shapes_must_match(self):
         p, adj, eta = self._base(3)
