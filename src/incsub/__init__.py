@@ -27,7 +27,7 @@ from .problems import (OptimumCertificate, ProblemInstance, grid_search,
 from .engine import run_batch
 from .cyclic import RingOrder
 from .markov import (ChainOrder, EqualProbability, MinEqualNeighbor,
-                     PeriodicTopology, RandomEdgeTopology, StaticTopology,
+                     PeriodicTopology, RandomEdgeTopology,
                      WeightedMetropolisHastings, adjacency_from_edges,
                      build_transition, complete_edges, path_edges, ring_edges,
                      topology_eta, validate_transition)

@@ -24,11 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SchemeViolationError
 from .markov import (EqualProbability, MinEqualNeighbor, PeriodicTopology,
-                     RandomEdgeTopology, StaticTopology,
-                     WeightedMetropolisHastings, complete_edges, path_edges,
-                     ring_edges)
+                     RandomEdgeTopology, WeightedMetropolisHastings,
+                     complete_edges, path_edges, ring_edges)
 from .noise import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
                     NoNoise)
 from .objectives import LinearUtility, LogUtility, SqrtUtility
@@ -131,8 +130,6 @@ class ExperimentConfig:
             flat.update({k: v for k, v in overrides.items() if v is not None})
         nested = _nest(flat)
         _check_keys(nested, None, _TOP_LEVEL_KEYS)
-        if "compare" in nested:
-            _check_keys(nested["compare"], "compare", {"alphas", "Ts"})
 
         algorithm = nested.get("algorithm")
         if algorithm not in ("cyclic", "markov"):
@@ -181,7 +178,7 @@ class ExperimentConfig:
                    topology=nested.get("topology"), scheme=nested.get("scheme"),
                    s0=s0, x0=nested.get("x0", "auto"),
                    tail_fraction=tail, verify=verify,
-                   compare=nested.get("compare"), flat=flat)
+                   compare=_compare(nested.get("compare")), flat=flat)
 
     def hash(self):
         return config_hash(self.flat)
@@ -220,6 +217,27 @@ def _number(spec, section, key, default=_MISSING, minimum=None, kind=float,
     if minimum is not None and not value >= minimum:
         raise ConfigError(f"must be >= {minimum}, got {value}", field=field)
     return value
+
+
+def _each(spec, section, key, **number):
+    """The list ``spec[key]`` (empty when absent), each item read by
+    :func:`_number` on the field ``section.key[i]``."""
+    raw = spec.get(key, [])
+    if not isinstance(raw, list):
+        raise ConfigError(f"expected a list, got {raw!r}", field=f"{section}.{key}")
+    return [_number({f"{key}[{i}]": x}, section, f"{key}[{i}]", **number)
+            for i, x in enumerate(raw)]
+
+
+def _compare(spec):
+    """The ``compare`` section, if given: its constant step sizes ``alphas``
+    and its nonnegative windows ``Ts``."""
+    if spec is None:
+        return None
+    _check_keys(spec, "compare", {"alphas", "Ts"})
+    return {"alphas": [_construct("compare.alphas", Constant, alpha).alpha
+                       for alpha in _each(spec, "compare", "alphas", finite=False)],
+            "Ts": _each(spec, "compare", "Ts", kind=int, minimum=0)}
 
 
 def _has_bool(raw):
@@ -272,7 +290,7 @@ def _construct(section, cls, *args, **kwargs):
     """``cls(*args, **kwargs)``, with its range checks as ConfigErrors."""
     try:
         return cls(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, SchemeViolationError) as exc:
         raise ConfigError(str(exc), field=section) from None
 
 
@@ -463,7 +481,7 @@ def _either(spec, section, key, alias, default=_MISSING):
 
 def _edge_list(raw, field, m):
     """The edges of a graph name, or of a list of [i, j] pairs of agent
-    indices: integral numbers (not booleans) in [0, m)."""
+    indices: integral numbers (not booleans) in [0, m), with i != j."""
     if isinstance(raw, str) and raw in _GRAPHS:
         return _GRAPHS[raw](m)
 
@@ -472,10 +490,11 @@ def _edge_list(raw, field, m):
                 and 0 <= x < m and x == int(x))
 
     if not (isinstance(raw, list) and all(
-            isinstance(e, list) and len(e) == 2 and all(map(agent, e)) for e in raw)):
+            isinstance(e, list) and len(e) == 2 and all(map(agent, e))
+            and e[0] != e[1] for e in raw)):
         raise ConfigError(f"expected one of {', '.join(_GRAPHS)} or a list of "
-                          f"[i, j] pairs of agent indices in [0, {m}), got {raw!r}",
-                          field=field)
+                          f"[i, j] pairs of distinct agent indices in [0, {m}), "
+                          f"got {raw!r}", field=field)
     return [(int(i), int(j)) for i, j in raw]
 
 
@@ -483,10 +502,10 @@ def build_topology(spec, m):
     """The configured topology; building it checks its connectivity."""
     kind = _kind(spec, "topology", _TOPOLOGY_KEYS, "topology kind")
     if kind in _GRAPHS:
-        return StaticTopology(m, _GRAPHS[kind](m))
+        return PeriodicTopology(m, [_GRAPHS[kind](m)], 1)
     if kind == "static":
-        return StaticTopology(
-            m, _edge_list(*_either(spec, "topology", "edges", "graph"), m))
+        return PeriodicTopology(
+            m, [_edge_list(*_either(spec, "topology", "edges", "graph"), m)], 1)
     if kind == "periodic":
         phases = spec.get("phases")
         if not isinstance(phases, list) or not phases:
@@ -496,21 +515,28 @@ def build_topology(spec, m):
             m, [_edge_list(p, f"topology.phases[{i}]", m)
                 for i, p in enumerate(phases)],
             _number(spec, "topology", "window", len(phases), minimum=1, kind=int))
+    inclusion = _number(spec, "topology", "inclusion_prob", 0.5)
+    if not 0.0 <= inclusion <= 1.0:
+        raise ConfigError(f"must be in [0, 1], got {inclusion}",
+                          field="topology.inclusion_prob")
     return RandomEdgeTopology(
         m, _edge_list(*_either(spec, "topology", "base", "graph", "complete"), m),
-        _number(spec, "topology", "inclusion_prob", 0.5),
+        inclusion,
         _number(spec, "topology", "window", 1, minimum=1, kind=int),
         _number(spec, "topology", "seed", 0, minimum=0, kind=int))
 
 
-def build_scheme(spec):
+def build_scheme(spec, m):
+    """The configured scheme; per-agent weights must number ``m``."""
     kind = _kind(spec, "scheme", _SCHEME_KEYS, "scheme kind")
     if kind == "equal":
         return EqualProbability()
     if kind == "min_equal":
         return MinEqualNeighbor()
-    return WeightedMetropolisHastings(
-        _floats(*_either(spec, "scheme", "weights", "weight", 0.5)))
+    raw, field = _either(spec, "scheme", "weights", "weight", 0.5)
+    scheme = _construct(field, WeightedMetropolisHastings, _floats(raw, field))
+    _construct(field, scheme.eta, np.zeros(m))  # checks the weight count
+    return scheme
 
 
 def initial_state(config, problem):

@@ -83,42 +83,21 @@ def _max_degree(adj):
 
 # -- topology sequences -------------------------------------------------------
 #
-# Every topology serves each instant k as an (m, m) boolean adjacency
-# matrix, ``adjacency(k)``: entry (i, j) is true when j is a neighbor of i.
-# The matrix is symmetric with a false diagonal (staying put is the diagonal
-# mass of the transition matrix, not an edge).  Its ``period`` is the number
-# of distinct adjacencies it serves, repeating every ``period`` ticks, or None
-# when each tick may differ (and ``adjacencies`` serves a run of ticks).
-# Each topology checks its connectivity requirement when it is built, so a
-# built topology is a valid one.
-
-@dataclass(frozen=True)
-class StaticTopology:
-    """Fixed neighbor structure; the union over any window is the graph itself."""
-
-    m: int
-    edges: tuple
-    window = 1
-    period = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(set(map(tuple, self.edges)))))
-        object.__setattr__(self, "_adjacency",
-                           _frozen(adjacency_from_edges(self.m, self.edges)))
-        if not _connected(self._adjacency):
-            raise TopologyError("static topology must be a connected graph")
-
-    def adjacency(self, k):
-        return self._adjacency
-
-    def max_degree(self):
-        return _max_degree(self._adjacency)
-
+# Every topology serves a run of ticks start, ..., start + count - 1 as a
+# (count, m, m) stack of boolean adjacency matrices, ``adjacencies(start,
+# count)``: entry (i, j) of a tick's matrix is true when j is a neighbor of
+# i.  Each matrix is symmetric with a false diagonal (staying put is the
+# diagonal mass of the transition matrix, not an edge).  Its ``period`` is
+# the number of distinct adjacencies it serves, repeating every ``period``
+# ticks, or None when each tick may differ.  A fixed graph is the one-phase
+# periodic topology.  Each topology checks its connectivity requirement when
+# it is built, so a built topology is a valid one.
 
 @dataclass(frozen=True)
 class PeriodicTopology:
     """Cycles through a fixed list of graphs; window Q must connect every
-    union of Q consecutive phases."""
+    union of Q consecutive phases.  One phase with window 1 is a fixed
+    graph."""
 
     m: int
     phases: tuple  # tuple of edge tuples
@@ -143,8 +122,8 @@ class PeriodicTopology:
     def period(self):
         return len(self.phases)
 
-    def adjacency(self, k):
-        return self._adjacency[k % self.period]
+    def adjacencies(self, start, count):
+        return self._adjacency[np.arange(start, start + count) % self.period]
 
     def max_degree(self):
         return _max_degree(self._adjacency)
@@ -213,9 +192,6 @@ class RandomEdgeTopology:
                 cells[lo - start:hi - start, ij] = on
                 cells[lo - start:hi - start, ji] = on
         return adj
-
-    def adjacency(self, k):
-        return self.adjacencies(k, 1)[0]
 
     def max_degree(self):
         return self._base_degree
@@ -513,8 +489,8 @@ class ChainOrder:
         self._walk = None  # the count walk's columns of each tick of one period
         self._table = None  # (U, flat lookup table) of a tabulated period
         if topology.period:
-            self.matrices = _frozen(build_transition(scheme, np.array(
-                [topology.adjacency(k) for k in range(topology.period)])))
+            self.matrices = _frozen(build_transition(
+                scheme, topology.adjacencies(0, topology.period)))
             cumw = _cumulative_columns(self.matrices)
             self._table = _lookup_table(cumw)
             if self._table is None:

@@ -34,8 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from .sets import coordinate_range, farthest_distance, linear_range
-
 
 def _dot(xs, p):
     """sum_j xs[..., j] * p[..., j] with broadcasting, added in coordinate order."""
@@ -59,7 +57,7 @@ class QuadraticFamily:
         self.centroid = self.centers.mean(axis=0)
         d = self.centers - self.centroid
         self.offset = float(np.einsum("ij,ij->", d, d))
-        self.bounds = np.array([2.0 * farthest_distance(feasible_set, c)
+        self.bounds = np.array([2.0 * feasible_set.farthest_distance(c)
                                 for c in self.centers])
 
     def evaluate_many(self, xs):
@@ -87,7 +85,7 @@ class RegressionFamily:
         self.var = np.asarray(var, dtype=float).reshape(self.m)
         bounds = []
         for phi, rb in zip(self.features, self.rbar):
-            lo, hi = linear_range(feasible_set, phi)
+            lo, hi = feasible_set.linear_range(phi)
             span = max(abs(lo - rb), abs(hi - rb))
             bounds.append(2.0 * float(np.linalg.norm(phi)) * span)
         self.bounds = np.array(bounds)
@@ -196,7 +194,7 @@ class UtilityFamily:
         self.utilities = tuple(utilities)
         self.m = self.n = self.eval_width = len(self.utilities)
         self.bounds = np.array(
-            [float(u.max_slope(*coordinate_range(feasible_set, j)))
+            [float(u.max_slope(*feasible_set.coordinate_range(j)))
              for j, u in enumerate(self.utilities)])
         self._basis = np.eye(self.n)
 

@@ -10,20 +10,15 @@ record, so they are only offered for dimension <= 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import CertificateError, DimensionMismatchError
 from .objectives import QuadraticFamily, RegressionFamily, UtilityFamily
-from .sets import Ball, Box, Simplex, coordinate_range
 
 GRID_MAX_DIM = 3
-# Lattice points per evaluation.  A row's value does not depend on the chunk,
-# so the chunk sets only memory: an m=50 family's (chunk, m) temporaries are
-# about 13 MB each.
-_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -65,10 +60,10 @@ class ProblemInstance:
     def __post_init__(self):
         if self.family.m < 1:
             raise ValueError("a problem needs at least one component")
-        set_dim = getattr(self.feasible_set, "dim", self.n)
-        if set_dim != self.n:
+        if self.feasible_set.dim != self.n:
             raise DimensionMismatchError(
-                f"feasible set dimension {set_dim} != component dimension {self.n}")
+                f"feasible set dimension {self.feasible_set.dim} != component "
+                f"dimension {self.n}")
 
     @property
     def m(self):
@@ -113,56 +108,6 @@ class ProblemInstance:
 
 # -- brute-force lattice search (the desk-scale optimum oracle) --------------
 
-def _box_lattice_axes(feasible_set, resolution):
-    axes = []
-    for lo, hi in zip(feasible_set.lower, feasible_set.upper):
-        count = int(np.floor((hi - lo) / resolution + 1e-9)) + 1
-        axes.append(lo + resolution * np.arange(count))
-    return axes
-
-
-def _iter_box_lattice(axes):
-    sizes = [len(a) for a in axes]
-    total = int(np.prod(sizes))
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        cols = []
-        rem = idx
-        for size, axis in zip(reversed(sizes), reversed(axes)):
-            cols.append(axis[rem % size])
-            rem = rem // size
-        yield np.stack(cols[::-1], axis=1)
-
-
-def _iter_lattice(feasible_set, resolution):
-    """Chunks of lattice points covering the set (feasible points only)."""
-    if isinstance(feasible_set, Box):
-        yield from _iter_box_lattice(_box_lattice_axes(feasible_set, resolution))
-    elif isinstance(feasible_set, Ball):
-        c, r = feasible_set.center, feasible_set.radius
-        box = Box(c - r, c + r)
-        for chunk in _iter_box_lattice(_box_lattice_axes(box, resolution)):
-            keep = np.linalg.norm(chunk - c, axis=1) <= r + 1e-12
-            if keep.any():
-                yield chunk[keep]
-    elif isinstance(feasible_set, Simplex):
-        s, n = feasible_set.scale, feasible_set.dim
-        if n == 1:
-            yield np.array([[s]])
-            return
-        count = int(np.floor(s / resolution + 1e-9)) + 1
-        axis = resolution * np.arange(count)
-        free = Box(np.zeros(n - 1), np.full(n - 1, s))
-        for chunk in _iter_box_lattice(_box_lattice_axes(free, resolution)):
-            last = s - chunk.sum(axis=1)
-            keep = last >= -1e-12
-            if keep.any():
-                yield np.column_stack([chunk[keep], np.maximum(last[keep], 0.0)])
-    else:
-        raise NotImplementedError(
-            f"grid search not available for {type(feasible_set).__name__}")
-
-
 def grid_search(f_many, feasible_set, resolution):
     """Minimize ``f_many`` over a lattice of mesh ``resolution`` on the set.
 
@@ -175,7 +120,7 @@ def grid_search(f_many, feasible_set, resolution):
         raise ValueError(f"grid search limited to dim <= {GRID_MAX_DIM}, got {dim}")
     best_val = np.inf
     best_x = None
-    for chunk in _iter_lattice(feasible_set, resolution):
+    for chunk in feasible_set.lattice(resolution):
         vals = f_many(chunk)
         j = int(np.argmin(vals))
         if vals[j] < best_val:
@@ -193,8 +138,17 @@ def _grid_certificate(family, feasible_set, resolution, notes=None):
                               resolution=resolution, notes=notes or {})
 
 
-def _value(family, x):
-    return float(family.evaluate_many(x[None, :])[0])
+def _uncertified(family, feasible_set, name):
+    """The instance before its certificate (see :func:`_certified`)."""
+    return ProblemInstance(family, feasible_set,
+                           OptimumCertificate(None, None, "unknown"), name=name)
+
+
+def _certified(prob, cert):
+    """``prob`` with the optimum certificate ``cert``, re-verified."""
+    prob = replace(prob, optimum=cert)
+    prob.check_certificate()
+    return prob
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -218,9 +172,10 @@ def make_quadratic_suite(m, n, spread, feasible_set, *, centers=None, seed=0,
         centers = v * radii[:, None]
     family = QuadraticFamily(np.asarray(centers, dtype=float).reshape(m, n),
                              feasible_set)
+    prob = _uncertified(family, feasible_set, f"quadratic_m{m}_n{n}")
 
     witness = feasible_set.project_many(family.centroid)
-    f_witness = _value(family, witness)
+    f_witness = prob.f(witness)
     if grid_resolution is None:
         cert = OptimumCertificate(f_witness, witness, "closed_form",
                                   tolerance=1e-9 * (1.0 + abs(f_witness)))
@@ -232,9 +187,7 @@ def make_quadratic_suite(m, n, spread, feasible_set, *, centers=None, seed=0,
                                       tolerance=cert.tolerance,
                                       resolution=grid_resolution,
                                       notes={"refined_by": "projected centroid"})
-    prob = ProblemInstance(family, feasible_set, cert, name=f"quadratic_m{m}_n{n}")
-    prob.check_certificate()
-    return prob
+    return _certified(prob, cert)
 
 
 def make_regression(features, samples, feasible_set, *, grid_resolution=1e-3):
@@ -263,6 +216,7 @@ def make_regression(features, samples, feasible_set, *, grid_resolution=1e-3):
     rbar = [float(r.mean()) for r in samples]
     var = [float(np.mean((r - rb) ** 2)) for r, rb in zip(samples, rbar)]
     family = RegressionFamily(feats, rbar, var, feasible_set)
+    prob = _uncertified(family, feasible_set, f"regression_m{m}_n{n}")
 
     normal = sum(np.outer(p, p) for p in feats)
     rhs = sum(rb * p for p, rb in zip(feats, rbar))
@@ -271,7 +225,7 @@ def make_regression(features, samples, feasible_set, *, grid_resolution=1e-3):
 
     notes = {"rank_deficient": True} if rank_deficient else {}
     if not rank_deficient and feasible_set.contains(sol):
-        f_star = _value(family, sol)
+        f_star = prob.f(sol)
         cert = OptimumCertificate(f_star, sol, "closed_form",
                                   tolerance=1e-9 * (1.0 + abs(f_star)), notes=notes)
     else:
@@ -280,10 +234,7 @@ def make_regression(features, samples, feasible_set, *, grid_resolution=1e-3):
                 "closed form unavailable (infeasible or rank-deficient) and the "
                 f"grid oracle is limited to dim <= {GRID_MAX_DIM}")
         cert = _grid_certificate(family, feasible_set, grid_resolution, notes=notes)
-
-    prob = ProblemInstance(family, feasible_set, cert, name=f"regression_m{m}_n{n}")
-    prob.check_certificate()
-    return prob
+    return _certified(prob, cert)
 
 
 def _check_concave_increasing(utility, lo, hi, rng, trials=200, tol=1e-9):
@@ -315,25 +266,21 @@ def make_allocation(utilities, feasible_set, *, grid_resolution=1e-3,
     m = len(utilities)
     if m < 1:
         raise ValueError("need at least one utility")
-    dim = getattr(feasible_set, "dim", m)
-    if dim != m:
+    if feasible_set.dim != m:
         raise DimensionMismatchError(
             f"allocation couples agent i to coordinate i: need set dimension "
-            f"{m}, got {dim}")
+            f"{m}, got {feasible_set.dim}")
 
     # the slope bounds reject a range a utility is undefined on, before the
     # screening evaluates it there
     family = UtilityFamily(utilities, feasible_set)
     rng = np.random.default_rng(check_seed)
     for j, u in enumerate(utilities):
-        lo, hi = coordinate_range(feasible_set, j)
+        lo, hi = feasible_set.coordinate_range(j)
         _check_concave_increasing(u, lo, hi, rng)
 
-    if m <= GRID_MAX_DIM:
-        cert = _grid_certificate(family, feasible_set, grid_resolution)
-    else:
-        cert = OptimumCertificate(None, None, "unknown")
-
-    prob = ProblemInstance(family, feasible_set, cert, name=f"allocation_m{m}")
-    prob.check_certificate()
-    return prob
+    prob = _uncertified(family, feasible_set, f"allocation_m{m}")
+    if m > GRID_MAX_DIM:
+        return prob
+    return _certified(prob, _grid_certificate(family, feasible_set,
+                                              grid_resolution))

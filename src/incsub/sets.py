@@ -2,7 +2,8 @@
 
 Three set families are shipped: axis-aligned boxes, Euclidean balls and
 scaled probability simplices.  All three project in closed form and have a
-finite diameter, which the error bounds need.
+finite diameter, which the error bounds need.  Each also computes the
+geometry that the subgradient bounds C_i and the grid oracle read.
 
 All projection code is written row-wise on ``(N, n)`` arrays so that
 projecting a batch gives bit-identical results to projecting each row
@@ -19,6 +20,10 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError
 
 CONTAINS_TOL = 1e-9
+# Lattice points per chunk.  A row's value does not depend on the chunk, so
+# the chunk sets only memory: an m=50 family's (chunk, m) temporaries are
+# about 13 MB each.
+_LATTICE_CHUNK = 1 << 15
 
 # the clip ufunc itself: np.clip reaches it through three wrappers, and
 # np.minimum/np.maximum would differ from it on signed zeros
@@ -79,6 +84,34 @@ class Box:
     def sample(self, rng, size):
         return rng.uniform(self.lower, self.upper, size=(size, self.dim))
 
+    def coordinate_range(self, j):
+        """Range [lo, hi] of coordinate j over the set (used for 1-d utilities)."""
+        return float(self.lower[j]), float(self.upper[j])
+
+    def linear_range(self, a):
+        """Range of the linear form a @ x over the set."""
+        a = np.asarray(a, dtype=float)
+        lo = np.where(a >= 0, self.lower, self.upper) @ a
+        hi = np.where(a >= 0, self.upper, self.lower) @ a
+        return float(lo), float(hi)
+
+    def farthest_distance(self, point):
+        """max_{x in set} ||x - point||."""
+        point = np.asarray(point, dtype=float)
+        gaps = np.maximum(np.abs(self.lower - point), np.abs(self.upper - point))
+        return float(np.linalg.norm(gaps))
+
+    def lattice(self, resolution):
+        """The points lower + resolution * k (k >= 0 integral) in the box,
+        in row-major order, as chunks of at most 2**15 rows."""
+        sizes = np.floor((self.upper - self.lower) / resolution + 1e-9).astype(int) + 1
+        axes = [lo + resolution * np.arange(size) for lo, size in zip(self.lower, sizes)]
+        total = int(np.prod(sizes))
+        for start in range(0, total, _LATTICE_CHUNK):
+            index = np.unravel_index(
+                np.arange(start, min(start + _LATTICE_CHUNK, total)), sizes)
+            yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -124,6 +157,28 @@ class Ball:
         r = self.radius * rng.random(size) ** (1.0 / self.dim)
         return self.center + v * r[:, None]
 
+    def coordinate_range(self, j):
+        c = self.center[j]
+        return float(c - self.radius), float(c + self.radius)
+
+    def linear_range(self, a):
+        a = np.asarray(a, dtype=float)
+        mid = float(a @ self.center)
+        half = self.radius * float(np.linalg.norm(a))
+        return mid - half, mid + half
+
+    def farthest_distance(self, point):
+        point = np.asarray(point, dtype=float)
+        return float(np.linalg.norm(self.center - point) + self.radius)
+
+    def lattice(self, resolution):
+        """The points of the enclosing box's lattice that lie in the ball."""
+        c, r = self.center, self.radius
+        for chunk in Box(c - r, c + r).lattice(resolution):
+            keep = np.linalg.norm(chunk - c, axis=1) <= r + 1e-12
+            if keep.any():
+                yield chunk[keep]
+
 
 @dataclass(frozen=True)
 class Simplex:
@@ -168,50 +223,28 @@ class Simplex:
         g = rng.standard_exponential((size, self.dim))
         return self.scale * g / g.sum(axis=1, keepdims=True)
 
+    def coordinate_range(self, j):
+        return 0.0, float(self.scale)
 
-def coordinate_range(feasible_set, j):
-    """Range [lo, hi] of coordinate j over the set (used for 1-d utilities)."""
-    if isinstance(feasible_set, Box):
-        return float(feasible_set.lower[j]), float(feasible_set.upper[j])
-    if isinstance(feasible_set, Ball):
-        c = feasible_set.center[j]
-        return float(c - feasible_set.radius), float(c + feasible_set.radius)
-    if isinstance(feasible_set, Simplex):
-        return 0.0, float(feasible_set.scale)
-    raise NotImplementedError(
-        f"coordinate ranges not available for {type(feasible_set).__name__}")
-
-
-def linear_range(feasible_set, a):
-    """Range of the linear form a @ x over the set (exact per variant)."""
-    a = np.asarray(a, dtype=float)
-    if isinstance(feasible_set, Box):
-        lo = np.where(a >= 0, feasible_set.lower, feasible_set.upper) @ a
-        hi = np.where(a >= 0, feasible_set.upper, feasible_set.lower) @ a
-        return float(lo), float(hi)
-    if isinstance(feasible_set, Ball):
-        mid = float(a @ feasible_set.center)
-        half = feasible_set.radius * float(np.linalg.norm(a))
-        return mid - half, mid + half
-    if isinstance(feasible_set, Simplex):
-        vals = feasible_set.scale * a
+    def linear_range(self, a):
+        vals = self.scale * np.asarray(a, dtype=float)
         return float(vals.min()), float(vals.max())
-    raise NotImplementedError(
-        f"linear ranges not available for {type(feasible_set).__name__}")
 
-
-def farthest_distance(feasible_set, point):
-    """max_{x in set} ||x - point||, exact for the bounded variants."""
-    point = np.asarray(point, dtype=float)
-    if isinstance(feasible_set, Box):
-        gaps = np.maximum(np.abs(feasible_set.lower - point),
-                          np.abs(feasible_set.upper - point))
-        return float(np.linalg.norm(gaps))
-    if isinstance(feasible_set, Ball):
-        return float(np.linalg.norm(feasible_set.center - point) + feasible_set.radius)
-    if isinstance(feasible_set, Simplex):
+    def farthest_distance(self, point):
         # Max of a convex function over a polytope is attained at a vertex.
-        verts = feasible_set.scale * np.eye(feasible_set.dim)
-        return float(np.linalg.norm(verts - point, axis=1).max())
-    raise NotImplementedError(
-        f"farthest distance not available for {type(feasible_set).__name__}")
+        verts = self.scale * np.eye(self.dim)
+        return float(np.linalg.norm(verts - np.asarray(point, dtype=float),
+                                    axis=1).max())
+
+    def lattice(self, resolution):
+        """The lattice of the first dim - 1 coordinates on [0, scale], each
+        point completed by a nonnegative last coordinate summing to scale."""
+        s, n = self.scale, self.dim
+        if n == 1:
+            yield np.array([[s]])
+            return
+        for chunk in Box(np.zeros(n - 1), np.full(n - 1, s)).lattice(resolution):
+            last = s - chunk.sum(axis=1)
+            keep = last >= -1e-12
+            if keep.any():
+                yield np.column_stack([chunk[keep], np.maximum(last[keep], 0.0)])

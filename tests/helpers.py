@@ -28,7 +28,7 @@ def geometric_envelope_holds(scheme, topology, horizon=200, tol=1e-10):
     rc = isb.rate_constants(isb.topology_eta(scheme, topology), m, topology.window)
     prod = None
     for k in range(horizon + 1):
-        p = isb.build_transition(scheme, topology.adjacency(k))
+        p = isb.build_transition(scheme, topology.adjacencies(k, 1)[0])
         prod = p if prod is None else prod @ p
         dev = isb.max_uniform_deviation(prod)
         if dev > rc.b * rc.beta**k + tol:

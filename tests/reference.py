@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from incsub.errors import NonFiniteError, SchemeViolationError, TopologyError
-from incsub.markov import PeriodicTopology, RandomEdgeTopology, ring_edges
+from incsub.markov import RandomEdgeTopology, ring_edges
 from incsub.objectives import QuadraticFamily, RegressionFamily, UtilityFamily
 from incsub.streams import BLOCK, DOMAIN_TOPOLOGY, block_generator
 from incsub.trace import COLUMNS, fmt_float
@@ -187,10 +187,8 @@ def neighbors_at(topology, k):
     """Neighbor lists of any topology sequence at tick ``k``."""
     if isinstance(topology, RandomEdgeTopology):
         edges = random_edges_at(topology, k)
-    elif isinstance(topology, PeriodicTopology):
-        edges = topology.phases[k % topology.period]
     else:
-        edges = topology.edges
+        edges = topology.phases[k % topology.period]
     return neighbors_from_edges(topology.m, edges)
 
 

@@ -87,7 +87,7 @@ CRIT4_TICKS = 1_000_000
 
 @pytest.fixture(scope="module")
 def crit4_traces(fixture_problem):
-    topo = isb.StaticTopology(5, isb.ring_edges(5))
+    topo = isb.PeriodicTopology(5, [isb.ring_edges(5)], 1)
     return isb.run_batch(fixture_problem, isb.GaussianNoise(SIGMA_FOR_HALF_RMS),
                          isb.PowerLaw(1.0, 0.8),
                          isb.ChainOrder(topo, isb.EqualProbability()),
@@ -145,8 +145,8 @@ def test_criterion_2_cyclic_constant_step_bound(crit2_run, out_root,
 
 def test_criterion_3_geometric_mixing_envelope():
     topologies = [
-        ("ring m=4", isb.StaticTopology(4, isb.ring_edges(4))),
-        ("path m=5", isb.StaticTopology(5, isb.path_edges(5))),
+        ("ring m=4", isb.PeriodicTopology(4, [isb.ring_edges(4)], 1)),
+        ("path m=5", isb.PeriodicTopology(5, [isb.path_edges(5)], 1)),
         ("matchings m=4 Q=2", isb.PeriodicTopology(
             4, [[(0, 1), (2, 3)], [(1, 2), (0, 3)]], 2)),
     ]
@@ -259,7 +259,7 @@ def test_criterion_8_both_engines_agree_with_grid_oracle():
         x0 = prob.feasible_set.project_many(np.zeros(prob.n))
         cy = run_one(prob, isb.NoNoise(), isb.PowerLaw(1.0, 1.0),
                      isb.RingOrder(prob.m), x0, 20_000, 0, stride=2000)
-        topo = isb.StaticTopology(prob.m, isb.ring_edges(prob.m))
+        topo = isb.PeriodicTopology(prob.m, [isb.ring_edges(prob.m)], 1)
         mk = run_one(prob, isb.NoNoise(), isb.PowerLaw(1.0, 0.8),
                      isb.ChainOrder(topo, isb.EqualProbability()), x0, 60_000, 0,
                      stride=6000)

@@ -67,8 +67,8 @@ class TestGeometricEnvelope:
                                         isb.MinEqualNeighbor(),
                                         isb.WeightedMetropolisHastings(0.5)])
     def test_ring_and_path(self, scheme):
-        for topo in (isb.StaticTopology(4, isb.ring_edges(4)),
-                     isb.StaticTopology(5, isb.path_edges(5))):
+        for topo in (isb.PeriodicTopology(4, [isb.ring_edges(4)], 1),
+                     isb.PeriodicTopology(5, [isb.path_edges(5)], 1)):
             ok, k, dev = geometric_envelope_holds(scheme, topo)
             assert ok, f"envelope violated at k={k}: deviation {dev}"
 

@@ -327,10 +327,12 @@ class TestCli:
         assert table[0].startswith("alpha,T_label,T,analytic_gap")
         assert len(table) > 4
 
-    @pytest.mark.parametrize("ts", [[3, -1], [1.5], ["x"], 5],
-                             ids=["negative", "fraction", "string", "not_a_list"])
+    @pytest.mark.parametrize("ts, field", [
+        ([3, -1], "compare.Ts[1]"), ([1.5], "compare.Ts[0]"),
+        (["x"], "compare.Ts[0]"), (5, "compare.Ts"),
+    ], ids=["negative", "fraction", "string", "not_a_list"])
     def test_cli_compare_rejects_bad_window_before_simulating(self, tmp_path, capsys,
-                                                             monkeypatch, ts):
+                                                             monkeypatch, ts, field):
         import incsub.harness as hz
 
         def no_simulation(*args):
@@ -345,7 +347,7 @@ class TestCli:
                      "out": str(tmp_path / "cmp_out")})
         write_config(cfg_path, flat)
         assert cli_main(["compare", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err.startswith("config error: compare.Ts: ")
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
         assert not (tmp_path / "cmp_out").exists()
 
     def test_cli_seed_override_changes_outputs(self, tmp_path):
@@ -408,13 +410,13 @@ class TestValidateRandomEdges:
                     p[..., 0, 0] -= np.where(adj[..., 0, 2], 0.01 * deg[..., 0], 0.0)
                 return p
 
-        monkeypatch.setattr(hz, "build_scheme", lambda spec: BreaksOnChord())
+        monkeypatch.setattr(hz, "build_scheme", lambda spec, m: BreaksOnChord())
         config = self.config()
         topology = build_run(config).order.topology
         failures = []  # (tick, message) of every failing tick, built alone
         for k in range(8):
             try:
-                build_transition(BreaksOnChord(), topology.adjacency(k))
+                build_transition(BreaksOnChord(), topology.adjacencies(k, 1)[0])
             except SchemeViolationError as exc:
                 failures.append((k, str(exc)))
         # the seed puts the first failure after tick 0, and a later
@@ -584,11 +586,39 @@ class TestFailFast:
         ("topology.graph", "ring", "topology.edges"),
         ("topology.base", "complete", "topology.base"),
         ("scheme.weights", 0.3, "scheme.weights"),
+        # a constructor's range check names its entry; a whole section
+        # replaces the example's, kind included
+        ("scheme", {"kind": "weighted_mh", "weight": 1.5}, "scheme.weight"),
+        ("scheme", {"kind": "weighted_mh", "weights": [0.5, 0.5]},
+         "scheme.weights"),
+        ("topology", {"kind": "random_edges", "inclusion_prob": 2},
+         "topology.inclusion_prob"),
+        ("topology.edges", [[0, 0], [0, 1], [1, 2], [2, 3], [3, 4], [4, 0]],
+         "topology.edges"),
+        ("topology", {"kind": "random_edges", "base": [[1, 1], [0, 1], [1, 2],
+                                                       [2, 3], [3, 4], [4, 0]]},
+         "topology.base"),
+        ("topology", {"kind": "periodic", "phases": ["ring", [[0, 1], [2, 2]]]},
+         "topology.phases[1]"),
     ])
     def test_bad_run_entries(self, tmp_path, capsys, verb, entry, value, field):
         flat = parse_config_text(MARKOV_CFG)
         flat[entry] = value
         flat.update(self.ALONGSIDE.get((entry, field), {}))
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "compare"])
+    @pytest.mark.parametrize("alphas, field", [
+        ([True, 0.01], "compare.alphas[0]"), ([0.05, "fast"], "compare.alphas[1]"),
+        ("5", "compare.alphas"),
+    ], ids=["boolean", "word", "string"])
+    def test_bad_compare_alphas(self, tmp_path, capsys, verb, alphas, field):
+        flat = parse_config_text(MARKOV_CFG)
+        flat["compare.alphas"] = alphas
         cfg = write_config(tmp_path / "exp.cfg", flat)
         out = tmp_path / "out"
         assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2

@@ -118,12 +118,12 @@ class TestAgentSampling:
 
 class TestTopologies:
     def test_static_ring_is_valid(self):
-        topo = isb.StaticTopology(4, ring_edges(4))  # validated when built
+        topo = isb.PeriodicTopology(4, [ring_edges(4)], 1)  # validated when built
         assert topo.window == 1
 
     def test_disconnected_static_rejected(self):
         with pytest.raises(TopologyError):
-            isb.StaticTopology(4, [(0, 1), (2, 3)])
+            isb.PeriodicTopology(4, [[(0, 1), (2, 3)]], 1)
 
     def test_periodic_matchings_connect_over_window(self):
         phases = [[(0, 1), (2, 3)], [(1, 2), (0, 3)]]
@@ -144,12 +144,12 @@ class TestTopologies:
         topo = isb.RandomEdgeTopology(5, complete_edges(5), 0.3, 2, 7)
         again = isb.RandomEdgeTopology(5, complete_edges(5), 0.3, 2, 7)
         for k in range(20):
-            assert np.array_equal(topo.adjacency(k), again.adjacency(k))
+            assert np.array_equal(topo.adjacencies(k, 1)[0], again.adjacencies(k, 1)[0])
         ring = adjacency_from_edges(5, ring_edges(5))
         for k in range(10):
             union = np.zeros((5, 5), dtype=bool)
             for j in range(topo.window):
-                union |= topo.adjacency(k + j)
+                union |= topo.adjacencies(k + j, 1)[0]
             assert np.all(union[ring])
 
     def test_random_edges_require_ring_in_base(self):
@@ -161,7 +161,7 @@ class TestMarkovEngine:
     def test_single_agent_reduces_to_cyclic(self):
         prob = isb.make_quadratic_suite(1, 2, 0.0, isb.Box([-1, -1], [1, 1]),
                                         centers=[[0.3, -0.2]])
-        topo = isb.StaticTopology(1, ())
+        topo = isb.PeriodicTopology(1, [()], 1)
         sched = isb.PowerLaw(0.5, 1.0)
         noise = isb.GaussianNoise(0.2)
         x0 = np.array([1.0, 1.0])
@@ -254,7 +254,7 @@ class TestMarkovEngine:
         # becomes the randomized single-agent order and still converges
         prob = isb.make_quadratic_suite(4, 2, 0.5, isb.Box([-1, -1], [1, 1]),
                                         seed=3)
-        topo = isb.StaticTopology(4, complete_edges(4))
+        topo = isb.PeriodicTopology(4, [complete_edges(4)], 1)
         p = isb.ChainOrder(topo, isb.EqualProbability()).matrices[0]
         assert np.allclose(p, 0.25)
         traces = isb.run_batch(prob, isb.NoNoise(), isb.PowerLaw(1.0, 0.8),
@@ -295,8 +295,8 @@ class TestMarkovEngine:
         # a topology validates itself when built, and the chain order every
         # distinct matrix of a periodic one, before any tick can run
         with pytest.raises(TopologyError):
-            isb.StaticTopology(5, [(0, 1), (2, 3)])
-        ring = isb.StaticTopology(5, ring_edges(5))
+            isb.PeriodicTopology(5, [[(0, 1), (2, 3)]], 1)
+        ring = isb.PeriodicTopology(5, [ring_edges(5)], 1)
         with pytest.raises(SchemeViolationError, match="doubly stochastic"):
             isb.ChainOrder(ring, isb.WeightedMetropolisHastings([0.3, 0.7] * 2 + [0.5]))
 

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incsub import Ball, Box, DimensionMismatchError, Simplex
 
@@ -96,3 +100,65 @@ def test_diameters():
     assert Box([0, 0], [3, 4]).diameter() == 5.0
     assert Ball([1, 1], 2.0).diameter() == 4.0
     assert Simplex(1.0, 2).diameter() == pytest.approx(np.sqrt(2.0))
+
+
+def _vectors(dim, bound=5.0):
+    return st.lists(st.floats(-bound, bound), min_size=dim, max_size=dim).map(np.array)
+
+
+@st.composite
+def boxes(draw, dim=None):
+    dim = draw(st.integers(1, 3)) if dim is None else dim
+    lower = draw(_vectors(dim))
+    return Box(lower, lower + draw(_vectors(dim).map(np.abs)))
+
+
+@st.composite
+def feasible_sets(draw):
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["box", "ball", "simplex"]))
+    if kind == "box":
+        return draw(boxes(dim))
+    if kind == "ball":
+        return Ball(draw(_vectors(dim)), draw(st.floats(0.1, 5.0)))
+    return Simplex(draw(st.floats(0.1, 5.0)), dim)
+
+
+def _within(values, lo, hi):
+    tol = 1e-9 * (1.0 + max(abs(lo), abs(hi)))
+    return bool(np.all((lo - tol <= values) & (values <= hi + tol)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fset=feasible_sets(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_samples_stay_within_the_sets_geometry(fset, seed, data):
+    x = fset.sample(np.random.default_rng(seed), 64)
+    for j in range(fset.dim):
+        assert _within(x[:, j], *fset.coordinate_range(j))
+    a = data.draw(_vectors(fset.dim))
+    assert _within(x @ a, *fset.linear_range(a))
+    point = data.draw(_vectors(fset.dim, 10.0))
+    assert _within(np.linalg.norm(x - point, axis=1), 0.0,
+                   fset.farthest_distance(point))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fset=feasible_sets(), resolution=st.floats(0.25, 1.0))
+def test_every_lattice_point_lies_in_the_set(fset, resolution):
+    assert all(len(chunk) and fset.contains(chunk)
+               for chunk in fset.lattice(resolution))
+
+
+@settings(max_examples=150, deadline=None)
+@given(box=boxes(), data=st.data())
+def test_box_geometry_is_attained_at_a_vertex(box, data):
+    vertices = np.array(list(itertools.product(*zip(box.lower, box.upper))))
+    for j in range(box.dim):
+        assert box.coordinate_range(j) == (vertices[:, j].min(), vertices[:, j].max())
+    a = data.draw(_vectors(box.dim))
+    values = np.array([v @ a for v in vertices])
+    assert box.linear_range(a) == pytest.approx((values.min(), values.max()),
+                                                rel=1e-12, abs=1e-12)
+    point = data.draw(_vectors(box.dim, 10.0))
+    assert box.farthest_distance(point) == pytest.approx(
+        np.linalg.norm(vertices - point, axis=1).max(), rel=1e-12)

@@ -52,7 +52,7 @@ def topologies(draw):
     m = draw(st.integers(2, 9))
     picked = _chords(draw, m)
     if kind == "static":
-        return isb.StaticTopology(m, ring_edges(m) + picked)
+        return isb.PeriodicTopology(m, [ring_edges(m) + picked], 1)
     period = draw(st.integers(1, 3))
     # ring edges round-robin over the phases keep every window connected
     phases = [[e for i, e in enumerate(ring_edges(m)) if i % period == p]
@@ -76,7 +76,7 @@ def _matrix(order, k):
     """Tick k's matrix as the order holds it, or one build of that tick."""
     if order.matrices is not None:
         return order.matrices[k % order.topology.period]
-    return isb.build_transition(order.scheme, order.topology.adjacency(k))
+    return isb.build_transition(order.scheme, order.topology.adjacencies(k, 1)[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -92,7 +92,7 @@ def test_adjacency_path_matches_neighbor_list_reference(topology, scheme, start,
     for t, k in enumerate(range(start, start + TICKS)):
         nb = reference.neighbors_at(topology, k)
         ref_p, ref_eta = reference.build(scheme, nb)
-        adj = topology.adjacency(k)
+        adj = topology.adjacencies(k, 1)[0]
         assert np.array_equal(adj, adjacency_from_edges(
             m, [(i, j) for i in range(m) for j in nb[i]]))
         built = isb.build_transition(scheme, adj)
@@ -116,7 +116,7 @@ def test_adjacency_path_matches_neighbor_list_reference(topology, scheme, start,
 def test_exact_rule_meets_the_contract(topology, scheme, k):
     """The float path's re-check trusts each rule evaluated in Fractions to
     be doubly stochastic with every positive entry at its floor or above."""
-    adj = topology.adjacency(k)
+    adj = topology.adjacencies(k, 1)[0]
     one = Fraction(1)
     deg = np.array([Fraction(int(d)) for d in adj.sum(axis=1)], dtype=object)
     p, eta = scheme.matrix(adj, deg, one), scheme.eta(deg, one)
@@ -134,7 +134,7 @@ def test_exact_rule_meets_the_contract(topology, scheme, k):
 def test_exact_rule_on_a_block_is_the_full_rules_block(topology, scheme, k, data):
     """The re-check evaluates the rule on the block of some rows and of
     their neighbours' columns only; there it equals the whole matrix."""
-    adj = topology.adjacency(k)
+    adj = topology.adjacencies(k, 1)[0]
     m, one = topology.m, Fraction(1)
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1))))
     near = adj[rows].any(axis=0)
@@ -150,9 +150,27 @@ def test_exact_rule_on_a_block_is_the_full_rules_block(topology, scheme, k, data
         np.array([Fraction(int(d)) for d in deg], dtype=object), one)
 
 
+@settings(max_examples=150, deadline=None)
+@given(topology=topologies().filter(lambda t: t.period is not None),
+       start=st.integers(0, 3 * BLOCK), count=st.integers(1, 8))
+def test_periodic_adjacencies_cycle_through_the_phases(topology, start, count):
+    """Every tick of a run, across period boundaries too, and of a one-phase
+    topology, is the graph of its phase."""
+    m = topology.m
+    adj = topology.adjacencies(start, count)
+    assert adj.shape == (count, m, m) and adj.dtype == bool
+    for t, k in enumerate(range(start, start + count)):
+        phase = np.zeros((m, m), dtype=bool)
+        for i, j in topology.phases[k % topology.period]:
+            phase[i, j] = phase[j, i] = True
+        assert np.array_equal(adj[t], phase)
+        nb = reference.neighbors_at(topology, k)
+        assert all(np.array_equal(np.flatnonzero(adj[t, i]), nb[i]) for i in range(m))
+
+
 def test_period_counts_distinct_adjacencies():
     ring = ring_edges(4)
-    assert isb.StaticTopology(4, ring).period == 1
+    assert isb.PeriodicTopology(4, [ring], 1).period == 1
     assert isb.PeriodicTopology(4, [ring[:2], ring[2:]], 2).period == 2
     assert isb.RandomEdgeTopology(4, complete_edges(4), 0.5, 1).period is None
 
@@ -241,7 +259,7 @@ def test_adjacencies_match_full_block_draws(topology, block, back, count):
     adj = topology.adjacencies(start, count)
     assert adj.shape == (count, topology.m, topology.m)
     assert np.array_equal(adj, reference.random_adjacencies(topology, start, count))
-    assert all(np.array_equal(adj[t], topology.adjacency(start + t))
+    assert all(np.array_equal(adj[t], topology.adjacencies(start + t, 1)[0])
                for t in range(count))
 
 
@@ -255,7 +273,7 @@ def test_stacked_build_matches_per_tick_builds(topology, scheme, start, count):
     floors = scheme.eta(adj.sum(axis=-1))  # one per tick, or one for all
     assert np.shape(floors) in ((count,), ())
     for t in range(count):
-        tick = topology.adjacency(start + t)
+        tick = topology.adjacencies(start + t, 1)[0]
         p = isb.build_transition(scheme, tick)
         assert _bits(stack[t]) == _bits(p)
         assert np.broadcast_to(floors, count)[t] == scheme.eta(tick.sum(axis=1))
@@ -268,7 +286,7 @@ def _per_tick_walk(order, b, count, seeds, agents):
     m, walked = order.topology.m, []
     for off in range(count):
         cum = np.cumsum(isb.build_transition(
-            order.scheme, order.topology.adjacency(b * BLOCK + off)), axis=1)
+            order.scheme, order.topology.adjacencies(b * BLOCK + off, 1)[0]), axis=1)
         agents = np.minimum((uniforms[:, off, None] >= cum[agents]).sum(axis=1), m - 1)
         walked.append(agents)
     return walked
@@ -320,8 +338,8 @@ def test_walk_clamps_above_a_row_total_below_one(kind):
     # budget, count.
     m, u = 10, 1.0 - 2.0**-53
     complete = complete_edges(m)
-    topology = {"static": isb.StaticTopology(m, complete),
-                "static_counted": isb.StaticTopology(m, complete),
+    topology = {"static": isb.PeriodicTopology(m, [complete], 1),
+                "static_counted": isb.PeriodicTopology(m, [complete], 1),
                 "periodic": isb.PeriodicTopology(m, [complete] * 2, 2),
                 "random_edges": isb.RandomEdgeTopology(m, complete, 1.0, 1, 2)}[kind]
     budget = 0 if kind == "static_counted" else markov._CHUNK_ENTRIES
@@ -356,7 +374,7 @@ def _period_walks(topology, scheme, uniforms, b, count):
         walks = [order.block(b, count, seeds, start) for order in (tabulated, counted)]
     agents, expected = list(range(m)), []
     for off in range(count):
-        p = isb.build_transition(scheme, topology.adjacency(b * BLOCK + off))
+        p = isb.build_transition(scheme, topology.adjacencies(b * BLOCK + off, 1)[0])
         cum = np.cumsum(p, axis=1)
         agents = [reference.next_from_uniform(cum[a], uniforms[r][off])
                   for r, a in enumerate(agents)]
@@ -396,7 +414,7 @@ def test_period_chain_over_the_table_budget_counts():
     chords = [e for e in complete_edges(m) if e not in set(ring_edges(m))]
     picked = [chords[i] for i in rng.choice(len(chords), len(chords) // 3,
                                             replace=False)]
-    topology = isb.StaticTopology(m, ring_edges(m) + picked)
+    topology = isb.PeriodicTopology(m, [ring_edges(m) + picked], 1)
     scheme = isb.MinEqualNeighbor()
     order = isb.ChainOrder(topology, scheme)
     values = np.unique(np.cumsum(order.matrices[..., :-1], axis=-1))
