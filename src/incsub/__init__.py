@@ -31,11 +31,9 @@ from .markov import (ChainOrder, EqualProbability, MinEqualNeighbor,
                      WeightedMetropolisHastings, adjacency_from_edges,
                      build_transition, complete_edges, path_edges, ring_edges,
                      topology_eta, validate_transition)
-from .analysis import (BoundReport, BoundVerdict, OptimalWindow, RateConstants,
-                       aggregate_verdicts, cyclic_bound, delta_window,
-                       markov_bound, max_uniform_deviation, optimal_window,
-                       phi_product, rate_constants, simple_delta_bound,
-                       verify_bound_empirically)
+from .analysis import (BoundInputs, BoundReport, OptimalWindow, RateConstants,
+                       delta_window, max_uniform_deviation, optimal_window,
+                       phi_product, rate_constants)
 from .trace import RunTrace, record_indices
 from .config import ExperimentConfig, canonical_config_text, parse_config_text
 from .harness import Run, build_run, compare_bounds, run_experiment

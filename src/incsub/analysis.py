@@ -2,16 +2,18 @@
 
 The mixing envelope for products of the shipped doubly stochastic matrices
 is geometric: every entry of P(l)...P(k) is within b * beta^(k-l) of 1/m,
-with b and beta exact functions of (eta, m, Q).  The bound calculators
-return itemized reports whose total is by construction the sum of the
-listed terms, and an empirical verifier turns a report plus a run trace
-into a pass/fail verdict with configurable statistical slack.
+with b and beta exact functions of (eta, m, Q).  :class:`BoundInputs`
+checks what the constant-step bounds read once and returns itemized
+reports whose total is by construction the sum of the listed terms; a
+report checks the replications' best values against its gap with
+configurable statistical slack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -98,61 +100,17 @@ class BoundReport:
         return {"kind": self.kind, "gap": self.gap,
                 "terms": dict(self.terms), "params": dict(self.params)}
 
-
-def _common_checks(alpha, c_bounds, mu, nu, diameter, bounded=True):
-    """The agent count, max C_i and sum C_i, after the checks every bound
-    shares; ``bounded`` requires a finite diameter."""
-    c_bounds = np.asarray(c_bounds, dtype=float)
-    if c_bounds.ndim != 1 or c_bounds.size == 0 or np.any(c_bounds < 0):
-        raise ValueError("need a nonempty list of nonnegative subgradient bounds")
-    if not alpha > 0:
-        raise ValueError(f"step-size must be positive, got {alpha}")
-    if mu < 0 or nu < 0 or mu > nu:
-        raise ValueError(f"need 0 <= mu <= nu, got mu={mu}, nu={nu}")
-    if bounded and (diameter is None or not math.isfinite(diameter)):
-        raise ValueError("this bound needs a bounded set: finite diameter required")
-    return len(c_bounds), float(c_bounds.max()), float(c_bounds.sum())
-
-
-def cyclic_bound(alpha, c_bounds, mu, nu, diameter=None):
-    """Constant-step gap for the ring-order method.
-
-    gap = m * mu * diameter + (alpha / 2) (sum C_i + m nu)^2.  The bias
-    term requires a finite diameter; with mu = 0 it vanishes exactly and
-    no diameter is needed (the zero-mean form of the bound).
-    """
-    m, _, c_sum = _common_checks(alpha, c_bounds, mu, nu, diameter, bounded=mu > 0)
-    bias = m * mu * diameter if mu > 0 else 0.0
-    step = 0.5 * alpha * (c_sum + m * nu) ** 2
-    terms = {"bias": bias, "step": step}
-    return BoundReport(bias + step, terms,
-                       {"alpha": alpha, "m": m, "mu": mu, "nu": nu,
-                        "diameter": diameter, "c_sum": c_sum},
-                       "cyclic_constant_step")
-
-
-def markov_bound(alpha, c_bounds, mu, nu, diameter, rate, T):
-    """Constant-step gap for the randomized-order method at window T.
-
-    gap = mu * diam + (alpha/2)(nu + C)^2 + alpha T C (C + nu)
-          + b (sum C_i) beta^(T+1) diam,  with C = max_i C_i.
-
-    The window term grows linearly in T while the mixing term decays
-    geometrically; :func:`optimal_window` trades them off.
-    """
-    m, c_max, c_sum = _common_checks(alpha, c_bounds, mu, nu, diameter)
-    if T < 0 or int(T) != T:
-        raise ValueError(f"window T must be a nonnegative integer, got {T}")
-    bias = mu * diameter
-    step = 0.5 * alpha * (nu + c_max) ** 2
-    window = alpha * T * c_max * (c_max + nu)
-    mixing = rate.b * c_sum * rate.beta ** (T + 1) * diameter
-    terms = {"bias": bias, "step": step, "window": window, "mixing": mixing}
-    return BoundReport(bias + step + window + mixing, terms,
-                       {"alpha": alpha, "m": m, "mu": mu, "nu": nu,
-                        "diameter": diameter, "T": int(T), "b": rate.b,
-                        "beta": rate.beta, "c_max": c_max, "c_sum": c_sum},
-                       "markov_constant_step")
+    def verdicts(self, inf_f, f_star, slack_rel, slack_abs):
+        """How many of the replications' best values ``inf_f`` lie at or
+        below f* + gap (1 + slack_rel) + slack_abs, of how many, their
+        fraction and the smallest margin threshold - inf f (negative is a
+        violation); the last two are None for no replication."""
+        inf_f = np.asarray(inf_f, dtype=float)
+        threshold = f_star + self.gap * (1.0 + slack_rel) + slack_abs
+        passed, total = int(np.count_nonzero(inf_f <= threshold)), inf_f.size
+        return {"passed": passed, "total": total,
+                "fraction": passed / total if total else None,
+                "worst_margin": float(np.min(threshold - inf_f)) if total else None}
 
 
 @dataclass(frozen=True)
@@ -217,65 +175,126 @@ def delta_window(alpha, beta):
     return math.ceil(math.log(alpha) / math.log(beta)) - 1
 
 
-def simple_delta_bound(alpha, c_bounds, mu, nu, diameter, rate):
-    """Topology-light gap using the window delta(alpha, beta).
-
-    Choosing T = delta(alpha, beta) makes beta^(T+1) <= alpha, which turns
-    the mixing term into alpha * b * (sum C_i) * diam; the whole gap beyond
-    the bias term is then proportional to alpha:
-
-    gap = mu * diam + alpha [ (1/2)(nu+C)^2 + C(C+nu) delta + b (sum C_i) diam ].
-    """
-    m, c_max, c_sum = _common_checks(alpha, c_bounds, mu, nu, diameter)
-    delta = delta_window(alpha, rate.beta)
-    bias = mu * diameter
-    step = 0.5 * alpha * (nu + c_max) ** 2
-    window = alpha * c_max * (c_max + nu) * delta
-    mixing = alpha * rate.b * c_sum * diameter
-    terms = {"bias": bias, "step": step, "window": window, "mixing": mixing}
-    return BoundReport(bias + step + window + mixing, terms,
-                       {"alpha": alpha, "m": m, "mu": mu, "nu": nu,
-                        "diameter": diameter, "delta": int(delta),
-                        "b": rate.b, "beta": rate.beta,
-                        "c_max": c_max, "c_sum": c_sum},
-                       "markov_simple_delta")
-
-
 @dataclass(frozen=True)
-class BoundVerdict:
-    """Outcome of checking a run's best value against an analytic gap."""
-
-    passed: bool
-    inf_f: float
-    f_star: float
-    gap: float
-    threshold: float
-    margin: float  # threshold - inf_f; negative means violation
-    slack_rel: float
-    slack_abs: float
-
-
-def verify_bound_empirically(trace, report, f_star, *, slack_rel=0.02,
-                             slack_abs=0.0):
-    """Check running inf f <= f* + gap + slack for one replication.
-
-    ``trace`` may be a RunTrace (its final running-inf entry is used) or a
-    plain float.  Slack is relative to the gap plus an absolute allowance;
-    both are echoed in the verdict so thresholds stay visible in outputs.
+class BoundInputs:
+    """What the constant-step bounds read, checked once: the subgradient
+    bounds C_i, the noise suprema 0 <= mu <= nu, the feasible set's
+    diameter (finite for a bias term or a randomized-order bound) and, for
+    the randomized order, the chain's envelope ``rate``.  Derived: ``m``,
+    ``c_max = max C_i``, ``c_sum = sum C_i`` and the optimal-window
+    coefficients ``c0 = b C_sum diameter`` (None without a rate) and
+    ``c_eff = sqrt(C_max (C_max + nu))``; one that overflows is inf.
     """
-    inf_f = trace if isinstance(trace, (int, float)) else float(trace.running_inf[-1])
-    gap = report.gap if hasattr(report, "gap") else float(report)
-    threshold = f_star + gap * (1.0 + slack_rel) + slack_abs
-    margin = threshold - inf_f
-    return BoundVerdict(bool(inf_f <= threshold), float(inf_f), float(f_star),
-                        float(gap), float(threshold), float(margin),
-                        float(slack_rel), float(slack_abs))
 
+    c_bounds: np.ndarray
+    mu: float
+    nu: float
+    diameter: Optional[float] = None
+    rate: Optional[RateConstants] = None
+    m: int = field(init=False)
+    c_max: float = field(init=False)
+    c_sum: float = field(init=False)
+    c0: Optional[float] = field(init=False)
+    c_eff: float = field(init=False)
 
-def aggregate_verdicts(verdicts):
-    """Pass-fraction summary across replications."""
-    total = len(verdicts)
-    passed = sum(1 for v in verdicts if v.passed)
-    return {"passed": passed, "total": total,
-            "fraction": passed / total if total else None,
-            "worst_margin": min((v.margin for v in verdicts), default=None)}
+    def __post_init__(self):
+        c_bounds = np.asarray(self.c_bounds, dtype=float)
+        if c_bounds.ndim != 1 or c_bounds.size == 0 or np.any(c_bounds < 0):
+            raise ValueError("need a nonempty list of nonnegative subgradient bounds")
+        mu, nu, diameter = self.mu, self.nu, self.diameter
+        if mu < 0 or nu < 0 or mu > nu:
+            raise ValueError(f"need 0 <= mu <= nu, got mu={mu}, nu={nu}")
+        if ((mu > 0 or self.rate is not None)
+                and (diameter is None or not math.isfinite(diameter))):
+            raise ValueError("this bound needs a bounded set: finite diameter required")
+        with np.errstate(over="ignore"):  # an overflow stays inf
+            c_max, c_sum = float(c_bounds.max()), float(c_bounds.sum())
+        derived = {"c_bounds": c_bounds, "m": len(c_bounds), "c_max": c_max,
+                   "c_sum": c_sum,
+                   "c0": None if self.rate is None else self.rate.b * c_sum * diameter,
+                   "c_eff": math.sqrt(c_max * (c_max + nu))}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def _report(self, kind, alpha, terms, **params):
+        if not alpha > 0:
+            raise ValueError(f"step-size must be positive, got {alpha}")
+        return BoundReport(sum(terms.values()), terms,
+                           {"alpha": alpha, "m": self.m, "mu": self.mu,
+                            "nu": self.nu, "diameter": self.diameter, **params},
+                           kind)
+
+    def _markov_report(self, kind, alpha, window, mixing, **params):
+        """The randomized-order gap: bias mu * diam, step (alpha/2)(nu + C)^2
+        with C = max_i C_i, and the given window and mixing terms."""
+        rate = self.rate
+        terms = {"bias": self.mu * self.diameter,
+                 "step": 0.5 * alpha * (self.nu + self.c_max) ** 2,
+                 "window": window, "mixing": mixing}
+        return self._report(kind, alpha, terms, **params, b=rate.b,
+                            beta=rate.beta, c_max=self.c_max, c_sum=self.c_sum)
+
+    def cyclic(self, alpha):
+        """Constant-step gap for the ring-order method.
+
+        gap = m * mu * diameter + (alpha / 2) (sum C_i + m nu)^2.  With
+        mu = 0 the bias term vanishes exactly and no diameter is needed
+        (the zero-mean form of the bound).
+        """
+        m = self.m
+        bias = m * self.mu * self.diameter if self.mu > 0 else 0.0
+        step = 0.5 * alpha * (self.c_sum + m * self.nu) ** 2
+        return self._report("cyclic_constant_step", alpha,
+                            {"bias": bias, "step": step}, c_sum=self.c_sum)
+
+    def markov(self, alpha, T):
+        """Constant-step gap for the randomized-order method at window T.
+
+        gap = mu * diam + (alpha/2)(nu + C)^2 + alpha T C (C + nu)
+              + b (sum C_i) beta^(T+1) diam,  with C = max_i C_i.
+
+        The window term grows linearly in T while the mixing term decays
+        geometrically; :meth:`windows` picks the T that trades them off.
+        """
+        if T < 0 or int(T) != T:
+            raise ValueError(f"window T must be a nonnegative integer, got {T}")
+        rate, c_max = self.rate, self.c_max
+        return self._markov_report(
+            "markov_constant_step", alpha, alpha * T * c_max * (c_max + self.nu),
+            rate.b * self.c_sum * rate.beta ** (T + 1) * self.diameter, T=int(T))
+
+    def simple_delta(self, alpha):
+        """Topology-light gap using the window delta(alpha, beta).
+
+        Choosing T = delta(alpha, beta) makes beta^(T+1) <= alpha, which
+        turns the mixing term into alpha * b * (sum C_i) * diam; the whole
+        gap beyond the bias term is then proportional to alpha:
+
+        gap = mu * diam + alpha [ (1/2)(nu+C)^2 + C(C+nu) delta + b (sum C_i) diam ].
+        """
+        delta = delta_window(alpha, self.rate.beta)
+        c_max = self.c_max
+        return self._markov_report(
+            "markov_simple_delta", alpha, alpha * c_max * (c_max + self.nu) * delta,
+            alpha * self.rate.b * self.c_sum * self.diameter, delta=int(delta))
+
+    def windows(self, alpha):
+        """The labeled windows T every randomized-order report set covers
+        at ``alpha``: zero, the optimal window and the delta window."""
+        beta = self.rate.beta
+        return [("T0", 0),
+                ("optimal", optimal_window(alpha, self.c_eff, self.c0, beta).T),
+                ("delta", delta_window(alpha, beta))]
+
+    def reports(self, alpha):
+        """The reports that apply at ``alpha``, one at a time: the ring
+        order's one, or a randomized-order report for each labeled window
+        and then the delta-window report."""
+        if self.rate is None:
+            yield self.cyclic(alpha)
+            return
+        for label, t in self.windows(alpha):
+            report = self.markov(alpha, t)
+            report.params["label"] = label
+            yield report
+        yield self.simple_delta(alpha)

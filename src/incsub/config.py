@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, SchemeViolationError
+from .errors import ConfigError, SchemeViolationError, TopologyError
 from .markov import (EqualProbability, MinEqualNeighbor, PeriodicTopology,
                      RandomEdgeTopology, WeightedMetropolisHastings,
                      complete_edges, path_edges, ring_edges)
@@ -198,13 +198,13 @@ def _number(spec, section, key, default=_MISSING, minimum=None, kind=float,
     float must then be integral); ``minimum`` is inclusive.  ``section`` is
     None for a top-level entry.  ``finite=False`` lets an infinite or NaN
     float through to a constructor that range-checks it with its own
-    message.  A JSON boolean is not a number."""
+    message.  A JSON boolean or string is not a number."""
     field = key if section is None else f"{section}.{key}"
     raw = spec.get(key, default)
     if raw is _MISSING:
         raise ConfigError("missing required entry", field=field)
     try:
-        if isinstance(raw, bool):
+        if isinstance(raw, (bool, str)):
             raise TypeError(raw)
         value = kind(raw)
         if kind is int and isinstance(raw, float) and value != raw:
@@ -240,18 +240,19 @@ def _compare(spec):
             "Ts": _each(spec, "compare", "Ts", kind=int, minimum=0)}
 
 
-def _has_bool(raw):
-    """Whether ``raw`` is a boolean or a (nested) list holding one."""
+def _has_non_number(raw):
+    """Whether ``raw`` is a boolean or a string, or a (nested) list holding
+    one; numpy would read either as a number."""
     if isinstance(raw, (list, tuple)):
-        return any(map(_has_bool, raw))
-    return isinstance(raw, bool)
+        return any(map(_has_non_number, raw))
+    return isinstance(raw, (bool, str))
 
 
 def _floats(raw, field):
-    """``raw`` as a float array; any non-number (a boolean too) or
-    non-finite number in it is a ConfigError."""
+    """``raw`` as a float array; any non-number (a boolean or a string too)
+    or non-finite number in it is a ConfigError."""
     try:
-        if _has_bool(raw):
+        if _has_non_number(raw):
             raise TypeError(raw)
         value = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
@@ -290,7 +291,7 @@ def _construct(section, cls, *args, **kwargs):
     """``cls(*args, **kwargs)``, with its range checks as ConfigErrors."""
     try:
         return cls(*args, **kwargs)
-    except (ValueError, SchemeViolationError) as exc:
+    except (ValueError, SchemeViolationError, TopologyError) as exc:
         raise ConfigError(str(exc), field=section) from None
 
 
@@ -519,9 +520,9 @@ def build_topology(spec, m):
     if not 0.0 <= inclusion <= 1.0:
         raise ConfigError(f"must be in [0, 1], got {inclusion}",
                           field="topology.inclusion_prob")
-    return RandomEdgeTopology(
-        m, _edge_list(*_either(spec, "topology", "base", "graph", "complete"), m),
-        inclusion,
+    raw, field = _either(spec, "topology", "base", "graph", "complete")
+    return _construct(  # the base must hold the agent ring
+        field, RandomEdgeTopology, m, _edge_list(raw, field, m), inclusion,
         _number(spec, "topology", "window", 1, minimum=1, kind=int),
         _number(spec, "topology", "seed", 0, minimum=0, kind=int))
 

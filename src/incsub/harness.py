@@ -18,14 +18,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
-from .analysis import (RateConstants, aggregate_verdicts, cyclic_bound,
-                       markov_bound, optimal_window, delta_window,
-                       rate_constants, simple_delta_bound,
-                       verify_bound_empirically)
+from .analysis import BoundInputs, RateConstants, rate_constants
 from .config import (build_noise, build_problem, build_schedule, build_scheme,
                      build_topology, initial_state)
 from .cyclic import RingOrder
@@ -131,78 +127,35 @@ def _finite(report, field):
     return report
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """What the analytic bounds read from a configuration, built once: the
-    noise suprema ``mu`` and ``nu`` over the horizon, the C_i and the
-    diameter; for markov runs also the chain's envelope ``rate`` and the
-    window/mixing coefficients ``c0 = b C_sum diameter`` and
-    ``c_eff = sqrt(C_max (C_max + nu))``."""
-
-    mu: float
-    nu: float
-    c_bounds: np.ndarray
-    diameter: float
-    rate: Optional[RateConstants] = None
-    c0: Optional[float] = None
-    c_eff: Optional[float] = None
-
-    def windows(self, alpha):
-        """The labeled windows T every markov report set covers at ``alpha``."""
-        return [("T0", 0),
-                ("optimal", optimal_window(alpha, self.c_eff, self.c0,
-                                           self.rate.beta).T),
-                ("delta", delta_window(alpha, self.rate.beta))]
-
-    def markov_report(self, alpha, T, field):
-        return _finite(markov_bound(alpha, self.c_bounds, self.mu, self.nu,
-                                    self.diameter, self.rate, T), field)
-
-
 def bound_inputs(run):
-    """The :class:`BoundInputs` of a built run.  Each bound squares
-    ``C_max + nu`` (markov) or ``C_sum + m nu`` (cyclic), and the markov
-    windows read ``c0``; any of them that overflows is a ConfigError on
-    ``problem.set``.  A report gap that overflows after these checks is
-    the step size's doing."""
+    """The :class:`BoundInputs` of a built run, with the noise suprema over
+    the horizon.  Each bound squares ``C_max + nu`` (markov) or ``C_sum +
+    m nu`` (cyclic), and the markov windows read ``c0``; any of them that
+    overflows is a ConfigError on ``problem.set``.  A report gap that
+    overflows after these checks is the step size's doing."""
     problem, horizon = run.problem, run.config.horizon
     mu = _supremum(run.noise.mean_bound, horizon)
     nu = _supremum(lambda k: run.noise.rms_bound(k, problem.n), horizon)
-    c_bounds = problem.bounds
-    with np.errstate(over="ignore"):  # checked below
-        c_max, c_sum = float(c_bounds.max()), float(c_bounds.sum())
-    diameter = problem.feasible_set.diameter()
-    if isinstance(run.order, RingOrder):
-        wide = c_sum + problem.m * nu
+    ring = isinstance(run.order, RingOrder)
+    inputs = BoundInputs(problem.bounds, mu, nu, problem.feasible_set.diameter(),
+                         None if ring else _effective_rate(run.order))
+    if ring:
+        wide = inputs.c_sum + inputs.m * nu
         _check_finite([("(C_sum + m nu)^2", wide * wide)])
-        return BoundInputs(mu, nu, c_bounds, diameter)
-    rate = _effective_rate(run.order)
-    c0 = rate.b * c_sum * diameter
-    _check_finite([("(C_max + nu)^2", (c_max + nu) * (c_max + nu)), ("c0", c0)])
-    return BoundInputs(mu, nu, c_bounds, diameter, rate, c0,
-                       math.sqrt(c_max * (c_max + nu)))
+    else:
+        narrow = inputs.c_max + nu
+        _check_finite([("(C_max + nu)^2", narrow * narrow), ("c0", inputs.c0)])
+    return inputs
 
 
 def bound_reports(run):
     """Analytic gap reports applicable to a built run, made before any
     simulation; a non-constant step has none.  A gap that overflows is a
-    ConfigError on ``schedule.alpha``."""
+    ConfigError on ``schedule.alpha``, naming the first such report."""
     if not isinstance(run.schedule, Constant):
         return []
-    inputs = bound_inputs(run)
-    alpha, field = run.schedule.alpha, "schedule.alpha"
-    if isinstance(run.order, RingOrder):
-        return [_finite(cyclic_bound(alpha, inputs.c_bounds, inputs.mu,
-                                     inputs.nu, inputs.diameter), field)]
-    reports = []
-    for label, t in inputs.windows(alpha):
-        report = inputs.markov_report(alpha, t, field)
-        report.params["label"] = label
-        reports.append(report)
-    reports.append(_finite(simple_delta_bound(alpha, inputs.c_bounds, inputs.mu,
-                                              inputs.nu, inputs.diameter,
-                                              inputs.rate), field))
-    return reports
+    return [_finite(report, "schedule.alpha")
+            for report in bound_inputs(run).reports(run.schedule.alpha)]
 
 
 def _summarize(run, traces, reports):
@@ -227,17 +180,14 @@ def _summarize(run, traces, reports):
         per_seed.append(entry)
 
     verify = config.verify
-    slack_rel, slack_abs = verify["slack_rel"], verify["slack_abs"]
+    inf_f = [tr.running_inf[-1] for tr in traces]
     bound_rows = []
     all_pass = True
     for report in reports:
         if f_star is None:
             break
-        verdicts = [verify_bound_empirically(tr, report, f_star,
-                                             slack_rel=slack_rel,
-                                             slack_abs=slack_abs)
-                    for tr in traces]
-        agg = aggregate_verdicts(verdicts)
+        agg = report.verdicts(inf_f, f_star, verify["slack_rel"],
+                              verify["slack_abs"])
         ok = (agg["fraction"] is not None
               and agg["fraction"] >= verify["min_pass_fraction"])
         all_pass = all_pass and ok
@@ -336,7 +286,7 @@ def compare_bounds(config, *, jobs=1, write=True):
     f_star = run.problem.optimum.f_star
 
     extra_cols = [(f"T{t}", t) for t in grid["Ts"]]
-    analytic = [[(label, t, inputs.markov_report(s.alpha, t, "compare.alphas").gap)
+    analytic = [[(label, t, _finite(inputs.markov(s.alpha, t), "compare.alphas").gap)
                  for label, t in inputs.windows(s.alpha) + extra_cols]
                 for s in schedules]  # (label, T, gap) of each row, before any run
 

@@ -23,6 +23,10 @@ point, from the same parameters.
 
 ``trace_csv`` renders a trace through ``csv.writer``, one cell at a time;
 ``RunTrace.to_csv`` must give the same bytes.
+
+``bound_verdicts`` checks the replications against a bound's gap in a
+plain loop, one replication at a time; ``BoundReport.verdicts`` must
+return the same summary.
 """
 
 import csv
@@ -295,3 +299,19 @@ def trace_csv(trace):
         writer.writerow([str(int(k)), agent, fmt_float(trace.f_vals[i]),
                          dist, fmt_float(trace.running_inf[i]), alpha])
     return buf.getvalue()
+
+
+def bound_verdicts(inf_f, gap, f_star, slack_rel, slack_abs):
+    """How many of the replications' best values ``inf_f`` lie at or below
+    f* + gap (1 + slack_rel) + slack_abs, of how many, their fraction and
+    the smallest margin threshold - inf f, one replication at a time."""
+    passed, margins = 0, []
+    for value in inf_f:
+        threshold = f_star + gap * (1.0 + slack_rel) + slack_abs
+        if value <= threshold:
+            passed += 1
+        margins.append(threshold - value)
+    total = len(margins)
+    return {"passed": passed, "total": total,
+            "fraction": passed / total if total else None,
+            "worst_margin": min(margins) if margins else None}

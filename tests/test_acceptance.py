@@ -196,8 +196,8 @@ def test_criterion_5_markov_constant_step_bounds(crit5_run, fixture_problem):
     diam = fixture_problem.feasible_set.diameter()
     nu = 0.5
     t_star = rows["optimal"]["report"]["params"]["T"]
-    gaps = np.array([isb.markov_bound(alpha, c_bounds, 0.0, nu, diam, rate, t).gap
-                     for t in range(2001)])
+    inputs = isb.BoundInputs(c_bounds, 0.0, nu, diam, rate)
+    gaps = np.array([inputs.markov(alpha, t).gap for t in range(2001)])
     brute_ok = np.all(gaps[t_star] <= gaps + 1e-12)
     ok = per_seed_ok and bool(brute_ok)
     report(5, ok, f"per-seed bound held for T in {{0, {t_star}, "

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import incsub as isb
+import reference
 from helpers import brute_force_window, geometric_envelope_holds, run_one
 from incsub.markov import adjacency_from_edges, ring_edges
 
@@ -80,25 +81,74 @@ class TestGeometricEnvelope:
             assert ok, f"envelope violated at k={k}: deviation {dev}"
 
 
+class TestBoundInputs:
+    def test_derived_values(self):
+        rate = isb.rate_constants(0.2, 3, 2)
+        inputs = isb.BoundInputs([1.0, 2.0, 1.5], 0.1, 0.3, 2.0, rate)
+        assert (inputs.m, inputs.c_max, inputs.c_sum) == (3, 2.0, 4.5)
+        assert inputs.c0 == rate.b * 4.5 * 2.0
+        assert inputs.c_eff == np.sqrt(2.0 * 2.3)
+        assert isb.BoundInputs([1.0], 0.0, 0.3).c0 is None
+
+    def test_invalid_inputs(self):
+        rate = isb.RateConstants.uniform()
+        for args in [([], 0.0, 0.0), ([1.0, -1.0], 0.0, 0.0),
+                     ([[1.0]], 0.0, 0.0), ([1.0], -0.1, 0.0),
+                     ([1.0], 0.5, 0.2), ([1.0], 0.0, 0.0, None, rate),
+                     ([1.0], 0.0, 0.0, float("inf"), rate)]:
+            with pytest.raises(ValueError):
+                isb.BoundInputs(*args)
+        inputs = isb.BoundInputs([1.0], 0.0, 0.0, 1.0, rate)
+        for report in (inputs.cyclic, inputs.simple_delta,
+                       lambda alpha: inputs.markov(alpha, 0)):
+            with pytest.raises(ValueError):
+                report(0.0)
+
+    def test_overflow_stays_infinite(self):
+        # no numpy warning either: the suite turns warnings into errors
+        inputs = isb.BoundInputs([1e308, 1e308], 0.0, 0.0, 1e10,
+                                 isb.rate_constants(0.5, 2, 1))
+        assert inputs.c_sum == inputs.c0 == np.inf
+        assert np.isfinite(inputs.c_max)
+
+    def test_reports_on_criterion_5_fixture(self, quad_m5_box):
+        inputs = isb.BoundInputs(quad_m5_box.bounds, 0.0, 0.5,
+                                 quad_m5_box.feasible_set.diameter(),
+                                 isb.rate_constants(1.0 / 5.0, 5, 1))
+        reports = list(inputs.reports(0.005))
+        assert [(r.kind, r.params.get("label")) for r in reports] == [
+            ("markov_constant_step", "T0"), ("markov_constant_step", "optimal"),
+            ("markov_constant_step", "delta"), ("markov_simple_delta", None)]
+        windows = inputs.windows(0.005)
+        assert [r.params["T"] for r in reports[:3]] == [t for _, t in windows]
+        for report, (_, t) in zip(reports, windows):
+            assert report.gap == inputs.markov(0.005, t).gap
+        assert reports[3].gap == inputs.simple_delta(0.005).gap
+
+    def test_ring_order_has_one_report(self):
+        inputs = isb.BoundInputs([1.0, 1.0], 0.0, 1.0)
+        assert [r.kind for r in inputs.reports(0.1)] == ["cyclic_constant_step"]
+
+
 class TestCyclicBound:
     def test_worked_example(self):
-        report = isb.cyclic_bound(0.1, [1.0, 1.0], mu=0.0, nu=1.0)
+        report = isb.BoundInputs([1.0, 1.0], mu=0.0, nu=1.0).cyclic(0.1)
         assert report.gap == pytest.approx(0.05 * (2 + 2) ** 2) == pytest.approx(0.8)
 
     def test_error_free_form_is_exact(self):
-        report = isb.cyclic_bound(0.02, [1.5, 2.5, 1.0], mu=0.0, nu=0.0)
+        report = isb.BoundInputs([1.5, 2.5, 1.0], mu=0.0, nu=0.0).cyclic(0.02)
         assert report.gap == 0.01 * 5.0**2
         assert report.terms["bias"] == 0.0
 
     def test_bias_term_needs_finite_diameter(self):
         with pytest.raises(ValueError):
-            isb.cyclic_bound(0.1, [1.0], mu=0.5, nu=1.0, diameter=float("inf"))
-        report = isb.cyclic_bound(0.1, [1.0], mu=0.5, nu=1.0, diameter=2.0)
+            isb.BoundInputs([1.0], mu=0.5, nu=1.0, diameter=float("inf"))
+        report = isb.BoundInputs([1.0], mu=0.5, nu=1.0, diameter=2.0).cyclic(0.1)
         assert report.terms["bias"] == pytest.approx(1 * 0.5 * 2.0)
 
     def test_small_step_limit_leaves_bias_only(self):
-        gaps = [isb.cyclic_bound(a, [1.0, 1.0], mu=0.1, nu=0.2, diameter=1.0).gap
-                for a in (1e-2, 1e-4, 1e-6)]
+        inputs = isb.BoundInputs([1.0, 1.0], mu=0.1, nu=0.2, diameter=1.0)
+        gaps = [inputs.cyclic(a).gap for a in (1e-2, 1e-4, 1e-6)]
         assert gaps[-1] == pytest.approx(2 * 0.1 * 1.0, rel=1e-3)
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
 
@@ -106,31 +156,30 @@ class TestCyclicBound:
 class TestMarkovBound:
     def test_worked_example_itemization(self):
         rate = isb.RateConstants(1.0656, 0.96875)
-        report = isb.markov_bound(0.01, [1.0, 1.0], mu=0.0, nu=0.0,
-                                  diameter=1.0, rate=rate, T=3)
+        report = isb.BoundInputs([1.0, 1.0], mu=0.0, nu=0.0, diameter=1.0,
+                                 rate=rate).markov(0.01, 3)
         assert report.terms["step"] == pytest.approx(0.005)
         assert report.terms["window"] == pytest.approx(0.03)
         assert report.terms["mixing"] == pytest.approx(1.0656 * 2 * 0.96875**4)
         assert report.gap == pytest.approx(sum(report.terms.values()))
 
     def test_uniform_chain_at_zero_window(self):
-        report = isb.markov_bound(0.04, [2.0, 1.0], mu=0.1, nu=0.3,
-                                  diameter=1.5, rate=isb.RateConstants.uniform(),
-                                  T=0)
+        report = isb.BoundInputs([2.0, 1.0], mu=0.1, nu=0.3, diameter=1.5,
+                                 rate=isb.RateConstants.uniform()).markov(0.04, 0)
         assert report.terms["mixing"] == 0.0
         assert report.gap == pytest.approx(0.1 * 1.5 + 0.02 * (0.3 + 2.0) ** 2)
 
     def test_error_free_reduction(self):
         rate = isb.rate_constants(0.25, 4, 1)
-        report = isb.markov_bound(0.01, [1.0] * 4, mu=0.0, nu=0.0,
-                                  diameter=2.0, rate=rate, T=5)
+        report = isb.BoundInputs([1.0] * 4, mu=0.0, nu=0.0, diameter=2.0,
+                                 rate=rate).markov(0.01, 5)
         expect = 0.005 * 1.0 + 0.01 * 5 * 1.0 + rate.b * 4.0 * rate.beta**6 * 2.0
         assert report.gap == pytest.approx(expect)
 
     def test_negative_window_rejected(self):
+        inputs = isb.BoundInputs([1.0], 0.0, 0.0, 1.0, isb.RateConstants.uniform())
         with pytest.raises(ValueError):
-            isb.markov_bound(0.01, [1.0], 0.0, 0.0, 1.0,
-                             isb.RateConstants.uniform(), -1)
+            inputs.markov(0.01, -1)
 
     @given(alpha=st.floats(min_value=1e-4, max_value=1.0),
            mu=st.floats(min_value=0.0, max_value=0.5),
@@ -141,16 +190,17 @@ class TestMarkovBound:
     def test_monotone_in_each_argument(self, alpha, mu, extra_nu, diam, T):
         rate = isb.rate_constants(0.2, 3, 2)
         nu = mu + extra_nu
-        base = isb.markov_bound(alpha, [1.0, 2.0, 1.5], mu, nu, diam, rate, T).gap
-        assert isb.markov_bound(alpha * 1.5, [1.0, 2.0, 1.5], mu, nu, diam,
-                                rate, T).gap >= base - 1e-12
-        assert isb.markov_bound(alpha, [1.0, 2.0, 1.5], mu, nu + 0.1, diam,
-                                rate, T).gap >= base - 1e-12
-        assert isb.markov_bound(alpha, [1.0, 2.0, 1.5], mu, nu, diam * 1.1,
-                                rate, T).gap >= base - 1e-12
+
+        def gap(alpha, mu, nu, diam):
+            return isb.BoundInputs([1.0, 2.0, 1.5], mu, nu, diam,
+                                   rate).markov(alpha, T).gap
+
+        base = gap(alpha, mu, nu, diam)
+        assert gap(alpha * 1.5, mu, nu, diam) >= base - 1e-12
+        assert gap(alpha, mu, nu + 0.1, diam) >= base - 1e-12
+        assert gap(alpha, mu, nu, diam * 1.1) >= base - 1e-12
         if mu + 0.1 <= nu:
-            assert isb.markov_bound(alpha, [1.0, 2.0, 1.5], mu + 0.1, nu, diam,
-                                    rate, T).gap >= base - 1e-12
+            assert gap(alpha, mu + 0.1, nu, diam) >= base - 1e-12
 
 
 class TestOptimalWindow:
@@ -205,10 +255,9 @@ class TestDeltaWindow:
         assert isb.delta_window(beta**2, beta) == 1
 
     def test_bound_vanishes_with_step_except_bias(self):
-        rate = isb.rate_constants(0.2, 5, 1)
-        gaps = [isb.simple_delta_bound(a, [1.0] * 5, mu=0.05, nu=0.2,
-                                       diameter=2.0, rate=rate).gap
-                for a in (1e-2, 1e-4, 1e-6, 1e-8)]
+        inputs = isb.BoundInputs([1.0] * 5, mu=0.05, nu=0.2, diameter=2.0,
+                                 rate=isb.rate_constants(0.2, 5, 1))
+        gaps = [inputs.simple_delta(a).gap for a in (1e-2, 1e-4, 1e-6, 1e-8)]
         # the window piece decays like alpha * ln(alpha), so convergence to
         # the bias term is slow; 2e-3 relative at alpha = 1e-8 matches it
         assert gaps[-1] == pytest.approx(0.05 * 2.0, rel=2e-3)
@@ -216,8 +265,8 @@ class TestDeltaWindow:
 
     def test_delta_recorded_in_report(self):
         rate = isb.rate_constants(0.2, 5, 1)
-        report = isb.simple_delta_bound(1e-3, [1.0] * 5, mu=0.0, nu=0.5,
-                                        diameter=2.0, rate=rate)
+        report = isb.BoundInputs([1.0] * 5, mu=0.0, nu=0.5, diameter=2.0,
+                                 rate=rate).simple_delta(1e-3)
         assert report.params["delta"] == isb.delta_window(1e-3, rate.beta)
         assert report.terms["mixing"] == pytest.approx(
             1e-3 * rate.b * 5.0 * 2.0)
@@ -228,26 +277,49 @@ class TestEmpiricalVerification:
         tr = run_one(quad_m2_line, isb.NoNoise(), isb.Constant(0.01),
                      isb.RingOrder(quad_m2_line.m), np.array([9.0]), 2000, 0,
                      stride=100)
-        report = isb.cyclic_bound(0.01, list(quad_m2_line.bounds), 0.0, 0.0)
+        report = isb.BoundInputs(quad_m2_line.bounds, 0.0, 0.0).cyclic(0.01)
         fat = isb.BoundReport(report.gap * 10, {"all": report.gap * 10}, {},
                               "inflated")
-        verdict = isb.verify_bound_empirically(tr, fat,
-                                               quad_m2_line.optimum.f_star)
-        assert verdict.passed
+        verdicts = fat.verdicts([tr.running_inf[-1]],
+                                quad_m2_line.optimum.f_star, 0.02, 0.0)
+        assert verdicts["passed"] == verdicts["total"] == 1
 
     def test_adversarial_trace_fails(self):
         report = isb.BoundReport(1.0, {"all": 1.0}, {}, "test")
         # a run pinned at f* + 2 * gap can never satisfy the bound
-        verdict = isb.verify_bound_empirically(2.0, report, f_star=0.0)
-        assert not verdict.passed
-        assert verdict.margin < 0
+        verdicts = report.verdicts([2.0], 0.0, 0.02, 0.0)
+        assert verdicts["passed"] == 0
+        assert verdicts["worst_margin"] < 0
 
     def test_verdict_arithmetic(self):
         report = isb.BoundReport(1.0, {"all": 1.0}, {}, "test")
-        verdict = isb.verify_bound_empirically(1.015, report, f_star=0.0,
-                                               slack_rel=0.02)
-        assert verdict.passed
-        assert verdict.threshold == pytest.approx(1.02)
-        agg = isb.aggregate_verdicts([verdict, verdict])
-        assert agg == {"passed": 2, "total": 2, "fraction": 1.0,
-                       "worst_margin": pytest.approx(0.005)}
+        # threshold 1.02 = f* + gap (1 + slack_rel)
+        assert report.verdicts([1.015, 1.015], 0.0, 0.02, 0.0) == {
+            "passed": 2, "total": 2, "fraction": 1.0,
+            "worst_margin": pytest.approx(0.005)}
+        assert report.verdicts([], 0.0, 0.02, 0.0) == {
+            "passed": 0, "total": 0, "fraction": None, "worst_margin": None}
+
+    @given(gap=st.floats(min_value=0.0, max_value=1e6),
+           f_star=st.floats(min_value=-1e6, max_value=1e6),
+           slack_rel=st.floats(min_value=0.0, max_value=1.0),
+           slack_abs=st.floats(min_value=0.0, max_value=1.0),
+           offsets=st.lists(st.one_of(
+               st.sampled_from(["at", "above", "below"]),
+               st.floats(min_value=-10.0, max_value=10.0)), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    @example(gap=1.0, f_star=0.0, slack_rel=0.02, slack_abs=0.0,
+             offsets=["at", "at"])
+    @example(gap=1.0, f_star=-3.0, slack_rel=0.0, slack_abs=0.5,
+             offsets=["above", 1.0, 5.0])
+    @example(gap=2.0, f_star=1.0, slack_rel=0.1, slack_abs=0.1,
+             offsets=["below", "at", "above", -1.0, 1.0])
+    def test_matches_per_replication_loop(self, gap, f_star, slack_rel,
+                                          slack_abs, offsets):
+        threshold = f_star + gap * (1.0 + slack_rel) + slack_abs
+        step = {"at": 0.0, "above": np.inf, "below": -np.inf}
+        inf_f = [float(np.nextafter(threshold, step[o])) if isinstance(o, str)
+                 else threshold + o for o in offsets]
+        report = isb.BoundReport(gap, {"all": gap}, {}, "test")
+        assert report.verdicts(inf_f, f_star, slack_rel, slack_abs) == \
+            reference.bound_verdicts(inf_f, gap, f_star, slack_rel, slack_abs)

@@ -600,6 +600,17 @@ class TestFailFast:
          "topology.base"),
         ("topology", {"kind": "periodic", "phases": ["ring", [[0, 1], [2, 2]]]},
          "topology.phases[1]"),
+        # a JSON string is not a number, even when it reads as one
+        ("schedule.alpha", "0.005", "schedule.alpha"),
+        ("noise.sigma", "0.1", "noise.sigma"),
+        ("replications", "4", "replications"),
+        ("problem.set", {"kind": "box", "lower": "-1", "upper": 1.0},
+         "problem.set.lower"),
+        # a random-edge base must hold the agent ring 0-1-...-0
+        ("topology", {"kind": "random_edges",
+                      "base": [[0, 1], [1, 2], [2, 3], [3, 4]]}, "topology.base"),
+        ("topology", {"kind": "random_edges",
+                      "graph": [[0, 1], [1, 2], [2, 3], [3, 4]]}, "topology.graph"),
     ])
     def test_bad_run_entries(self, tmp_path, capsys, verb, entry, value, field):
         flat = parse_config_text(MARKOV_CFG)
@@ -614,8 +625,8 @@ class TestFailFast:
     @pytest.mark.parametrize("verb", ["validate", "compare"])
     @pytest.mark.parametrize("alphas, field", [
         ([True, 0.01], "compare.alphas[0]"), ([0.05, "fast"], "compare.alphas[1]"),
-        ("5", "compare.alphas"),
-    ], ids=["boolean", "word", "string"])
+        ("5", "compare.alphas"), ([0.05, "0.01"], "compare.alphas[1]"),
+    ], ids=["boolean", "word", "string", "numeric_string"])
     def test_bad_compare_alphas(self, tmp_path, capsys, verb, alphas, field):
         flat = parse_config_text(MARKOV_CFG)
         flat["compare.alphas"] = alphas
