@@ -34,6 +34,7 @@ from .objectives import LinearUtility, LogUtility, SqrtUtility
 from .problems import make_allocation, make_quadratic_suite, make_regression
 from .schedules import Constant, PowerLaw
 from .sets import Ball, Box, Simplex
+from .streams import check_seed
 
 
 def parse_config_text(text):
@@ -147,6 +148,8 @@ class ExperimentConfig:
         horizon = _number(nested, None, "horizon", minimum=0, kind=int)
         replications = _number(nested, None, "replications", 1, minimum=1, kind=int)
         seed = _number(nested, None, "seed", 0, minimum=0, kind=int)
+        if seed + replications > 2**64:  # each replication's seed is a key
+            raise ConfigError("seed + replications - 1 must be below 2^64", field="seed")
         stride = _number(nested, None, "stride", 1, minimum=1, kind=int)
         out_dir = str(nested.get("out", "incsub_out"))
         tail = _number(nested, None, "tail_fraction", 0.1)
@@ -440,7 +443,7 @@ _TOPOLOGY_KEYS = {
     "random_edges": {"kind", "base", "graph", "inclusion_prob", "window", "seed"},
 }
 _SCHEME_KEYS = {"equal": {"kind"}, "min_equal": {"kind"},
-                "weighted_mh": {"kind", "weight", "weights"}}
+                "weighted_mh": {"kind", "weight"}}
 
 
 def build_schedule(spec):
@@ -524,20 +527,19 @@ def build_topology(spec, m):
     return _construct(  # the base must hold the agent ring
         field, RandomEdgeTopology, m, _edge_list(raw, field, m), inclusion,
         _number(spec, "topology", "window", 1, minimum=1, kind=int),
-        _number(spec, "topology", "seed", 0, minimum=0, kind=int))
+        _construct("topology.seed", check_seed,
+                   _number(spec, "topology", "seed", 0, minimum=0, kind=int)))
 
 
-def build_scheme(spec, m):
-    """The configured scheme; per-agent weights must number ``m``."""
+def build_scheme(spec):
+    """The configured scheme."""
     kind = _kind(spec, "scheme", _SCHEME_KEYS, "scheme kind")
     if kind == "equal":
         return EqualProbability()
     if kind == "min_equal":
         return MinEqualNeighbor()
-    raw, field = _either(spec, "scheme", "weights", "weight", 0.5)
-    scheme = _construct(field, WeightedMetropolisHastings, _floats(raw, field))
-    _construct(field, scheme.eta, np.zeros(m))  # checks the weight count
-    return scheme
+    return _construct("scheme.weight", WeightedMetropolisHastings,
+                      _number(spec, "scheme", "weight", 0.5))
 
 
 def initial_state(config, problem):

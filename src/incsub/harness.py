@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -40,13 +41,17 @@ def _supremum(fn, horizon):
     """sup over 1 <= k <= max(horizon, 1) of a declared moment sequence.
 
     ``fn`` is called with arrays of consecutive k that cover the horizon;
-    the noise models answer with one value per k for a callable sequence
-    and with a single number for a constant one, so non-monotone sequences
-    get their true sup.
+    the noise models answer with one value per k for a callable sequence,
+    so non-monotone sequences get their true sup, and with a single number,
+    the sup itself, for a constant one.
     """
     last = max(horizon, 1)
-    return max(float(np.max(fn(np.arange(k, min(k + _SUP_CHUNK, last + 1)))))
-               for k in range(1, last + 1, _SUP_CHUNK))
+    values = (fn(np.arange(k, min(k + _SUP_CHUNK, last + 1)))
+              for k in range(1, last + 1, _SUP_CHUNK))
+    first = next(values)
+    if np.ndim(first) == 0:
+        return float(first)
+    return max(float(np.max(v)) for v in itertools.chain([first], values))
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ def build_run(config):
         order = RingOrder(problem.m)
     else:
         order = ChainOrder(build_topology(config.topology, problem.m),
-                           build_scheme(config.scheme, problem.m), s0)
+                           build_scheme(config.scheme), s0)
     return Run(config, problem, schedule, noise, order, x0)
 
 
@@ -92,9 +97,10 @@ def _run_all(run, seeds, jobs):
     if jobs <= 1 or len(seeds) <= 1:
         return _run_seeds(run, seeds)
     chunks = np.array_split(np.asarray(seeds), min(jobs, len(seeds)))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a forked pool starts all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [pool.submit(_run_seeds, run, [int(s) for s in chunk])
-                   for chunk in chunks if len(chunk)]
+                   for chunk in chunks]
         try:  # submission order == replication order
             return [tr for fut in futures for tr in fut.result()]
         except NonFiniteError:

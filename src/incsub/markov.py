@@ -271,51 +271,29 @@ class MinEqualNeighbor:
 
 
 class WeightedMetropolisHastings:
-    """Metropolis-Hastings-style weights scaled by a per-agent factor.
-
-    Each agent i scales the pairwise weight min(1/|N_i|, 1/|N_j|) by its
-    own factor in (0, 1).  Double stochasticity requires the factors of
-    neighboring agents to match; building a matrix from mismatched factors
-    raises a scheme violation.  A scalar weight applies to all agents.
-    The factors are checked once, here; their count is checked against the
-    agent count of each matrix.
-    """
+    """Metropolis-Hastings weights ``weight * min(1/|N_i|, 1/|N_j|)`` with one
+    ``weight`` in (0, 1) for every agent: per-agent factors w_i would leave
+    column j summing to 1 + sum over i in N_j of (w_i - w_j) min(1/|N_i|,
+    1/|N_j|), which holds them equal on a connected union of graphs."""
 
     name = "weighted_mh"
 
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim > 1 or w.size == 0:
+    def __init__(self, weight):
+        if not 0 < weight < 1:  # NaN too
             raise SchemeViolationError(
-                f"need a scalar weight or one weight per agent, got shape {w.shape}")
-        if np.any(w <= 0) or np.any(w >= 1):
-            raise SchemeViolationError("weights must lie strictly in (0, 1)")
-        self.weights = weights
-        self._w = w
-        self._floors = {}  # min_i min(w_i, 1 - w_i) by number type
-
-    def _row_factors(self, m, one, rows=None):
-        """The factors as a column (one per row) or a scalar."""
-        if self._w.ndim and self._w.shape != (m,):
-            raise SchemeViolationError(
-                f"need one weight per agent ({m}), got shape {self._w.shape}")
-        if self._w.ndim:
-            return _of(one, self._w, rows)[:, None]
-        return _like(one, self._w)
+                f"weight must lie strictly in (0, 1), got {weight!r}")
+        self.weight = weight
 
     def matrix(self, adj, deg, one=1.0, rows=None, cols=None):
         def inv(agents):
             return one / np.maximum(_of(one, deg, agents), one)
-        pair = (self._row_factors(deg.shape[-1], one, rows)
+        pair = (_like(one, self.weight)
                 * np.minimum(inv(rows)[..., :, None], inv(cols)[..., None, :]))
         return _stay_put(np.where(adj, pair, 0), one, rows, cols)
 
     def eta(self, deg, one=1.0):
-        w = self._row_factors(deg.shape[-1], one)
-        floor = self._floors.get(type(one))
-        if floor is None:
-            floor = self._floors[type(one)] = np.min(np.minimum(w, one - w))
-        return floor / np.maximum(deg.max(axis=-1, initial=0), one)
+        w = _like(one, self.weight)
+        return min(w, one - w) / np.maximum(deg.max(axis=-1, initial=0), one)
 
 
 def topology_eta(scheme, topology):

@@ -74,9 +74,10 @@ class Box:
         out = _clip(x, self.lower, self.upper)
         return out[0] if squeeze else out
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x):
         x, _ = _as_batch(x, self.dim, "Box.contains")
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool(np.all(x >= self.lower - CONTAINS_TOL)
+                    and np.all(x <= self.upper + CONTAINS_TOL))
 
     def diameter(self):
         return float(np.linalg.norm(self.upper - self.lower))
@@ -144,9 +145,10 @@ class Ball:
         out = self.center + d * scale[:, None]
         return out[0] if squeeze else out
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x):
         x, _ = _as_batch(x, self.dim, "Ball.contains")
-        return bool(np.all(np.linalg.norm(x - self.center, axis=1) <= self.radius + tol))
+        return bool(np.all(np.linalg.norm(x - self.center, axis=1)
+                           <= self.radius + CONTAINS_TOL))
 
     def diameter(self):
         return 2.0 * self.radius
@@ -208,10 +210,11 @@ class Simplex:
         out = np.maximum(x - theta[:, None], 0.0)
         return out[0] if squeeze else out
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x):
         x, _ = _as_batch(x, self.dim, "Simplex.contains")
-        return bool(np.all(x >= -tol)
-                    and np.all(np.abs(x.sum(axis=1) - self.scale) <= tol * self.dim))
+        return bool(np.all(x >= -CONTAINS_TOL)
+                    and np.all(np.abs(x.sum(axis=1) - self.scale)
+                               <= CONTAINS_TOL * self.dim))
 
     def diameter(self):
         # Farthest pair of points is a pair of vertices scale * e_i, scale * e_j.

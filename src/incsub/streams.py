@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-
 # Iterations covered by one pre-generated block of draws.  This constant is
 # part of the reproducibility contract: changing it changes every stream.
 BLOCK = 1024
@@ -25,21 +23,20 @@ DOMAIN_CHAIN = 1
 DOMAIN_INIT = 2
 DOMAIN_TOPOLOGY = 3
 
-_UINT64_MAX = 2**64 - 1
-
 
 def check_seed(seed):
     """Validate and normalize a stream seed to a plain int."""
     seed = int(seed)
-    if not 0 <= seed <= _UINT64_MAX:
-        raise ConfigError(f"seed must be in [0, 2^64), got {seed}", field="seed")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     return seed
 
 
 def block_generator(seed, domain, block):
-    """Fresh generator for one (seed, domain, block) cell."""
+    """Fresh generator for one (seed, domain, block) cell; its key is a uint64
+    array, as numpy reads a list [seed, 0] as float64 from seed 2^63 on."""
     bg = np.random.Philox(counter=[0, 0, int(block), int(domain)],
-                          key=[check_seed(seed), 0])
+                          key=np.array([check_seed(seed), 0], dtype=np.uint64))
     return np.random.Generator(bg)
 
 

@@ -49,6 +49,26 @@ def random_symmetric_topology(rng, max_m=8):
     return m, sorted(edges)
 
 
+class PerAgentFactors(isb.WeightedMetropolisHastings):
+    """A deliberately broken weighted Metropolis-Hastings scheme: agent i
+    scales its hand-offs by its own ``factors[i]``.  Neighbors with unequal
+    factors leave a column that does not sum to 1.  It builds full matrices
+    only: its short entries lie far below the floor, so validation never
+    asks it for a block in exact arithmetic."""
+
+    def __init__(self, factors):
+        super().__init__(0.5)
+        self.factors = np.asarray(factors, dtype=float)
+
+    def matrix(self, adj, deg, one=1.0, rows=None, cols=None):
+        p = super().matrix(adj, deg, one, rows, cols)
+        p *= self.factors[:, None] / self.weight
+        i = np.arange(len(self.factors))
+        p[..., i, i] = 0.0
+        p[..., i, i] = 1.0 - p.sum(axis=-1)
+        return p
+
+
 class CallbackFamily:
     """Test-only objective family built from plain callables.
 

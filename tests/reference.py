@@ -196,11 +196,6 @@ def neighbors_at(topology, k):
     return neighbors_from_edges(topology.m, edges)
 
 
-def _weight_array(weights, m):
-    w = np.asarray(weights, dtype=float)
-    return np.full(m, float(w)) if w.ndim == 0 else w
-
-
 def matrix(scheme, neighbors):
     """Transition matrix of ``scheme`` for neighbor lists, one row at a time."""
     m = len(neighbors)
@@ -219,7 +214,7 @@ def matrix(scheme, neighbors):
         else:
             safe_deg = np.maximum(deg, 1.0)
             pair = np.minimum(1.0 / safe_deg[i], 1.0 / safe_deg[nb])
-            w = _weight_array(scheme.weights, m)[i] * pair
+            w = scheme.weight * pair
         p[i, nb] = w
         p[i, i] = 1.0 - w.sum()
     return p
@@ -233,8 +228,8 @@ def eta(scheme, neighbors):
         return 1.0 / m
     if scheme.name == "min_equal":
         return 1.0 / (max(degs, default=0) + 1.0)
-    w = _weight_array(scheme.weights, m)
-    floor = float(np.min(np.minimum(w, 1.0 - w)))
+    w = scheme.weight
+    floor = min(w, 1.0 - w)
     return floor / max(degs) if any(degs) else floor
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pickle
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,38 @@ class TestRunExperiment:
             s1.pop("config"), s2.pop("config")  # differ only in the out path
             s1.pop("config_hash"), s2.pop("config_hash")
             assert json.dumps(s1, sort_keys=True) == json.dumps(s2, sort_keys=True)
+
+    def test_pool_is_sized_by_its_chunks(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:  # records its size, runs each chunk at submit
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(hz, "ProcessPoolExecutor", InlinePool)
+        flat = parse_config_text(MARKOV_CFG)
+        flat["horizon"] = 200
+        run = build_run(ExperimentConfig.from_flat(flat))
+        traces = hz._run_all(run, [5, 6, 7, 8], 64)
+        assert sizes == [4]
+        assert [tr.seed for tr in traces] == [5, 6, 7, 8]
+
+    def test_seeds_from_2_63_run_distinct_replications(self):
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update({"seed": 2**63, "replications": 2, "horizon": 200})
+        _, traces = run_experiment(ExperimentConfig.from_flat(flat), write=False)
+        assert not np.array_equal(traces[0].f_vals, traces[1].f_vals)
 
     @pytest.mark.parametrize("topology", [
         {"topology.kind": "ring"},
@@ -410,7 +443,7 @@ class TestValidateRandomEdges:
                     p[..., 0, 0] -= np.where(adj[..., 0, 2], 0.01 * deg[..., 0], 0.0)
                 return p
 
-        monkeypatch.setattr(hz, "build_scheme", lambda spec, m: BreaksOnChord())
+        monkeypatch.setattr(hz, "build_scheme", lambda spec: BreaksOnChord())
         config = self.config()
         topology = build_run(config).order.topology
         failures = []  # (tick, message) of every failing tick, built alone
@@ -585,6 +618,8 @@ class TestFailFast:
          "topology.edges"),
         ("topology.graph", "ring", "topology.edges"),
         ("topology.base", "complete", "topology.base"),
+        # a weighted_mh scheme has one weight: per-agent weights are an
+        # unknown entry
         ("scheme.weights", 0.3, "scheme.weights"),
         # a constructor's range check names its entry; a whole section
         # replaces the example's, kind included
@@ -611,6 +646,10 @@ class TestFailFast:
                       "base": [[0, 1], [1, 2], [2, 3], [3, 4]]}, "topology.base"),
         ("topology", {"kind": "random_edges",
                       "graph": [[0, 1], [1, 2], [2, 3], [3, 4]]}, "topology.graph"),
+        # every replication's seed (here 2^64 - 1 + r, r < 3) and the
+        # topology's seed are Philox keys below 2^64
+        ("seed", 2**64 - 1, "seed"),
+        ("topology", {"kind": "random_edges", "seed": 2**64}, "topology.seed"),
     ])
     def test_bad_run_entries(self, tmp_path, capsys, verb, entry, value, field):
         flat = parse_config_text(MARKOV_CFG)
@@ -727,15 +766,6 @@ class TestFailFast:
         assert capsys.readouterr().err == (
             "config error: schedule.alpha: the bounds overflow at this step "
             "size: cyclic_constant_step gap = inf\n")
-
-    @pytest.mark.parametrize("topology", ["ring", "random_edges"])
-    def test_weight_count_differs_from_agents(self, tmp_path, capsys, topology):
-        flat = parse_config_text(MARKOV_CFG)
-        flat.update({"topology.kind": topology, "scheme.kind": "weighted_mh",
-                     "scheme.weights": [0.5] * 4})
-        cfg = write_config(tmp_path / "exp.cfg", flat)
-        assert cli_main(["bounds", "--config", cfg]) == 2
-        assert "one weight per agent (5)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["run", "validate"])
     @pytest.mark.parametrize("lower", [-1.0, -2.0])
@@ -888,3 +918,13 @@ class TestSupremum:
             noise.rms_bound(1, 2)
         assert isinstance(_supremum(GaussianNoise(0.3).mean_bound, 5), float)
         assert np.isscalar(GaussianNoise(0.3).rms_bound(np.arange(1, 4), 2))
+
+    def test_constant_sequence_is_read_once(self):
+        calls = []
+
+        def level(k):
+            calls.append(k)
+            return 0.25
+
+        assert _supremum(level, 10**12) == 0.25
+        assert len(calls) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import incsub as isb
-from helpers import (STEP_NOISES, STEP_SETS, logging_problem,
+from helpers import (STEP_NOISES, STEP_SETS, PerAgentFactors, logging_problem,
                      random_symmetric_topology, run_one)
 from incsub.errors import SchemeViolationError, TopologyError
 from incsub.markov import (adjacency_from_edges, complete_edges,
@@ -70,7 +70,7 @@ class TestTransitionSchemes:
     def test_unequal_mh_weights_break_double_stochasticity(self):
         nb = adjacency_from_edges(2, [(0, 1)])
         with pytest.raises(SchemeViolationError, match="doubly stochastic"):
-            isb.build_transition(isb.WeightedMetropolisHastings([0.3, 0.7]), nb)
+            isb.build_transition(PerAgentFactors([0.3, 0.7]), nb)
 
     def test_asymmetric_neighbors_rejected(self):
         nb = np.array([[False, True], [False, False]])  # 1 in N_0, 0 not in N_1
@@ -298,7 +298,7 @@ class TestMarkovEngine:
             isb.PeriodicTopology(5, [[(0, 1), (2, 3)]], 1)
         ring = isb.PeriodicTopology(5, [ring_edges(5)], 1)
         with pytest.raises(SchemeViolationError, match="doubly stochastic"):
-            isb.ChainOrder(ring, isb.WeightedMetropolisHastings([0.3, 0.7] * 2 + [0.5]))
+            isb.ChainOrder(ring, PerAgentFactors([0.3, 0.7] * 2 + [0.5]))
 
     def test_time_varying_topology_runs(self, quad_m5_box):
         topo = isb.RandomEdgeTopology(5, complete_edges(5), 0.4, 2, 11)

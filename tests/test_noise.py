@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from incsub import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
                     NoNoise)
-from incsub.streams import BLOCK
+from incsub.streams import BLOCK, block_generator, check_seed
 from reference import NoiseStream
 
 
@@ -93,3 +93,31 @@ def test_draws_replayable_and_distinct_across_iterations():
     # distinct (iteration, agent) cells get distinct draws
     flat = np.array([stream_a.draw(k, i) for k in (1, 2, 3) for i in (0, 1, 2)])
     assert len(np.unique(flat.round(12), axis=0)) == len(flat)
+
+
+def test_seeds_from_2_63_get_distinct_keys():
+    # numpy reads a key given as the list [seed, 0] as float64 from 2^63
+    # on, where 2^63 and 2^63 + 1 are one value
+    for domain in range(4):
+        a = block_generator(2**63, domain, 0).random(4)
+        b = block_generator(2**63 + 1, domain, 0).random(4)
+        assert not np.array_equal(a, b)
+
+
+def test_seeds_below_2_63_keep_their_draws():
+    # below 2^63 the list key [seed, 0] is read exactly
+    rng = np.random.default_rng(0)
+    seeds = [0, 1, 2**32, 2**63 - 1,
+             *rng.integers(0, 2**63, 20, dtype=np.uint64).tolist()]
+    for seed in seeds:
+        for domain in range(4):
+            listed = np.random.Philox(counter=[0, 0, 3, domain], key=[seed, 0])
+            assert np.array_equal(block_generator(seed, domain, 3).random(8),
+                                  np.random.Generator(listed).random(8))
+
+
+def test_seed_range():
+    assert check_seed(2**64 - 1) == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            check_seed(seed)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import incsub as isb
 import reference
+from helpers import PerAgentFactors
 from incsub.errors import SchemeViolationError
 from incsub import markov
 from incsub.markov import adjacency_from_edges, complete_edges, ring_edges
@@ -199,18 +200,14 @@ class TestContractOnAdjacencyPath:
 
     def test_mismatched_weighted_mh_factors(self):
         adj = adjacency_from_edges(4, ring_edges(4))
-        scheme = isb.WeightedMetropolisHastings([0.3, 0.3, 0.5, 0.5])
+        scheme = PerAgentFactors([0.3, 0.3, 0.5, 0.5])
         with pytest.raises(SchemeViolationError, match="column .* doubly stochastic"):
             isb.build_transition(scheme, adj)
 
-    def test_weight_count_must_match_agents(self):
-        adj = adjacency_from_edges(4, ring_edges(4))
-        with pytest.raises(SchemeViolationError, match="one weight per agent"):
-            isb.build_transition(isb.WeightedMetropolisHastings([0.5] * 3), adj)
-
     def test_weights_checked_at_construction(self):
-        with pytest.raises(SchemeViolationError, match=r"strictly in \(0, 1\)"):
-            isb.WeightedMetropolisHastings([0.5, 1.0])
+        for weight in (0.0, 1.0, float("nan"), -0.5, 1.5):
+            with pytest.raises(SchemeViolationError, match=r"strictly in \(0, 1\)"):
+                isb.WeightedMetropolisHastings(weight)
 
     def test_sub_floor_entry(self):
         adj = adjacency_from_edges(3, ring_edges(3))
