@@ -59,7 +59,9 @@ def run_batch(problem, noise, schedule, order, x0, steps, seeds, *, stride=1,
     recorder = Recorder(order.engine, problem, schedule, seeds, steps, x_batch,
                         agents=agents, stride=stride, tail_fraction=tail_fraction)
 
-    skip_noise = getattr(noise, "is_zero", False)
+    eps = None  # each block's (BLOCK, width, R, n) noise, drawn in place
+    if not getattr(noise, "is_zero", False):
+        eps = np.empty((BLOCK, order.width, len(seeds), problem.n))
     subgradient, project = problem.subgradient_for_agents, fset.project_many
     push = recorder.push
     with recorder:
@@ -70,10 +72,9 @@ def run_batch(problem, noise, schedule, order, x0, steps, seeds, *, stride=1,
             if track:  # before the steps, so an abort counts its agents
                 recorder.walked(plan)
                 plan = [(tick,) for tick in plan]  # one sub-step per tick
-            eps = None
-            if not skip_noise:
-                eps = np.stack([noise.sample_block(s, b, order.width, problem.n)
-                                for s in seeds], axis=2)  # (count, width, R, n)
+            if eps is not None:
+                for r, s in enumerate(seeds):
+                    noise.sample_block(s, b, order.width, problem.n, out=eps[:, :, r])
             for off, alpha in enumerate(alphas):
                 for j, agent in enumerate(plan[off]):
                     g = subgradient(x_batch, agent)

@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,6 +95,8 @@ def _run_all(run, seeds, jobs):
     and its partial traces are the serial run's."""
     if jobs <= 1 or len(seeds) <= 1:
         return _run_seeds(run, seeds)
+    from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
+
     chunks = np.array_split(np.asarray(seeds), min(jobs, len(seeds)))
     # a forked pool starts all its workers at the first submit
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:

@@ -18,7 +18,6 @@ never contain the agent itself (staying put is the diagonal mass).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -333,6 +332,8 @@ def validate_transition(p, adj, eta, scheme=None):
     exact = np.zeros(len(p), dtype=bool)  # ticks re-checked in Fractions
     if scheme is not None and short.any():
         far = (short & ~(p > floor - 1e-9)).any(axis=(1, 2))
+        from fractions import Fraction  # here: it loads decimal, and few runs get here
+
         one = Fraction(1)
         for t in np.flatnonzero(short.any(axis=(1, 2)) & ~far):
             held = np.flatnonzero(short[t].any(axis=1))  # rows holding them

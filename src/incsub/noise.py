@@ -12,7 +12,8 @@ sequence is constant), so a supremum over a horizon sees every k.
 Draws are organized in iteration-indexed blocks on a counter-based stream
 (see :mod:`incsub.streams`): the error for (iteration k, agent i) is a fixed
 slice of block ``(k-1) // BLOCK``, independent across agents and iterations
-and replayable from the seed alone.
+and replayable from the seed alone.  ``sample_block`` gives a block's
+``(BLOCK, agents, dim)`` errors, written into ``out`` when it is given.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class NoNoise:
 
     is_zero = True
 
-    def sample_block(self, seed, block, agents, dim):
+    def sample_block(self, seed, block, agents, dim, out=None):
         return None  # engines skip the add entirely
 
 
@@ -75,11 +76,11 @@ class GaussianNoise:
     def rms_bound(self, k, dim):
         return _seq_at(self.sigma, k) * float(np.sqrt(dim))
 
-    def sample_block(self, seed, block, agents, dim):
+    def sample_block(self, seed, block, agents, dim, out=None):
         gen = block_generator(seed, DOMAIN_NOISE, block)
         eps = gen.standard_normal((BLOCK, agents, dim))
-        eps *= _seq_block(self.sigma, block * BLOCK + 1, BLOCK)[:, None, None]
-        return eps
+        scale = _seq_block(self.sigma, block * BLOCK + 1, BLOCK)[:, None, None]
+        return np.multiply(eps, scale, out=eps if out is None else out)
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class BiasedGaussianNoise:
     def _direction(self, dim):
         return np.full(dim, 1.0 / np.sqrt(dim))
 
-    def sample_block(self, seed, block, agents, dim):
-        eps = GaussianNoise(self.sigma).sample_block(seed, block, agents, dim)
+    def sample_block(self, seed, block, agents, dim, out=None):
+        eps = GaussianNoise(self.sigma).sample_block(seed, block, agents, dim, out)
         eps += (_seq_block(self.bias, block * BLOCK + 1, BLOCK)[:, None, None]
                 * self._direction(dim))
         return eps
@@ -131,7 +132,7 @@ class BoundedUniformNoise:
     def rms_bound(self, k, dim):
         return _seq_at(self.radius, k)
 
-    def sample_block(self, seed, block, agents, dim):
+    def sample_block(self, seed, block, agents, dim, out=None):
         gen = block_generator(seed, DOMAIN_NOISE, block)
         v = gen.standard_normal((BLOCK, agents, dim))
         u = gen.random((BLOCK, agents))
@@ -140,4 +141,4 @@ class BoundedUniformNoise:
         r = u ** (1.0 / dim)
         start = block * BLOCK + 1
         r = r * _seq_block(self.radius, start, BLOCK)[:, None]
-        return v * (r / norms)[:, :, None]
+        return np.multiply(v, (r / norms)[:, :, None], out=out)

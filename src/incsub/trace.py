@@ -17,13 +17,13 @@ Each row is rendered with one ``%`` format (``%d`` for the iteration and
 the agent, ``%.17g`` for the floats; an absent agent or distance column
 and a NaN step-size are empty fields).  Every field is a number or empty,
 so none needs quoting, and the bytes are those the csv module writes.
+Rows are rendered ``CSV_ROWS`` at a time, so writing a trace holds one
+chunk of its text, however long the trace.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +32,7 @@ import numpy as np
 from .errors import NonFiniteError
 
 COLUMNS = ("k", "agent", "f", "dist_to_witness", "running_inf_f", "alpha")
+CSV_ROWS = 1 << 10  # rows rendered per chunk of CSV text
 
 
 def fmt_float(x):
@@ -74,41 +75,25 @@ class RunTrace:
         if np.any(self.running_inf[1:] > self.running_inf[:-1]):  # diff can overflow
             raise ValueError("running inf must be non-increasing")
 
-    def to_csv(self):
+    def _csv_chunks(self):
+        """The CSV text: the header, then ``CSV_ROWS`` rows per string."""
         cols = (self.ks, self.agents, self.f_vals, self.dists, self.running_inf)
         specs = ("%d", "%d", "%.17g", "%.17g", "%.17g")
         fmt = ",".join("" if col is None else spec for col, spec in zip(cols, specs))
         with_alpha, without_alpha = fmt + ",%.17g\n", fmt + ",\n"
-        rows = zip(*(col.tolist() for col in cols if col is not None),
-                   self.alphas.tolist())
-        lines = [",".join(COLUMNS) + "\n"]
-        lines += [with_alpha % row if row[-1] == row[-1]  # a NaN alpha is empty
-                  else without_alpha % row[:-1] for row in rows]
-        return "".join(lines)
+        cols = [col for col in cols if col is not None] + [self.alphas]
+        yield ",".join(COLUMNS) + "\n"
+        for lo in range(0, len(self.ks), CSV_ROWS):
+            rows = zip(*(col[lo:lo + CSV_ROWS].tolist() for col in cols))
+            yield "".join([with_alpha % row if row[-1] == row[-1]  # a NaN alpha is empty
+                           else without_alpha % row[:-1] for row in rows])
+
+    def to_csv(self):
+        return "".join(self._csv_chunks())
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
-    @classmethod
-    def from_csv(cls, text):
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if tuple(header) != COLUMNS:
-            raise ValueError(f"unexpected trace header {header!r}")
-        ks, agents, fs, dists, infs, alphas = [], [], [], [], [], []
-        for row in reader:
-            ks.append(int(row[0]))
-            agents.append(int(row[1]) if row[1] else -1)
-            fs.append(float(row[2]))
-            dists.append(float(row[3]) if row[3] else np.nan)
-            infs.append(float(row[4]))
-            alphas.append(float(row[5]) if row[5] else np.nan)
-        has_agents = any(a >= 0 for a in agents)
-        has_dists = any(not np.isnan(d) for d in dists)
-        return cls(np.array(ks), np.array(fs), np.array(infs), np.array(alphas),
-                   np.array(agents) if has_agents else None,
-                   np.array(dists) if has_dists else None)
+            fh.writelines(self._csv_chunks())
 
 
 def record_indices(horizon, stride):
@@ -134,6 +119,11 @@ def flush_steps(reps, family):
 
 
 _UNITS = {"cyclic": "cycle", "markov": "tick"}
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 class Recorder:
@@ -288,17 +278,19 @@ class Recorder:
         return self.abort
 
     def _traces(self, aborted_at=None):
-        """Traces of the recorded rows; ``final_x`` is the last recorded step."""
-        ks = np.array(self.recs[:self.filled], dtype=int)
-        alphas = np.array([np.nan if k == 0 else self.schedule.step(k)
-                           for k in self.recs[:self.filled]])
+        """Traces of the recorded rows; ``final_x`` is the last recorded step.
+        Every column is a read-only view: one ``ks`` and one ``alphas`` for
+        the batch, and each trace's row of the recorder's columns."""
+        ks = _read_only(np.array(self.recs[:self.filled], dtype=int))
+        alphas = _read_only(np.array([np.nan if k == 0 else self.schedule.step(k)
+                                      for k in self.recs[:self.filled]]))
         tail = aborted_at is None and self.tail_start is not None
 
         def row(cols, r):
-            return None if cols is None else cols[r, :self.filled].copy()
+            return None if cols is None else _read_only(cols[r, :self.filled])
 
-        return [RunTrace(ks.copy(), row(self.rows_f, r), row(self.rows_inf, r),
-                         alphas.copy(), row(self.rows_agent, r),
+        return [RunTrace(ks, row(self.rows_f, r), row(self.rows_inf, r),
+                         alphas, row(self.rows_agent, r),
                          row(self.rows_dist, r), seed=int(seed),
                          final_x=[float(v) for v in self.last_x[r]],
                          visit_counts=(None if self.visits is None else

@@ -22,7 +22,8 @@ The objective families evaluate all agents at once on stacked parameters;
 point, from the same parameters.
 
 ``trace_csv`` renders a trace through ``csv.writer``, one cell at a time;
-``RunTrace.to_csv`` must give the same bytes.
+``RunTrace.to_csv`` must give the same bytes.  ``trace_from_csv`` reads the
+text back through ``csv.reader``, so the floats can be checked bit for bit.
 
 ``bound_verdicts`` checks the replications against a bound's gap in a
 plain loop, one replication at a time; ``BoundReport.verdicts`` must
@@ -39,7 +40,7 @@ from incsub.errors import NonFiniteError, SchemeViolationError, TopologyError
 from incsub.markov import RandomEdgeTopology, ring_edges
 from incsub.objectives import QuadraticFamily, RegressionFamily, UtilityFamily
 from incsub.streams import BLOCK, DOMAIN_TOPOLOGY, block_generator
-from incsub.trace import COLUMNS, fmt_float
+from incsub.trace import COLUMNS, RunTrace, fmt_float
 
 
 class NoiseStream:
@@ -294,6 +295,28 @@ def trace_csv(trace):
         writer.writerow([str(int(k)), agent, fmt_float(trace.f_vals[i]),
                          dist, fmt_float(trace.running_inf[i]), alpha])
     return buf.getvalue()
+
+
+def trace_from_csv(text):
+    """The :class:`incsub.RunTrace` of a trace's CSV text; an agent or
+    distance column with no value in any row is absent."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if tuple(header) != COLUMNS:
+        raise ValueError(f"unexpected trace header {header!r}")
+    ks, agents, fs, dists, infs, alphas = [], [], [], [], [], []
+    for row in reader:
+        ks.append(int(row[0]))
+        agents.append(int(row[1]) if row[1] else -1)
+        fs.append(float(row[2]))
+        dists.append(float(row[3]) if row[3] else np.nan)
+        infs.append(float(row[4]))
+        alphas.append(float(row[5]) if row[5] else np.nan)
+    has_agents = any(a >= 0 for a in agents)
+    has_dists = any(not np.isnan(d) for d in dists)
+    return RunTrace(np.array(ks), np.array(fs), np.array(infs), np.array(alphas),
+                    np.array(agents) if has_agents else None,
+                    np.array(dists) if has_dists else None)
 
 
 def bound_verdicts(inf_f, gap, f_star, slack_rel, slack_abs):

@@ -155,7 +155,8 @@ class TestRunExperiment:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(hz, "ProcessPoolExecutor", InlinePool)
+        # _run_all imports the pool only when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         flat = parse_config_text(MARKOV_CFG)
         flat["horizon"] = 200
         run = build_run(ExperimentConfig.from_flat(flat))

@@ -95,6 +95,20 @@ def test_draws_replayable_and_distinct_across_iterations():
     assert len(np.unique(flat.round(12), axis=0)) == len(flat)
 
 
+@pytest.mark.parametrize("model", [
+    GaussianNoise(0.2), BiasedGaussianNoise(0.05, 0.2), BoundedUniformNoise(0.4),
+    GaussianNoise(lambda k: 0.2 / np.sqrt(k)),
+])
+def test_block_written_into_a_strided_lane(model):
+    # the engine's (BLOCK, width, R, n) buffer takes each seed's block in
+    # lane r: the same bits as a block drawn on its own
+    buf = np.full((BLOCK, 3, 4, 2), np.nan)
+    got = model.sample_block(11, 1, 3, 2, out=buf[:, :, 2])
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(buf[:, :, 2], model.sample_block(11, 1, 3, 2))
+    assert np.isnan(np.delete(buf, 2, axis=2)).all()
+
+
 def test_seeds_from_2_63_get_distinct_keys():
     # numpy reads a key given as the list [seed, 0] as float64 from 2^63
     # on, where 2^63 and 2^63 + 1 are one value

@@ -13,6 +13,7 @@ import pytest
 
 import incsub as isb
 from helpers import CallbackFamily, trace_state
+from reference import trace_csv
 from incsub import trace
 from incsub.streams import init_generator
 from incsub.trace import record_indices
@@ -248,6 +249,35 @@ def test_nonfinite_objective_at_the_initial_point(engine, stride, quad_m5_box,
         if engine == "markov":
             first = min(int(init_generator(seed).random() * 5), 4)
             assert tr.visit_counts == np.eye(5, dtype=int)[first].tolist()
+
+
+@pytest.mark.parametrize("engine", ["markov", "cyclic"])
+def test_traces_share_read_only_columns(engine, quad_m5_box, ring5, tmp_path):
+    # one ks and one alphas for the whole batch, and every column a
+    # read-only view, in a completed run and in an aborted run's partial
+    # traces; the partial traces' 1,300 rows cross a chunk of CSV text and
+    # are written as csv.writer writes them
+    subgradient = nan_at_step(quad_m5_box, engine, NAN_AT)
+    with pytest.raises(isb.NonFiniteError) as info:
+        run(engine, instrumented(quad_m5_box, [], subgradient=subgradient), 1,
+            ring5)
+    partial = info.value.partial_traces
+    assert NAN_AT > trace.CSV_ROWS
+    for traces in (run(engine, quad_m5_box, 1, ring5), partial):
+        for tr in traces:
+            assert np.shares_memory(tr.ks, traces[0].ks)
+            assert np.shares_memory(tr.alphas, traces[0].alphas)
+            cols = [tr.ks, tr.f_vals, tr.running_inf, tr.alphas, tr.dists]
+            if engine == "markov":
+                cols.append(tr.agents)
+            for col in cols:
+                assert not col.flags.writeable
+                with pytest.raises(ValueError):
+                    col[0] = 0
+    for r, tr in enumerate(partial):
+        path = tmp_path / f"trace_{r}.csv"
+        tr.write_csv(path)
+        assert path.read_bytes() == trace_csv(tr).encode()
 
 
 def outcome(engine, problem, stride, ring5, evaluate=None, subgradient=None):

@@ -1,16 +1,18 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incsub import ExperimentConfig, RunTrace, record_indices
+from incsub import ExperimentConfig, RunTrace, record_indices, trace
 from incsub.config import (build_noise, build_problem, build_schedule,
                            build_set, canonical_config_text, config_hash,
                            load_config_file, parse_config_text)
 from incsub.errors import ConfigError
-from reference import trace_csv
+from reference import trace_csv, trace_from_csv
 
 
 def sample_trace():
@@ -26,7 +28,7 @@ def sample_trace():
 class TestTrace:
     def test_csv_round_trip_preserves_floats(self):
         tr = sample_trace()
-        back = RunTrace.from_csv(tr.to_csv())
+        back = trace_from_csv(tr.to_csv())
         assert np.array_equal(back.ks, tr.ks)
         assert np.array_equal(back.f_vals, tr.f_vals)
         assert np.array_equal(back.running_inf, tr.running_inf)
@@ -39,7 +41,7 @@ class TestTrace:
         x = 0.1 + 0.2  # classic non-representable sum
         tr = RunTrace(np.array([0]), np.array([x]), np.array([x]),
                       np.array([np.nan]), None, None)
-        assert RunTrace.from_csv(tr.to_csv()).f_vals[0] == x
+        assert trace_from_csv(tr.to_csv()).f_vals[0] == x
 
     def test_running_inf_must_be_monotone(self):
         with pytest.raises(ValueError):
@@ -52,13 +54,15 @@ class TestTrace:
                  np.array([np.nan, 0.1]), None, None)
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), rows=st.integers(1, 25),
+    @given(data=st.data(), rows=st.integers(1, 25), chunk=st.integers(1, 30),
            has_agents=st.booleans(), has_dists=st.booleans())
-    def test_csv_bytes_match_csv_writer(self, data, rows, has_agents, has_dists):
+    def test_csv_bytes_match_csv_writer(self, data, rows, chunk, has_agents,
+                                        has_dists):
         # the one-format-per-row writer gives the csv.writer bytes, and the
         # text reads back bit for bit, on edge values: signed zero, the
         # smallest subnormal, the largest finite floats, exponent forms and
-        # integers stored as floats
+        # integers stored as floats; with ``chunk`` rows per chunk of text,
+        # the rows often cross a chunk boundary
         edges = [-0.0, 0.0, 5e-324, 1.7976931348623157e308,
                  -1.7976931348623157e308, 1e-5, 1e16, 3.0, -7.0, 0.1 + 0.2]
         value = st.one_of(st.sampled_from(edges),
@@ -74,15 +78,60 @@ class TestTrace:
                                              max_size=rows))) if has_agents else None
         dists = np.array(data.draw(column)) if has_dists else None
         tr = RunTrace(ks, f, inf, alphas, agents, dists)
-        text = tr.to_csv()
+        with mock.patch.object(trace, "CSV_ROWS", chunk):
+            text = tr.to_csv()
         assert text == trace_csv(tr)
-        back = RunTrace.from_csv(text)
+        back = trace_from_csv(text)
         for name in ("ks", "f_vals", "running_inf", "alphas", "agents", "dists"):
             col, got = getattr(tr, name), getattr(back, name)
             if col is None:
                 assert got is None
             else:
                 assert got.dtype == col.dtype and got.tobytes() == col.tobytes()
+
+    def test_first_row_without_agent_distance_or_step(self, tmp_path):
+        # k = 0 has no step-size, and a ring-order run without a witness has
+        # no agent or distance column: all three fields are empty
+        tr = RunTrace(np.array([0, 1]), np.array([1.5, 0.25]),
+                      np.array([1.5, 0.25]), np.array([np.nan, 0.1]), None, None)
+        text = ("k,agent,f,dist_to_witness,running_inf_f,alpha\n"
+                "0,,1.5,,1.5,\n1,,0.25,,0.25,0.10000000000000001\n")
+        assert tr.to_csv() == trace_csv(tr) == text
+        tr.write_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == text.encode()
+
+    def test_written_bytes_match_csv_writer_across_chunks(self, tmp_path):
+        # two full chunks and one row: both chunk boundaries fall inside
+        rows = 2 * trace.CSV_ROWS + 1
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+        alphas = rng.random(rows)
+        alphas[0] = np.nan
+        tr = RunTrace(np.arange(rows) * 7, f, np.minimum.accumulate(f), alphas,
+                      rng.integers(0, 50, rows), rng.random(rows))
+        tr.write_csv(tmp_path / "trace.csv")
+        text = trace_csv(tr)
+        assert tr.to_csv() == text
+        assert (tmp_path / "trace.csv").read_bytes() == text.encode()
+
+    def test_writing_holds_one_chunk(self, tmp_path):
+        # the ~15 MB of a 200,000-row trace's text are written one chunk at
+        # a time: the traced peak stays under 1 MiB, whatever the row count
+        rows = 200_000
+        rng = np.random.default_rng(4)
+        f = rng.normal(size=rows)
+        alphas = np.full(rows, 0.01)
+        alphas[0] = np.nan
+        tr = RunTrace(np.arange(rows), f, np.minimum.accumulate(f), alphas,
+                      rng.integers(0, 50, rows), rng.random(rows))
+        tracemalloc.start()
+        try:
+            tr.write_csv(tmp_path / "trace.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "trace.csv").stat().st_size > 14 << 20
+        assert peak < 1 << 20
 
     def test_record_indices_shape(self):
         assert record_indices(100, 10) == list(range(0, 101, 10))
