@@ -22,8 +22,8 @@ from .noise import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
                     NoNoise)
 from .objectives import (LinearUtility, LogUtility, QuadraticFamily,
                          RegressionFamily, SqrtUtility, UtilityFamily)
-from .problems import (OptimumCertificate, ProblemInstance, grid_search,
-                       make_allocation, make_quadratic_suite, make_regression)
+from .problems import (OptimumCertificate, ProblemInstance, make_allocation,
+                       make_quadratic_suite, make_regression)
 from .engine import run_batch
 from .cyclic import RingOrder
 from .markov import (ChainOrder, EqualProbability, MinEqualNeighbor,
@@ -31,9 +31,9 @@ from .markov import (ChainOrder, EqualProbability, MinEqualNeighbor,
                      WeightedMetropolisHastings, adjacency_from_edges,
                      build_transition, complete_edges, path_edges, ring_edges,
                      topology_eta, validate_transition)
-from .analysis import (BoundInputs, BoundReport, OptimalWindow, RateConstants,
-                       delta_window, max_uniform_deviation, optimal_window,
-                       phi_product, rate_constants)
+from .analysis import (BoundInputs, BoundReport, RateConstants, delta_window,
+                       max_uniform_deviation, optimal_window, phi_product,
+                       rate_constants)
 from .trace import RunTrace, record_indices
 from .config import ExperimentConfig, canonical_config_text, parse_config_text
 from .harness import Run, build_run, compare_bounds, run_experiment

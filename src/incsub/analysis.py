@@ -113,21 +113,6 @@ class BoundReport:
                 "worst_margin": float(np.min(threshold - inf_f)) if total else None}
 
 
-@dataclass(frozen=True)
-class OptimalWindow:
-    """Result of minimizing the window/mixing trade-off over integers T >= 0.
-
-    ``T`` is the exact integer minimizer (ties resolved toward smaller T).
-    ``formula_T`` is the closed-form value (ceiling of the continuous
-    minimizer, clamped at zero); it can overshoot the exact minimizer by
-    one, in which case ``discrepancy`` is set.
-    """
-
-    T: int
-    formula_T: int
-    discrepancy: bool
-
-
 def _window_terms(alpha, c_effective, c0, beta, T):
     return alpha * c_effective * c_effective * T + c0 * beta ** (T + 1)
 
@@ -139,10 +124,12 @@ def optimal_window(alpha, c_effective, c0, beta):
     ``c_effective = sqrt(C (C + nu))`` to optimize the noisy window term
     alpha T C (C + nu) instead of the error-free alpha T C^2.
 
+    The exact integer minimizer is returned, ties resolved toward smaller
+    T; the closed-form continuous minimizer is only where the search starts.
     beta = 0 is the uniform chain: the mixing term vanishes and T = 0.
     """
     if beta == 0.0:
-        return OptimalWindow(0, 0, False)
+        return 0
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be 0 or in (0, 1), got {beta}")
     if not (alpha > 0 and c_effective > 0 and c0 > 0):
@@ -153,15 +140,13 @@ def optimal_window(alpha, c_effective, c0, beta):
         raw = 0
     else:
         raw = math.ceil(math.log(ratio) / math.log(beta)) - 1
-    formula = max(raw, 0)
-
-    t = formula
+    t = max(raw, 0)
     g = lambda T: _window_terms(alpha, c_effective, c0, beta, T)
     while t > 0 and g(t - 1) <= g(t):
         t -= 1
     while g(t + 1) < g(t):
         t += 1
-    return OptimalWindow(t, formula, t != formula)
+    return t
 
 
 def delta_window(alpha, beta):
@@ -283,7 +268,7 @@ class BoundInputs:
         at ``alpha``: zero, the optimal window and the delta window."""
         beta = self.rate.beta
         return [("T0", 0),
-                ("optimal", optimal_window(alpha, self.c_eff, self.c0, beta).T),
+                ("optimal", optimal_window(alpha, self.c_eff, self.c0, beta)),
                 ("delta", delta_window(alpha, beta))]
 
     def reports(self, alpha):

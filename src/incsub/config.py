@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, SchemeViolationError, TopologyError
+from .errors import (ConfigError, NonFiniteError, SchemeViolationError,
+                     TopologyError)
 from .markov import (EqualProbability, MinEqualNeighbor, PeriodicTopology,
                      RandomEdgeTopology, WeightedMetropolisHastings,
                      complete_edges, path_edges, ring_edges)
@@ -333,21 +334,11 @@ def build_set(spec, default_dim=None):
                       _number(spec, "problem.set", "scale", 1.0), dim)
 
 
-def _grid_resolution(spec, default):
-    if spec.get("grid_resolution") is None:
-        return default
-    value = _number(spec, "problem", "grid_resolution")
-    if not value > 0:
-        raise ConfigError(f"must be > 0, got {value}",
-                          field="problem.grid_resolution")
-    return value
-
-
 _FIXTURE_KEYS = {
     "quadratic": {"fixture", "m", "n", "spread", "set", "centers",
-                  "centers_seed", "grid_resolution"},
-    "regression": {"fixture", "features", "samples", "set", "grid_resolution"},
-    "allocation": {"fixture", "utilities", "set", "grid_resolution"},
+                  "centers_seed"},
+    "regression": {"fixture", "features", "samples", "set"},
+    "allocation": {"fixture", "utilities", "set"},
 }
 _UTILITY_KEYS = {"log": {"kind", "weight"}, "sqrt": {"kind", "floor"},
                  "linear": {"kind", "slope", "cap"}}
@@ -366,16 +357,27 @@ def _utility(spec, section):
 
 def build_problem(spec):
     """The configured problem.  Every bound reads its set's diameter and its
-    subgradient bounds C_i, so a set so large that they overflow is a
-    ConfigError on ``problem.set``."""
-    with np.errstate(over="ignore"):  # overflow is checked right below
-        problem = _fixture(spec)
-        diameter = problem.feasible_set.diameter()
-    if not (math.isfinite(diameter) and np.isfinite(problem.bounds).all()):
-        raise ConfigError(f"the diameter ({diameter!r}) and the largest "
-                          f"subgradient bound ({float(problem.bounds.max())!r}) "
-                          f"must be finite", field="problem.set")
-    return problem
+    subgradient bounds C_i, so the fixture checks that they are finite
+    before it certifies f*; a set so large that they overflow is a
+    ConfigError on ``problem.set``, and so is a set whose dimension is not
+    the problem's.  A non-finite f* is a ConfigError on ``problem``."""
+    try:
+        with np.errstate(over="ignore"):  # the fixture checks for overflow
+            return _fixture(spec)
+    except NonFiniteError as exc:
+        raise ConfigError(str(exc), field="problem.set") from None
+
+
+def _problem_set(spec, dim, default=_MISSING):
+    """The set ``spec["set"]`` (``default`` when absent), of dimension ``dim``."""
+    raw = spec.get("set", default)
+    if raw is _MISSING:
+        raise ConfigError("missing required entry", field="problem.set")
+    fset = build_set(raw, default_dim=dim)
+    if fset.dim != dim:
+        raise ConfigError(f"the set has dimension {fset.dim}, the problem "
+                          f"dimension {dim}", field="problem.set")
+    return fset
 
 
 def _fixture(spec):
@@ -383,8 +385,7 @@ def _fixture(spec):
     if fixture == "quadratic":
         m = _number(spec, "problem", "m", 1, minimum=1, kind=int)
         n = _number(spec, "problem", "n", 1, minimum=1, kind=int)
-        fset = build_set(spec.get("set", {"kind": "box", "lower": -1.0, "upper": 1.0}),
-                         default_dim=n)
+        fset = _problem_set(spec, n, {"kind": "box", "lower": -1.0, "upper": 1.0})
         centers = None
         if spec.get("centers") is not None:
             centers = _floats(spec["centers"], "problem.centers")
@@ -395,8 +396,7 @@ def _fixture(spec):
             "problem", make_quadratic_suite, m, n,
             _number(spec, "problem", "spread", 1.0, minimum=0.0), fset,
             centers=centers,
-            seed=_number(spec, "problem", "centers_seed", 0, minimum=0, kind=int),
-            grid_resolution=_grid_resolution(spec, None))
+            seed=_number(spec, "problem", "centers_seed", 0, minimum=0, kind=int))
     if fixture == "regression":
         if spec.get("features") is None or spec.get("samples") is None:
             raise ConfigError("regression fixture needs features and samples",
@@ -412,21 +412,17 @@ def _fixture(spec):
                               field="problem.samples")
         samples = [np.atleast_1d(_floats(r, f"problem.samples[{i}]"))
                    for i, r in enumerate(raw_samples)]
-        if "set" not in spec:
-            raise ConfigError("missing required entry", field="problem.set")
-        fset = build_set(spec["set"], default_dim=features.shape[1])
-        return _construct("problem", make_regression, features, samples, fset,
-                          grid_resolution=_grid_resolution(spec, 1e-3))
+        return _construct("problem", make_regression, features, samples,
+                          _problem_set(spec, features.shape[1]))
     specs = spec.get("utilities")
     if not isinstance(specs, list) or not specs:
         raise ConfigError("allocation fixture needs a utilities list",
                           field="problem.utilities")
     utilities = [_utility(u, f"problem.utilities[{i}]") for i, u in enumerate(specs)]
-    fset = build_set(spec.get("set", {"kind": "simplex", "scale": 1.0,
-                                      "dim": len(utilities)}),
-                     default_dim=len(utilities))
-    return _construct("problem", make_allocation, utilities, fset,
-                      grid_resolution=_grid_resolution(spec, 1e-3))
+    m = len(utilities)
+    return _construct("problem", make_allocation, utilities,
+                      _problem_set(spec, m, {"kind": "simplex", "scale": 1.0,
+                                             "dim": m}))
 
 
 # The entries each kind of the schedule, noise, topology and scheme sections

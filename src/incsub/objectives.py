@@ -18,9 +18,8 @@ flushes by it).
 Every row's result depends on that row alone: the families use elementwise
 products and sums along an axis, never a BLAS matrix-vector product, whose
 rounding can change with the number of rows.  A replication's iterates are
-therefore the same alone, in a batch or in a worker process, and a grid
-search finds the same point whatever its chunk size.  Temporaries are
-O(N m), never O(N m n).
+therefore the same alone, in a batch or in a worker process.  Temporaries
+are O(N m), never O(N m n).
 
 Shipped families: ``QuadraticFamily`` (distances to centers),
 ``RegressionFamily`` (per-sensor mean squared residuals of a linear model)

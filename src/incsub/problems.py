@@ -3,45 +3,49 @@
 Every fixture is a sum f = f_1 + ... + f_m of convex components, given as
 one objective family (see ``objectives``), over a feasible set, together
 with an ``OptimumCertificate`` that records how the optimal value was
-obtained: a closed form, a brute-force lattice search at a stated
-resolution, or unknown.  Grid certificates are the desk-scale oracle of
-record, so they are only offered for dimension <= 3.
+obtained: a closed form, or a first-order bracket of f* (the duality
+certificate, in any dimension).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import CertificateError, DimensionMismatchError
+from .errors import CertificateError, DimensionMismatchError, NonFiniteError
 from .objectives import QuadraticFamily, RegressionFamily, UtilityFamily
 
-GRID_MAX_DIM = 3
+# The duality bracket stops once its width is at most BRACKET_RTOL * (1 + |f|),
+# or after BRACKET_STEPS subgradient steps.
+BRACKET_RTOL = 1e-9
+BRACKET_STEPS = 20_000
 
 
 @dataclass(frozen=True)
 class OptimumCertificate:
     """How f* was established, with a witness point when available.
 
-    ``tolerance`` bounds f(witness) - f_star for grid certificates (derived
-    from the lattice resolution and the components' subgradient bounds) and
-    is a pure float-arithmetic allowance for closed forms.
+    ``tolerance`` bounds f(witness) - f*: for a duality certificate it is
+    the width of the bracket [f_star - tolerance, f_star] that holds f*,
+    and for a closed form it is a pure float-arithmetic allowance.  A
+    non-finite ``f_star`` is a ValueError.
     """
 
     f_star: Optional[float]
     witness: Optional[np.ndarray]
-    method: str  # "closed_form" | "grid" | "unknown"
+    method: str  # "closed_form" | "duality" | "unknown"
     tolerance: float = 0.0
-    resolution: Optional[float] = None
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in ("closed_form", "grid", "unknown"):
+        if self.method not in ("closed_form", "duality", "unknown"):
             raise CertificateError(f"unknown certificate method {self.method!r}")
         if self.method != "unknown" and self.f_star is None:
             raise CertificateError(f"{self.method} certificate needs f_star")
+        if self.f_star is not None and not np.isfinite(self.f_star):
+            raise ValueError(f"the optimal value f* = {self.f_star!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -106,61 +110,72 @@ class ProblemInstance:
                 f"by more than {tol!r}")
 
 
-# -- brute-force lattice search (the desk-scale optimum oracle) --------------
+def _check_geometry(family, feasible_set):
+    """Every bound reads the set's diameter and the C_i, and the bracket
+    steps by them: a non-finite one is a NonFiniteError, raised before any
+    certificate is sought."""
+    diameter = feasible_set.diameter()
+    if not (np.isfinite(diameter) and np.isfinite(family.bounds).all()):
+        raise NonFiniteError(f"the diameter ({diameter!r}) and the largest "
+                             f"subgradient bound ({float(family.bounds.max())!r}) "
+                             f"must be finite")
 
-def grid_search(f_many, feasible_set, resolution):
-    """Minimize ``f_many`` over a lattice of mesh ``resolution`` on the set.
 
-    Returns (best value, best point).  Only supported up to dimension
-    GRID_MAX_DIM; the lattice covers the set so that every feasible point
-    has a feasible lattice point within resolution * dim.
+def _bracket(family, feasible_set, start, notes=None):
+    """A duality certificate: f* bracketed by projected subgradient steps
+    from ``start`` projected onto the set.
+
+    Step t moves x_t by -alpha_t g_t, with g_t = sum_i g_i(x_t) and
+    alpha_t = diameter / (sum C_i sqrt(t)); the best iterate is the witness
+    and f_star = f(witness) the upper end.  Each step's affine minorant
+    f(x_t) + <g_t, x - x_t> lies below f on the set, and so does any
+    weighted average of them; the lower end is the largest of the
+    minorants' and of their alpha-weighted average's minimum over the set,
+    which ``linear_range`` gives.  The average closes the bracket at a kink,
+    where each single minorant stays below f* by a fixed amount.  The steps
+    stop once the width is at most BRACKET_RTOL (1 + |f_star|), or after
+    BRACKET_STEPS; ``tolerance`` is the width either way.
     """
-    dim = feasible_set.dim
-    if dim > GRID_MAX_DIM:
-        raise ValueError(f"grid search limited to dim <= {GRID_MAX_DIM}, got {dim}")
-    best_val = np.inf
-    best_x = None
-    for chunk in feasible_set.lattice(resolution):
-        vals = f_many(chunk)
-        j = int(np.argmin(vals))
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_x = chunk[j].copy()
-    if best_x is None:
-        raise ValueError("lattice produced no feasible points")
-    return best_val, best_x
+    agents = np.arange(family.m)
+    diameter, c_sum = feasible_set.diameter(), float(family.bounds.sum())
+    x = feasible_set.project_many(start)
+    best_f, best_x, lower = np.inf, x, -np.inf
+    weight, offset, slope = 0.0, 0.0, np.zeros(family.n)
+    for t in range(1, BRACKET_STEPS + 1):
+        f = float(family.evaluate_many(x[None, :])[0])
+        g = family.subgradient_many(np.broadcast_to(x, (family.m, family.n)),
+                                    agents).sum(axis=0)
+        if f < best_f:
+            best_f, best_x = f, x
+        intercept = f - float(g @ x)  # the minorant is intercept + <g, .>
+        w = 1.0 / np.sqrt(t)  # alpha_t up to a constant factor
+        weight, offset, slope = weight + w, offset + w * intercept, slope + w * g
+        lower = max(lower, intercept + feasible_set.linear_range(g)[0],
+                    (offset + feasible_set.linear_range(slope)[0]) / weight)
+        if best_f - lower <= BRACKET_RTOL * (1.0 + abs(best_f)):
+            break
+        x = feasible_set.project_many(x - (w * diameter / c_sum) * g)
+    return OptimumCertificate(best_f, best_x, "duality",
+                              tolerance=max(best_f - lower, 0.0),
+                              notes=notes or {})
 
 
-def _grid_certificate(family, feasible_set, resolution, notes=None):
-    val, x = grid_search(family.evaluate_many, feasible_set, resolution)
-    tol = float(sum(family.bounds)) * resolution * feasible_set.dim
-    return OptimumCertificate(val, x, "grid", tolerance=tol,
-                              resolution=resolution, notes=notes or {})
-
-
-def _uncertified(family, feasible_set, name):
-    """The instance before its certificate (see :func:`_certified`)."""
-    return ProblemInstance(family, feasible_set,
-                           OptimumCertificate(None, None, "unknown"), name=name)
-
-
-def _certified(prob, cert):
-    """``prob`` with the optimum certificate ``cert``, re-verified."""
-    prob = replace(prob, optimum=cert)
+def _certified(family, feasible_set, name, cert):
+    """The instance of ``family`` over the set with the optimum certificate
+    ``cert``, re-verified."""
+    prob = ProblemInstance(family, feasible_set, cert, name=name)
     prob.check_certificate()
     return prob
 
 
 # -- fixtures -----------------------------------------------------------------
 
-def make_quadratic_suite(m, n, spread, feasible_set, *, centers=None, seed=0,
-                         grid_resolution=None):
+def make_quadratic_suite(m, n, spread, feasible_set, *, centers=None, seed=0):
     """m quadratic components ||x - c_i||^2 with centers in a ball of radius spread.
 
     The sum is m ||x - cbar||^2 plus a constant, so the constrained optimum
     is exactly the projection of the centroid for any convex set; Box and
-    Ball (and Simplex) project in closed form.  Pass ``grid_resolution`` to
-    certify by lattice search instead (dimension <= 3).
+    Ball (and Simplex) project in closed form.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 components and dimension n >= 1")
@@ -172,25 +187,15 @@ def make_quadratic_suite(m, n, spread, feasible_set, *, centers=None, seed=0,
         centers = v * radii[:, None]
     family = QuadraticFamily(np.asarray(centers, dtype=float).reshape(m, n),
                              feasible_set)
-    prob = _uncertified(family, feasible_set, f"quadratic_m{m}_n{n}")
-
+    _check_geometry(family, feasible_set)
     witness = feasible_set.project_many(family.centroid)
-    f_witness = prob.f(witness)
-    if grid_resolution is None:
-        cert = OptimumCertificate(f_witness, witness, "closed_form",
-                                  tolerance=1e-9 * (1.0 + abs(f_witness)))
-    else:
-        cert = _grid_certificate(family, feasible_set, grid_resolution)
-        # The projected centroid is exact; keep whichever point is better.
-        if f_witness <= cert.f_star:
-            cert = OptimumCertificate(f_witness, witness, "grid",
-                                      tolerance=cert.tolerance,
-                                      resolution=grid_resolution,
-                                      notes={"refined_by": "projected centroid"})
-    return _certified(prob, cert)
+    f_star = float(family.evaluate_many(witness[None, :])[0])
+    cert = OptimumCertificate(f_star, witness, "closed_form",
+                              tolerance=1e-9 * (1.0 + abs(f_star)))
+    return _certified(family, feasible_set, f"quadratic_m{m}_n{n}", cert)
 
 
-def make_regression(features, samples, feasible_set, *, grid_resolution=1e-3):
+def make_regression(features, samples, feasible_set):
     """Least-squares model-fitting instance over m sensors.
 
     Sensor i has the feature row phi_i = ``features[i]`` and the samples
@@ -199,7 +204,7 @@ def make_regression(features, samples, feasible_set, *, grid_resolution=1e-3):
 
     The certificate is the closed-form least-squares solution when it is
     feasible; otherwise (or when the normal matrix is rank-deficient) the
-    optimum is certified by lattice search.
+    optimum is bracketed from the projected least-squares solution.
     """
     feats = np.array(features, dtype=float)
     if feats.ndim != 2 or len(feats) < 1:
@@ -216,7 +221,7 @@ def make_regression(features, samples, feasible_set, *, grid_resolution=1e-3):
     rbar = [float(r.mean()) for r in samples]
     var = [float(np.mean((r - rb) ** 2)) for r, rb in zip(samples, rbar)]
     family = RegressionFamily(feats, rbar, var, feasible_set)
-    prob = _uncertified(family, feasible_set, f"regression_m{m}_n{n}")
+    _check_geometry(family, feasible_set)
 
     normal = sum(np.outer(p, p) for p in feats)
     rhs = sum(rb * p for p, rb in zip(feats, rbar))
@@ -225,16 +230,12 @@ def make_regression(features, samples, feasible_set, *, grid_resolution=1e-3):
 
     notes = {"rank_deficient": True} if rank_deficient else {}
     if not rank_deficient and feasible_set.contains(sol):
-        f_star = prob.f(sol)
+        f_star = float(family.evaluate_many(sol[None, :])[0])
         cert = OptimumCertificate(f_star, sol, "closed_form",
                                   tolerance=1e-9 * (1.0 + abs(f_star)), notes=notes)
     else:
-        if n > GRID_MAX_DIM:
-            raise ValueError(
-                "closed form unavailable (infeasible or rank-deficient) and the "
-                f"grid oracle is limited to dim <= {GRID_MAX_DIM}")
-        cert = _grid_certificate(family, feasible_set, grid_resolution, notes=notes)
-    return _certified(prob, cert)
+        cert = _bracket(family, feasible_set, sol, notes)
+    return _certified(family, feasible_set, f"regression_m{m}_n{n}", cert)
 
 
 def _check_concave_increasing(utility, lo, hi, rng, trials=200, tol=1e-9):
@@ -253,14 +254,13 @@ def _check_concave_increasing(utility, lo, hi, rng, trials=200, tol=1e-9):
         raise ValueError("utility fails the monotonicity check")
 
 
-def make_allocation(utilities, feasible_set, *, grid_resolution=1e-3):
+def make_allocation(utilities, feasible_set):
     """Total-utility maximization over per-coordinate concave rewards.
 
     Utility i depends only on coordinate i; the returned instance is the
     equivalent minimization with f_i(x) = -U_i(x_i).  Each utility is
     screened by random midpoint concavity and monotonicity checks on its
-    coordinate range.  The optimum is certified by lattice search
-    (dimension <= 3); larger instances get an "unknown" certificate.
+    coordinate range.  The optimum is bracketed from the projected origin.
     """
     m = len(utilities)
     if m < 1:
@@ -273,13 +273,10 @@ def make_allocation(utilities, feasible_set, *, grid_resolution=1e-3):
     # the slope bounds reject a range a utility is undefined on, before the
     # screening evaluates it there
     family = UtilityFamily(utilities, feasible_set)
+    _check_geometry(family, feasible_set)
     rng = np.random.default_rng(0)
     for j, u in enumerate(utilities):
         lo, hi = feasible_set.coordinate_range(j)
         _check_concave_increasing(u, lo, hi, rng)
-
-    prob = _uncertified(family, feasible_set, f"allocation_m{m}")
-    if m > GRID_MAX_DIM:
-        return prob
-    return _certified(prob, _grid_certificate(family, feasible_set,
-                                              grid_resolution))
+    return _certified(family, feasible_set, f"allocation_m{m}",
+                      _bracket(family, feasible_set, np.zeros(m)))

@@ -3,7 +3,7 @@
 Three set families are shipped: axis-aligned boxes, Euclidean balls and
 scaled probability simplices.  All three project in closed form and have a
 finite diameter, which the error bounds need.  Each also computes the
-geometry that the subgradient bounds C_i and the grid oracle read.
+geometry that the subgradient bounds C_i and the duality bracket read.
 
 All projection code is written row-wise on ``(N, n)`` arrays so that
 projecting a batch gives bit-identical results to projecting each row
@@ -20,10 +20,6 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError
 
 CONTAINS_TOL = 1e-9
-# Lattice points per chunk.  A row's value does not depend on the chunk, so
-# the chunk sets only memory: an m=50 family's (chunk, m) temporaries are
-# about 13 MB each.
-_LATTICE_CHUNK = 1 << 15
 
 # the clip ufunc itself: np.clip reaches it through three wrappers, and
 # np.minimum/np.maximum would differ from it on signed zeros
@@ -102,17 +98,6 @@ class Box:
         gaps = np.maximum(np.abs(self.lower - point), np.abs(self.upper - point))
         return float(np.linalg.norm(gaps))
 
-    def lattice(self, resolution):
-        """The points lower + resolution * k (k >= 0 integral) in the box,
-        in row-major order, as chunks of at most 2**15 rows."""
-        sizes = np.floor((self.upper - self.lower) / resolution + 1e-9).astype(int) + 1
-        axes = [lo + resolution * np.arange(size) for lo, size in zip(self.lower, sizes)]
-        total = int(np.prod(sizes))
-        for start in range(0, total, _LATTICE_CHUNK):
-            index = np.unravel_index(
-                np.arange(start, min(start + _LATTICE_CHUNK, total)), sizes)
-            yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -173,14 +158,6 @@ class Ball:
         point = np.asarray(point, dtype=float)
         return float(np.linalg.norm(self.center - point) + self.radius)
 
-    def lattice(self, resolution):
-        """The points of the enclosing box's lattice that lie in the ball."""
-        c, r = self.center, self.radius
-        for chunk in Box(c - r, c + r).lattice(resolution):
-            keep = np.linalg.norm(chunk - c, axis=1) <= r + 1e-12
-            if keep.any():
-                yield chunk[keep]
-
 
 @dataclass(frozen=True)
 class Simplex:
@@ -238,16 +215,3 @@ class Simplex:
         verts = self.scale * np.eye(self.dim)
         return float(np.linalg.norm(verts - np.asarray(point, dtype=float),
                                     axis=1).max())
-
-    def lattice(self, resolution):
-        """The lattice of the first dim - 1 coordinates on [0, scale], each
-        point completed by a nonnegative last coordinate summing to scale."""
-        s, n = self.scale, self.dim
-        if n == 1:
-            yield np.array([[s]])
-            return
-        for chunk in Box(np.zeros(n - 1), np.full(n - 1, s)).lattice(resolution):
-            last = s - chunk.sum(axis=1)
-            keep = last >= -1e-12
-            if keep.any():
-                yield np.column_stack([chunk[keep], np.maximum(last[keep], 0.0)])

@@ -22,6 +22,35 @@ def brute_force_window(alpha, c_eff, c0, beta, horizon=None):
     return int(np.argmin(g))  # argmin takes the first (smallest) minimizer
 
 
+def formula_window(alpha, c_eff, c0, beta):
+    """The closed-form window: the ceiling of the continuous minimizer of
+    alpha C^2 T + C_0 beta^(T+1), less one and clamped at zero.  It can
+    overshoot the integer minimizer by one."""
+    ratio = alpha * c_eff * c_eff / (c0 * (-math.log(beta)))
+    if ratio >= 1.0:
+        return 0
+    return max(math.ceil(math.log(ratio) / math.log(beta)) - 1, 0)
+
+
+def criterion_8_fixtures():
+    """Criterion 8's fixtures as (name, builder, resolution): each builder
+    makes the problem, and the lattice oracle checks its f* at that
+    resolution."""
+    return [
+        ("allocation m=3",
+         lambda: isb.make_allocation(
+             [isb.LogUtility(), isb.SqrtUtility(), isb.LinearUtility(2.0)],
+             isb.Simplex(1.0, 3)), 1e-4),
+        ("quadratic on ball",
+         lambda: isb.make_quadratic_suite(
+             3, 2, 0.0, isb.Ball([0.0, 0.0], 0.1),
+             centers=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 1e-4),
+        ("clipped regression",
+         lambda: isb.make_regression([[1.0]], [[1.0, 3.0]],
+                                     isb.Box([0.0], [1.0])), 1e-4),
+    ]
+
+
 def geometric_envelope_holds(scheme, topology, horizon=200, tol=1e-10):
     """Exhaustive check of the product-mixing envelope up to ``horizon``."""
     m = topology.m

@@ -28,6 +28,11 @@ text back through ``csv.reader``, so the floats can be checked bit for bit.
 ``bound_verdicts`` checks the replications against a bound's gap in a
 plain loop, one replication at a time; ``BoundReport.verdicts`` must
 return the same summary.
+
+``lattice`` and ``lattice_minimum`` are the brute-force optimum oracle: a
+family's least value over a set's lattice points at a stated resolution.
+Every duality certificate's bracket must hold that minimum within the
+lattice's own tolerance.
 """
 
 import csv
@@ -39,6 +44,7 @@ import numpy as np
 from incsub.errors import NonFiniteError, SchemeViolationError, TopologyError
 from incsub.markov import RandomEdgeTopology, ring_edges
 from incsub.objectives import QuadraticFamily, RegressionFamily, UtilityFamily
+from incsub.sets import Ball, Box
 from incsub.streams import BLOCK, DOMAIN_TOPOLOGY, block_generator
 from incsub.trace import COLUMNS, RunTrace, fmt_float
 
@@ -333,3 +339,56 @@ def bound_verdicts(inf_f, gap, f_star, slack_rel, slack_abs):
     return {"passed": passed, "total": total,
             "fraction": passed / total if total else None,
             "worst_margin": min(margins) if margins else None}
+
+
+LATTICE_CHUNK = 1 << 15  # lattice points per chunk; sets only the memory used
+
+
+def _box_lattice(lower, upper, resolution):
+    sizes = np.floor((upper - lower) / resolution + 1e-9).astype(int) + 1
+    axes = [lo + resolution * np.arange(size) for lo, size in zip(lower, sizes)]
+    total = int(np.prod(sizes))
+    for start in range(0, total, LATTICE_CHUNK):
+        index = np.unravel_index(
+            np.arange(start, min(start + LATTICE_CHUNK, total)), sizes)
+        yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=1)
+
+
+def lattice(fset, resolution):
+    """The lattice points of mesh ``resolution`` in a shipped set, as chunks
+    of at most LATTICE_CHUNK rows: a box's points lower + resolution * k
+    (k >= 0 integral), in row-major order; the points of a ball's enclosing
+    box that lie in it; and for a simplex, the lattice of the first dim - 1
+    coordinates on [0, scale], each point completed by a nonnegative last
+    coordinate summing to scale.  Every feasible point has a lattice point
+    within resolution * dim."""
+    if isinstance(fset, Box):
+        yield from _box_lattice(fset.lower, fset.upper, resolution)
+    elif isinstance(fset, Ball):
+        c, r = fset.center, fset.radius
+        for chunk in _box_lattice(c - r, c + r, resolution):
+            keep = np.linalg.norm(chunk - c, axis=1) <= r + 1e-12
+            if keep.any():
+                yield chunk[keep]
+    elif fset.dim == 1:
+        yield np.array([[fset.scale]])
+    else:
+        s, n = fset.scale, fset.dim
+        for chunk in _box_lattice(np.zeros(n - 1), np.full(n - 1, s), resolution):
+            last = s - chunk.sum(axis=1)
+            keep = last >= -1e-12
+            if keep.any():
+                yield np.column_stack([chunk[keep], np.maximum(last[keep], 0.0)])
+
+
+def lattice_minimum(problem, resolution):
+    """(least value, its point) of ``problem.f_many`` over the lattice of its
+    set, and the tolerance sum(C_i) * resolution * dim by which the true
+    minimum can lie below that value."""
+    best_val, best_x = np.inf, None
+    for chunk in lattice(problem.feasible_set, resolution):
+        vals = problem.f_many(chunk)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val, best_x = float(vals[j]), chunk[j].copy()
+    return best_val, best_x, float(problem.bounds.sum()) * resolution * problem.n

@@ -82,7 +82,6 @@ ALLOCATION_CFG = """
 algorithm = markov
 problem.fixture = allocation
 problem.utilities = [{"kind": "log", "weight": 2.0}, {"kind": "sqrt", "floor": 0.0001}, {"kind": "linear", "slope": 1.5}]
-problem.grid_resolution = 0.01
 schedule.kind = constant
 schedule.alpha = 0.01
 noise.kind = none
@@ -93,6 +92,26 @@ replications = 1
 seed = 0
 stride = 10
 """
+
+
+# fixtures whose f* has no closed form: eight sensors fitting five
+# coefficients whose least-squares solution lies outside the box, and ten
+# agents with unequal log utilities; each f* is bracketed
+WIDE_REGRESSION_PROBLEM = {
+    "problem.fixture": "regression",
+    "problem.features": [[0.0, 1.4, 1.2, -0.5, -0.3], [-0.5, 0.6, -0.1, 0.7, -1.8],
+                         [1.6, -0.1, 0.7, -0.1, -0.4], [0.5, 0.8, -0.2, -0.2, 0.7],
+                         [-0.9, -1.5, 0.4, -0.7, -1.9], [-0.8, -0.5, -1.2, -1.5, 0.0],
+                         [0.9, -0.2, -0.7, 0.4, 0.7], [-0.3, 0.5, 1.0, -0.2, -0.8]],
+    "problem.samples": [[0.37], [2.71], [3.06], [-0.27], [0.07], [-2.34], [0.45],
+                        [0.51]],
+    "problem.set": {"kind": "box", "lower": -1.0, "upper": 1.0},
+}
+MANY_AGENT_ALLOCATION_PROBLEM = {
+    "problem.fixture": "allocation",
+    "problem.utilities": [{"kind": "log", "weight": 0.5 + 0.25 * i}
+                          for i in range(10)],
+}
 
 
 def make_config(text, tmp_path, name):
@@ -277,6 +296,25 @@ class TestRunExperiment:
         with pytest.raises(TopologyError):
             run_experiment(config)
         assert not os.path.exists(tmp_path / "bad" / "summary.json")
+
+
+@pytest.mark.parametrize("problem, m", [(WIDE_REGRESSION_PROBLEM, 8),
+                                        (MANY_AGENT_ALLOCATION_PROBLEM, 10)],
+                         ids=["regression_n5", "allocation_m10"])
+def test_bracketed_fixtures_get_per_seed_verdicts(tmp_path, problem, m):
+    flat = {key: value for key, value in parse_config_text(MARKOV_CFG).items()
+            if not key.startswith("problem.")}
+    flat.update(problem, out=str(tmp_path / "out"))
+    run = build_run(ExperimentConfig.from_flat(flat))
+    cert = run.problem.optimum
+    assert (run.problem.m, cert.method) == (m, "duality")
+    assert cert.tolerance <= 1e-9 * (1.0 + abs(cert.f_star))  # the width
+    summary, _ = run_experiment(run.config)
+    assert summary["f_star"] == cert.f_star
+    assert len(summary["bounds"]) == 4
+    for row in summary["bounds"]:
+        assert row["verdicts"]["passed"] == row["verdicts"]["total"] == 3
+    assert summary["bounds_all_pass"] is True
 
 
 class TestCompare:
@@ -782,6 +820,56 @@ class TestFailFast:
         assert capsys.readouterr().err == (
             f"config error: problem: log utility needs a coordinate range "
             f"above -1, got lower end {lower!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    @pytest.mark.parametrize("problem, dims", [
+        ({"problem.set": {"kind": "simplex", "dim": 3}}, (3, 2)),
+        ({"problem.set": {"kind": "ball", "center": [0.0, 0.0, 0.0],
+                          "radius": 1.0}}, (3, 2)),
+        ({"problem.set": {"kind": "box", "lower": [-1.0] * 3,
+                          "upper": [1.0] * 3}}, (3, 2)),
+        ({**WIDE_REGRESSION_PROBLEM,
+          "problem.set": {"kind": "box", "lower": [-1.0] * 3,
+                          "upper": [1.0] * 3}}, (3, 5)),
+        ({**MANY_AGENT_ALLOCATION_PROBLEM,
+          "problem.set": {"kind": "simplex", "dim": 4}}, (4, 10)),
+    ], ids=["quadratic_simplex", "quadratic_ball", "quadratic_box",
+            "regression", "allocation"])
+    def test_set_dimension_differs_from_the_problem(self, tmp_path, capsys,
+                                                    verb, problem, dims):
+        flat = parse_config_text(MARKOV_CFG)
+        if "problem.fixture" in problem:
+            flat = {k: v for k, v in flat.items() if not k.startswith("problem.")}
+        flat.update(problem)
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: problem.set: the set has dimension {dims[0]}, "
+            f"the problem dimension {dims[1]}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    @pytest.mark.parametrize("entries, message", [
+        # the subgradient bounds C_i overflow, checked before f* is sought
+        ({"problem.spread": 1e308}, "problem.set: the diameter (2.8284271247461903) "
+                                    "and the largest subgradient bound (inf)"),
+        ({"problem.centers": [[1e200, 0.0]] * 5},
+         "problem.set: the diameter (2.8284271247461903) "
+         "and the largest subgradient bound (inf)"),
+        # the C_i are finite (1.4e154), but f* = 5 ||x* - c||^2 overflows
+        ({"problem.centers": [[7e153, 0.0]] * 5},
+         "problem: the optimal value f* = inf is not finite"),
+    ], ids=["spread", "centers", "f_star"])
+    def test_overflowing_fixture_data(self, tmp_path, capsys, verb, entries,
+                                      message):
+        flat = parse_config_text(MARKOV_CFG)
+        flat.update(entries)
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
     def test_allocation_config_validates(self, capsys, tmp_path):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import reference
+from helpers import criterion_8_fixtures
 from incsub import (Ball, Box, LinearUtility, LogUtility, Simplex, SqrtUtility,
-                    grid_search, make_allocation, make_quadratic_suite,
-                    make_regression)
+                    make_allocation, make_quadratic_suite, make_regression)
+from incsub.problems import BRACKET_RTOL
 
 
 class TestRegression:
@@ -22,8 +23,7 @@ class TestRegression:
         prob = make_regression([[1.0]] * 3, samples, Box([0.0], [10.0]))
         assert prob.optimum.method == "closed_form"
         assert prob.optimum.witness[0] == pytest.approx(2.0)
-        grid_val, grid_x = grid_search(prob.f_many, prob.feasible_set, 1e-4)
-        tol = prob.bounds.sum() * 1e-4
+        grid_val, grid_x, tol = reference.lattice_minimum(prob, 1e-4)
         assert abs(grid_val - prob.optimum.f_star) <= tol
         assert abs(grid_x[0] - 2.0) <= 1e-4
 
@@ -33,10 +33,12 @@ class TestRegression:
 
     def test_constrained_optimum_certified_by_grid(self):
         # unconstrained least squares at x = 2 is infeasible on [0, 1]
-        prob = make_regression([[1.0]], [[1.0, 3.0]], Box([0.0], [1.0]),
-                               grid_resolution=1e-4)
-        assert prob.optimum.method == "grid"
+        prob = make_regression([[1.0]], [[1.0, 3.0]], Box([0.0], [1.0]))
+        assert prob.optimum.method == "duality"
         assert prob.optimum.witness[0] == pytest.approx(1.0, abs=1e-4)
+        grid_val, _, tol = reference.lattice_minimum(prob, 1e-4)
+        assert prob.optimum.f_star <= grid_val + prob.optimum.tolerance + 1e-12
+        assert grid_val - prob.optimum.f_star <= tol
 
     def test_first_order_optimality_at_witness(self):
         samples = [[0.0, 2.0], [1.0, 3.0], [2.0, 4.0]]
@@ -50,13 +52,48 @@ class TestRegression:
 
     def test_rank_deficient_basis_reported_and_grid_certified(self):
         # both sensors see the same feature direction: the normal matrix is
-        # singular, so the optimum must come from the lattice oracle
+        # singular, so the optimum is bracketed, and the lattice oracle
+        # agrees (test_bracket_holds_the_lattice_minimum)
         prob = make_regression([[1.0, 1.0]] * 2, [[0.5], [0.7]],
-                               Box([0.0, 0.0], [1.0, 1.0]), grid_resolution=1e-2)
-        assert prob.optimum.method == "grid"
+                               Box([0.0, 0.0], [1.0, 1.0]))
+        assert prob.optimum.method == "duality"
         assert prob.optimum.notes.get("rank_deficient") is True
         # any point with x1 + x2 = 0.6 is optimal; check the value instead
         assert prob.optimum.f_star == pytest.approx(2 * 0.01, abs=1e-3)
+
+
+# fixtures certified by the lattice before the duality bracket (criterion
+# 8's allocation is also test_mixed_utilities_grid_certificate's), each with
+# that lattice's resolution and the bracket's width: BRACKET_RTOL (1 + |f*|)
+# where the bracket closes, its measured width (0.0112) at the capped
+# linear utility's kink, where it stops at BRACKET_STEPS
+BRACKETED = [
+    *((name, build, resolution, None)
+      for name, build, resolution in criterion_8_fixtures()),
+    ("rank-deficient regression",
+     lambda: make_regression([[1.0, 1.0]] * 2, [[0.5], [0.7]],
+                             Box([0.0, 0.0], [1.0, 1.0])), 1e-2, None),
+    ("log allocation",
+     lambda: make_allocation([LogUtility(), LogUtility()], Simplex(1.0, 2)),
+     1e-4, None),
+    ("capped linear kink",
+     lambda: make_allocation([LinearUtility(2.0, cap=0.5), LogUtility(),
+                              SqrtUtility()], Simplex(1.0, 3)), 1e-3, 2e-2),
+]
+
+
+@pytest.mark.parametrize("name, build, resolution, width", BRACKETED,
+                         ids=[case[0].replace(" ", "_") for case in BRACKETED])
+def test_bracket_holds_the_lattice_minimum(name, build, resolution, width):
+    prob = build()
+    cert = prob.optimum
+    if width is None:
+        width = BRACKET_RTOL * (1.0 + abs(cert.f_star))
+    assert 0.0 <= cert.tolerance <= width
+    grid_val, _, _ = reference.lattice_minimum(prob, resolution)
+    # the bracket [f_star - tolerance, f_star] holds f*, and f* <= grid_val
+    assert cert.f_star - cert.tolerance <= grid_val + 1e-12
+    assert cert.f_star <= grid_val + cert.tolerance + 1e-12
 
 
 class TestAllocation:
@@ -65,17 +102,18 @@ class TestAllocation:
         prob = make_allocation([LinearUtility(1.0), LinearUtility(1.0)],
                                Simplex(1.0, 2))
         assert prob.optimum.f_star == pytest.approx(-1.0, abs=1e-9)
+        assert prob.optimum.tolerance == 0.0  # the first minorant is exact
 
     def test_log_utilities_split_evenly(self):
-        prob = make_allocation([LogUtility(), LogUtility()], Simplex(1.0, 2),
-                               grid_resolution=1e-4)
+        prob = make_allocation([LogUtility(), LogUtility()], Simplex(1.0, 2))
         assert prob.optimum.f_star == pytest.approx(-2 * np.log(1.5), abs=1e-6)
+        assert prob.optimum.tolerance <= BRACKET_RTOL * (1.0 + abs(prob.optimum.f_star))
         assert np.allclose(prob.optimum.witness, [0.5, 0.5], atol=1e-3)
 
     def test_mixed_utilities_grid_certificate(self):
         prob = make_allocation([LogUtility(), SqrtUtility(), LinearUtility(2.0)],
-                               Simplex(1.0, 3), grid_resolution=1e-3)
-        assert prob.optimum.method == "grid"
+                               Simplex(1.0, 3))
+        assert prob.optimum.method == "duality"
         # certificate self-consistency
         assert prob.f(prob.optimum.witness) <= prob.optimum.f_star + 1e-12
         prob.check_certificate()
@@ -125,8 +163,7 @@ class TestQuadraticSuite:
         centers = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         fset = Ball([0.0, 0.0], 0.1)
         prob = make_quadratic_suite(3, 2, 0.0, fset, centers=centers)
-        grid_val, _ = grid_search(prob.f_many, fset, 1e-4)
-        tol = prob.bounds.sum() * 1e-4 * 2
+        grid_val, _, tol = reference.lattice_minimum(prob, 1e-4)
         assert prob.optimum.f_star <= grid_val + 1e-12
         assert grid_val - prob.optimum.f_star <= tol
 

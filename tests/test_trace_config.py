@@ -234,11 +234,12 @@ class TestBuilders:
     def test_allocation_fixture_from_config(self):
         spec = {"fixture": "allocation",
                 "utilities": [{"kind": "log"}, {"kind": "linear", "slope": 1.0}],
-                "set": {"kind": "simplex", "scale": 1.0, "dim": 2},
-                "grid_resolution": 1e-3}
+                "set": {"kind": "simplex", "scale": 1.0, "dim": 2}}
         prob = build_problem(spec)
         assert prob.m == 2
         prob.check_certificate()
+        # the bracket's width, at most 1e-9 (1 + |f*|)
+        assert prob.optimum.tolerance <= 1e-9 * (1.0 + abs(prob.optimum.f_star))
 
     def test_regression_fixture_from_config(self):
         spec = {"fixture": "regression",
