@@ -32,10 +32,9 @@ from .markov import (ChainOrder, EqualProbability, MinEqualNeighbor,
                      build_transition, complete_edges, path_edges, ring_edges,
                      topology_eta, validate_transition)
 from .analysis import (BoundInputs, BoundReport, RateConstants, delta_window,
-                       max_uniform_deviation, optimal_window, phi_product,
-                       rate_constants)
+                       optimal_window, rate_constants)
 from .trace import RunTrace, record_indices
 from .config import ExperimentConfig, canonical_config_text, parse_config_text
-from .harness import Run, build_run, compare_bounds, run_experiment
+from .harness import compare_bounds, run_experiment
 
 __all__ = [name for name in dir() if not name.startswith("_")]

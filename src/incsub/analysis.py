@@ -17,8 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-
 
 @dataclass(frozen=True)
 class RateConstants:
@@ -54,33 +52,6 @@ def rate_constants(eta, m, Q):
         raise ValueError(f"Q must be a positive integer, got {Q}")
     base = 1.0 - eta / (4.0 * m * m)
     return RateConstants(base**-2, base ** (1.0 / Q))
-
-
-def phi_product(matrices):
-    """Ordered product M_0 @ M_1 @ ... of transition matrices.
-
-    The result of multiplying doubly stochastic factors stays doubly
-    stochastic up to accumulated rounding (about count * 1e-12).
-    """
-    mats = [np.asarray(m, dtype=float) for m in matrices]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    shape = mats[0].shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatchError(f"matrices must be square, got {shape}")
-    out = mats[0]
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise DimensionMismatchError(
-                f"matrix shapes differ: {shape} vs {m.shape}")
-        out = out @ m
-    return out
-
-
-def max_uniform_deviation(matrix):
-    """max_ij |entry - 1/m| of a square matrix, the mixing residual."""
-    m = matrix.shape[0]
-    return float(np.max(np.abs(matrix - 1.0 / m)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import sys
 
 from .config import ExperimentConfig, load_config_file
 from .errors import IncsubError, NonFiniteError, ConfigError
-from .harness import (bound_reports, build_run, compare_bounds, run_experiment,
+from .harness import (bound_reports, compare_bounds, run_experiment,
                       validate_only)
 
 
@@ -81,12 +81,12 @@ def main(argv=None):
                 return 1
             return 0
         if args.verb == "validate":
-            problem = validate_only(config)
-            print(f"ok: {problem.name} validates "
+            validate_only(config)
+            print(f"ok: {config.problem.name} validates "
                   f"({config.algorithm}, horizon {config.horizon})")
             return 0
         if args.verb == "bounds":
-            payload = [r.to_json_dict() for r in bound_reports(build_run(config))]
+            payload = [r.to_json_dict() for r in bound_reports(config)]
             text = json.dumps(payload, sort_keys=True, indent=1)
             print(text)
             if args.out or config.flat.get("out"):

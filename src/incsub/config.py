@@ -26,9 +26,11 @@ import numpy as np
 
 from .errors import (ConfigError, NonFiniteError, SchemeViolationError,
                      TopologyError)
-from .markov import (EqualProbability, MinEqualNeighbor, PeriodicTopology,
-                     RandomEdgeTopology, WeightedMetropolisHastings,
-                     complete_edges, path_edges, ring_edges)
+from .cyclic import RingOrder
+from .markov import (ChainOrder, EqualProbability, MinEqualNeighbor,
+                     PeriodicTopology, RandomEdgeTopology,
+                     WeightedMetropolisHastings, complete_edges, path_edges,
+                     ring_edges)
 from .noise import (BiasedGaussianNoise, BoundedUniformNoise, GaussianNoise,
                     NoNoise)
 from .objectives import LinearUtility, LogUtility, SqrtUtility
@@ -83,14 +85,24 @@ def load_config_file(path):
 
 
 def _nest(flat):
-    nested = {}
+    """The sections of ``flat``, each dotted key a path of nested dicts.  A
+    key that is also the dotted prefix of another key is a ConfigError on
+    whichever of the two comes later, so no entry silently replaces or
+    extends another; no dict of ``flat`` is written into."""
+    nested, keys, sections = {}, set(), {}  # sections: prefix -> first key
     for key, value in flat.items():
         parts = key.split(".")
+        heads = [".".join(parts[:i]) for i in range(1, len(parts))]
+        other = next((head for head in heads if head in keys), sections.get(key))
+        if other is not None:
+            raise ConfigError(f"conflicts with {other}; give one of them",
+                              field=key)
+        keys.add(key)
+        for head in heads:
+            sections.setdefault(head, key)
         node = nested
         for part in parts[:-1]:
             node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError("key conflicts with a scalar entry", field=key)
         node[parts[-1]] = value
     return nested
 
@@ -105,21 +117,22 @@ _VERIFY_DEFAULTS = {"slack_rel": 0.02, "slack_abs": 0.0, "min_pass_fraction": 1.
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (see module docstring for format)."""
+    """Validated experiment, built once into its runnable parts (see the
+    module docstring for the format): the problem, step schedule, noise,
+    order and start point ``x0``.  ``--jobs`` workers receive it pickled,
+    with their seeds."""
 
     algorithm: str
-    problem: dict
-    schedule: dict
-    noise: dict
+    problem: object
+    schedule: object
+    noise: object
+    order: object
+    x0: np.ndarray
     horizon: int
     replications: int
     seed: int
     out_dir: str
     stride: int
-    topology: Optional[dict] = None
-    scheme: Optional[dict] = None
-    s0: object = "uniform"
-    x0: object = "auto"
     tail_fraction: float = 0.1
     verify: dict = field(default_factory=lambda: dict(_VERIFY_DEFAULTS))
     compare: Optional[dict] = None
@@ -127,6 +140,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_flat(cls, flat, overrides=None):
+        """The config of ``flat``.  Every check runs here, the builders'
+        too, and the topology validates itself when it is built, before
+        any tick."""
         flat = dict(flat)
         if overrides:
             flat.update({k: v for k, v in overrides.items() if v is not None})
@@ -173,16 +189,22 @@ class ExperimentConfig:
             raise ConfigError("missing problem.fixture", field="problem.fixture")
         if "schedule" not in nested:
             raise ConfigError("missing schedule section", field="schedule")
+        compare = _compare(nested.get("compare"))
 
-        return cls(algorithm=algorithm, problem=problem,
-                   schedule=nested["schedule"],
-                   noise=nested.get("noise", {"kind": "none"}),
-                   horizon=horizon, replications=replications, seed=seed,
-                   out_dir=out_dir, stride=stride,
-                   topology=nested.get("topology"), scheme=nested.get("scheme"),
-                   s0=s0, x0=nested.get("x0", "auto"),
-                   tail_fraction=tail, verify=verify,
-                   compare=_compare(nested.get("compare")), flat=flat)
+        problem = build_problem(problem)
+        schedule = build_schedule(nested["schedule"])
+        noise = build_noise(nested.get("noise", {"kind": "none"}))
+        x0 = _start(nested.get("x0", "auto"), s0, problem)
+        if algorithm == "cyclic":
+            order = RingOrder(problem.m)
+        else:
+            order = ChainOrder(build_topology(nested["topology"], problem.m),
+                               build_scheme(nested["scheme"]), s0)
+        return cls(algorithm=algorithm, problem=problem, schedule=schedule,
+                   noise=noise, order=order, x0=x0, horizon=horizon,
+                   replications=replications, seed=seed, out_dir=out_dir,
+                   stride=stride, tail_fraction=tail, verify=verify,
+                   compare=compare, flat=flat)
 
     def hash(self):
         return config_hash(self.flat)
@@ -538,20 +560,19 @@ def build_scheme(spec):
                       _number(spec, "scheme", "weight", 0.5))
 
 
-def initial_state(config, problem):
-    """The run's start ``(x0, s0)``, checked against the problem.
-
-    ``x0 = "auto"`` is the origin projected onto the feasible set; a fixed
-    initial agent ``s0`` must be one of the problem's agents.
-    """
-    if isinstance(config.x0, str) and config.x0 == "auto":
+def _start(raw_x0, s0, problem):
+    """The start point ``x0``, after checking ``x0`` and the initial agent
+    ``s0`` against the problem.  ``x0 = "auto"`` is the origin projected
+    onto the feasible set; a fixed ``s0`` must be one of the problem's
+    agents."""
+    if isinstance(raw_x0, str) and raw_x0 == "auto":
         x0 = problem.feasible_set.project_many(np.zeros(problem.n))
     else:
-        x0 = _floats(config.x0, "x0")
+        x0 = _floats(raw_x0, "x0")
         if x0.shape != (problem.n,):
             raise ConfigError(f"expected {problem.n} finite numbers, got "
-                              f"{config.x0!r}", field="x0")
-    if config.s0 != "uniform" and not config.s0 < problem.m:
+                              f"{raw_x0!r}", field="x0")
+    if s0 != "uniform" and not s0 < problem.m:
         raise ConfigError(f"must be 'uniform' or an agent index in [0, "
-                          f"{problem.m}), got {config.s0}", field="s0")
-    return x0, config.s0
+                          f"{problem.m}), got {s0}", field="s0")
+    return x0

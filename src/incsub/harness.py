@@ -17,17 +17,14 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .analysis import BoundInputs, RateConstants, rate_constants
-from .config import (build_noise, build_problem, build_schedule, build_scheme,
-                     build_topology, initial_state)
-from .cyclic import RingOrder
 from .engine import run_batch
 from .errors import ConfigError, NonFiniteError
-from .markov import ChainOrder, build_transition, topology_eta
+from .markov import build_transition, topology_eta
 from .schedules import Constant
 from .trace import fmt_float
 from .version import __version__
@@ -53,60 +50,31 @@ def _supremum(fn, horizon):
     return max(float(np.max(v)) for v in itertools.chain([first], values))
 
 
-@dataclass(frozen=True)
-class Run:
-    """A configuration built into its runnable parts, once; ``--jobs``
-    workers receive it pickled, with their seeds."""
-
-    config: object
-    problem: object
-    schedule: object
-    noise: object
-    order: object
-    x0: np.ndarray
-
-
-def build_run(config):
-    """The :class:`Run` of ``config``.  Every builder check runs here, and
-    the topology validates itself when it is built, before any tick."""
-    problem = build_problem(config.problem)
-    schedule = build_schedule(config.schedule)
-    noise = build_noise(config.noise)
-    x0, s0 = initial_state(config, problem)
-    if config.algorithm == "cyclic":
-        order = RingOrder(problem.m)
-    else:
-        order = ChainOrder(build_topology(config.topology, problem.m),
-                           build_scheme(config.scheme), s0)
-    return Run(config, problem, schedule, noise, order, x0)
-
-
-def _run_seeds(run, seeds):
-    """Worker entry: the traces of ``seeds`` under ``run``."""
-    config = run.config
-    return run_batch(run.problem, run.noise, run.schedule, run.order, run.x0,
-                     config.horizon, seeds, stride=config.stride,
+def _run_seeds(config, seeds):
+    """Worker entry: the traces of ``seeds`` under ``config``."""
+    return run_batch(config.problem, config.noise, config.schedule, config.order,
+                     config.x0, config.horizon, seeds, stride=config.stride,
                      tail_fraction=config.tail_fraction)
 
 
-def _run_all(run, seeds, jobs):
-    """The traces of ``seeds`` under ``run``, on up to ``jobs`` processes.
+def _run_all(config, seeds, jobs):
+    """The traces of ``seeds`` under ``config``, on up to ``jobs`` processes.
     When a worker aborts, the seeds run again serially, so the abort raised
     and its partial traces are the serial run's."""
     if jobs <= 1 or len(seeds) <= 1:
-        return _run_seeds(run, seeds)
+        return _run_seeds(config, seeds)
     from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
 
     chunks = np.array_split(np.asarray(seeds), min(jobs, len(seeds)))
     # a forked pool starts all its workers at the first submit
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(_run_seeds, run, [int(s) for s in chunk])
+        futures = [pool.submit(_run_seeds, config, [int(s) for s in chunk])
                    for chunk in chunks]
         try:  # submission order == replication order
             return [tr for fut in futures for tr in fut.result()]
         except NonFiniteError:
             pass
-    return _run_seeds(run, seeds)
+    return _run_seeds(config, seeds)
 
 
 def _effective_rate(order):
@@ -134,18 +102,18 @@ def _finite(report, field):
     return report
 
 
-def bound_inputs(run):
-    """The :class:`BoundInputs` of a built run, with the noise suprema over
+def bound_inputs(config):
+    """The :class:`BoundInputs` of a config, with the noise suprema over
     the horizon.  Each bound squares ``C_max + nu`` (markov) or ``C_sum +
     m nu`` (cyclic), and the markov windows read ``c0``; any of them that
     overflows is a ConfigError on ``problem.set``.  A report gap that
     overflows after these checks is the step size's doing."""
-    problem, horizon = run.problem, run.config.horizon
-    mu = _supremum(run.noise.mean_bound, horizon)
-    nu = _supremum(lambda k: run.noise.rms_bound(k, problem.n), horizon)
-    ring = isinstance(run.order, RingOrder)
+    problem, noise, horizon = config.problem, config.noise, config.horizon
+    mu = _supremum(noise.mean_bound, horizon)
+    nu = _supremum(lambda k: noise.rms_bound(k, problem.n), horizon)
+    ring = config.algorithm == "cyclic"
     inputs = BoundInputs(problem.bounds, mu, nu, problem.feasible_set.diameter(),
-                         None if ring else _effective_rate(run.order))
+                         None if ring else _effective_rate(config.order))
     if ring:
         wide = inputs.c_sum + inputs.m * nu
         _check_finite([("(C_sum + m nu)^2", wide * wide)])
@@ -155,18 +123,18 @@ def bound_inputs(run):
     return inputs
 
 
-def bound_reports(run):
-    """Analytic gap reports applicable to a built run, made before any
+def bound_reports(config):
+    """Analytic gap reports applicable to a config, made before any
     simulation; a non-constant step has none.  A gap that overflows is a
     ConfigError on ``schedule.alpha``, naming the first such report."""
-    if not isinstance(run.schedule, Constant):
+    if not isinstance(config.schedule, Constant):
         return []
     return [_finite(report, "schedule.alpha")
-            for report in bound_inputs(run).reports(run.schedule.alpha)]
+            for report in bound_inputs(config).reports(config.schedule.alpha)]
 
 
-def _summarize(run, traces, reports):
-    config, f_star = run.config, float(run.problem.optimum.f_star)
+def _summarize(config, traces, reports):
+    f_star = float(config.problem.optimum.f_star)
     per_seed = []
     for tr in traces:
         entry = {
@@ -227,11 +195,10 @@ def run_experiment(config, *, jobs=1, write=True):
     ``write`` is false.  A non-finite abort still writes the partial trace
     of every replication, then re-raises.
     """
-    run = build_run(config)
-    reports = bound_reports(run)
+    reports = bound_reports(config)
     seeds = [config.seed + r for r in range(config.replications)]
     try:
-        traces = _run_all(run, seeds, jobs)
+        traces = _run_all(config, seeds, jobs)
     except NonFiniteError as exc:
         # best-effort partial outputs, then propagate the abort
         partial = getattr(exc, "partial_traces", None)
@@ -240,7 +207,7 @@ def run_experiment(config, *, jobs=1, write=True):
             for r, tr in enumerate(partial):  # one per replication, in order
                 tr.write_csv(os.path.join(config.out_dir, f"trace_{r}.csv"))
         raise
-    summary = _summarize(run, traces, reports)
+    summary = _summarize(config, traces, reports)
     if write:
         os.makedirs(config.out_dir, exist_ok=True)
         for r, tr in enumerate(traces):
@@ -251,16 +218,14 @@ def run_experiment(config, *, jobs=1, write=True):
 
 
 def validate_only(config):
-    """Run every pre-flight check without simulating (CLI verb 'validate'):
-    the build, the bound reports, and, for a topology without a period, the
-    transitions of its first ticks."""
-    run = build_run(config)
-    bound_reports(run)
-    order = run.order
-    if isinstance(order, ChainOrder) and order.topology.period is None:
+    """The pre-flight checks that loading the config leaves (CLI verb
+    'validate'), without simulating: the bound reports and, for a topology
+    without a period, the transitions of its first ticks."""
+    bound_reports(config)
+    order = config.order
+    if config.algorithm == "markov" and order.topology.period is None:
         ticks = min(max(config.horizon, 1), 4 * order.topology.window)
         build_transition(order.scheme, order.topology.adjacencies(0, ticks))
-    return run.problem
 
 
 def compare_bounds(config, *, jobs=1, write=True):
@@ -283,9 +248,8 @@ def compare_bounds(config, *, jobs=1, write=True):
         raise ConfigError("missing compare.alphas list", field="compare.alphas")
     schedules = [Constant(alpha) for alpha in grid["alphas"]]
 
-    run = build_run(config)
-    inputs = bound_inputs(run)
-    f_star = run.problem.optimum.f_star
+    inputs = bound_inputs(config)
+    f_star = config.problem.optimum.f_star
 
     extra_cols = [(f"T{t}", t) for t in grid["Ts"]]
     analytic = [[(label, t, _finite(inputs.markov(s.alpha, t), "compare.alphas").gap)
@@ -295,7 +259,7 @@ def compare_bounds(config, *, jobs=1, write=True):
     seeds = [config.seed + r for r in range(config.replications)]
     rows = []
     for schedule, gaps in zip(schedules, analytic):
-        traces = _run_all(replace(run, schedule=schedule), seeds, jobs)
+        traces = _run_all(replace(config, schedule=schedule), seeds, jobs)
         tail_gaps = np.array([tr.tail_min - f_star for tr in traces])
         inf_gaps = np.array([tr.running_inf[-1] - f_star for tr in traces])
         for label, t, gap in gaps:

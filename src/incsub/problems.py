@@ -10,7 +10,6 @@ certificate, in any dimension).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +24,7 @@ BRACKET_STEPS = 20_000
 
 @dataclass(frozen=True)
 class OptimumCertificate:
-    """How f* was established, with a witness point when available.
+    """How f* was established, with a witness point.
 
     ``tolerance`` bounds f(witness) - f*: for a duality certificate it is
     the width of the bracket [f_star - tolerance, f_star] that holds f*,
@@ -33,18 +32,16 @@ class OptimumCertificate:
     non-finite ``f_star`` is a ValueError.
     """
 
-    f_star: Optional[float]
-    witness: Optional[np.ndarray]
-    method: str  # "closed_form" | "duality" | "unknown"
+    f_star: float
+    witness: np.ndarray
+    method: str  # "closed_form" | "duality"
     tolerance: float = 0.0
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.method not in ("closed_form", "duality", "unknown"):
+        if self.method not in ("closed_form", "duality"):
             raise CertificateError(f"unknown certificate method {self.method!r}")
-        if self.method != "unknown" and self.f_star is None:
-            raise CertificateError(f"{self.method} certificate needs f_star")
-        if self.f_star is not None and not np.isfinite(self.f_star):
+        if not np.isfinite(self.f_star):
             raise ValueError(f"the optimal value f* = {self.f_star!r} is not finite")
 
 
@@ -100,8 +97,6 @@ class ProblemInstance:
     def check_certificate(self):
         """Re-verify f(witness) ~ f_star; raises CertificateError on drift."""
         cert = self.optimum
-        if cert.method == "unknown" or cert.witness is None:
-            return
         val = self.f(cert.witness)
         tol = max(cert.tolerance, 1e-9 * (1.0 + abs(cert.f_star)))
         if not val - cert.f_star <= tol:

@@ -2,7 +2,7 @@
 
 One trace records per-iteration summaries of a single replication: the
 iteration index, the updating agent (randomized order only), the objective
-value, distance to the certified witness when one exists, the running
+value, distance to the certified witness, the running
 minimum of the objective over *all* iterations so far (not just at
 recorded rows), and the step-size that produced the iterate.
 
@@ -56,7 +56,7 @@ class RunTrace:
     running_inf: np.ndarray
     alphas: np.ndarray            # NaN at k = 0 (no step produced x_0)
     agents: Optional[np.ndarray]  # None for the cyclic engine
-    dists: Optional[np.ndarray]   # None when the problem has no witness
+    dists: Optional[np.ndarray]   # None when not recorded
     seed: Optional[int] = None
     final_x: Optional[list] = None
     visit_counts: Optional[list] = None
@@ -164,7 +164,7 @@ class Recorder:
         self.rows_f = np.empty((reps, len(self.recs)))
         self.rows_inf = np.empty_like(self.rows_f)
         self.witness = problem.optimum.witness
-        self.rows_dist = None if self.witness is None else np.empty_like(self.rows_f)
+        self.rows_dist = np.empty_like(self.rows_f)
         self.rows_agent = None if agents is None else np.empty(self.rows_f.shape, dtype=int)
         self.visits = None if agents is None else np.zeros((reps, m), dtype=np.int64)
         self.filled = 0
@@ -245,10 +245,9 @@ class Recorder:
         at = np.array(self.recs[cols], dtype=int) - first
         self.rows_f[:, cols] = f[at].T
         self.rows_inf[:, cols] = run[at].T
-        if self.rows_dist is not None:
-            kept = xs[at]
-            dist = np.linalg.norm(kept.reshape(-1, kept.shape[-1]) - self.witness, axis=1)
-            self.rows_dist[:, cols] = dist.reshape(kept.shape[:2]).T
+        kept = xs[at]
+        dist = np.linalg.norm(kept.reshape(-1, kept.shape[-1]) - self.witness, axis=1)
+        self.rows_dist[:, cols] = dist.reshape(kept.shape[:2]).T
         if self.rows_agent is not None:
             self.rows_agent[:, cols] = self.agents[at].T
         self._count(steps)

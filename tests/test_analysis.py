@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import incsub as isb
 import reference
 from helpers import (brute_force_window, formula_window, geometric_envelope_holds,
-                     run_one)
+                     max_uniform_deviation, phi_product, run_one)
 from incsub.markov import adjacency_from_edges, ring_edges
 
 
@@ -37,13 +37,13 @@ class TestRateConstants:
 class TestPhiProduct:
     def test_single_matrix_is_itself(self):
         p = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert np.array_equal(isb.phi_product([p]), p)
+        assert np.array_equal(phi_product([p]), p)
 
     def test_uniform_matrix_is_idempotent(self):
         u = np.full((4, 4), 0.25)
-        prod = isb.phi_product([u] * 7)
+        prod = phi_product([u] * 7)
         assert np.allclose(prod, u, atol=1e-14)
-        assert isb.max_uniform_deviation(prod) <= 1e-14
+        assert max_uniform_deviation(prod) <= 1e-14
 
     def test_product_of_scheme_matrices_meets_envelope(self):
         rng = np.random.default_rng(14)
@@ -53,15 +53,15 @@ class TestPhiProduct:
         adj = adjacency_from_edges(m, topo_edges)
         rc = isb.rate_constants(scheme.eta(adj.sum(axis=1)), m, 1)
         mats = [isb.build_transition(scheme, adj) for _ in range(50)]
-        prod = isb.phi_product(mats)
-        assert isb.max_uniform_deviation(prod) <= rc.b * rc.beta**50 + 1e-12
+        prod = phi_product(mats)
+        assert max_uniform_deviation(prod) <= rc.b * rc.beta**50 + 1e-12
         # double stochasticity survives the product up to rounding
         assert np.allclose(prod.sum(axis=0), 1.0, atol=50 * 1e-12)
         assert np.allclose(prod.sum(axis=1), 1.0, atol=50 * 1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(isb.DimensionMismatchError):
-            isb.phi_product([np.eye(2), np.eye(3)])
+            phi_product([np.eye(2), np.eye(3)])
 
 
 class TestGeometricEnvelope:

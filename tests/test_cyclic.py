@@ -174,7 +174,8 @@ def test_nonfinite_iterate_aborts_with_diagnostic():
 
     family = CallbackFamily(1, [1.0], lambda xs: np.zeros(len(xs)), bad_grad)
     prob = isb.ProblemInstance(family, isb.Box([-1.0], [1.0]),
-                               isb.OptimumCertificate(None, None, "unknown"))
+                               isb.OptimumCertificate(0.0, np.array([0.0]),
+                                                      "closed_form"))
     with pytest.raises(NonFiniteError, match="cycle 1") as info:
         run_one(prob, isb.NoNoise(), isb.Constant(0.1), isb.RingOrder(prob.m),
                 np.array([0.0]), 5, 0)
@@ -198,7 +199,8 @@ def test_partial_trace_keeps_finite_prefix():
     family = CallbackFamily(1, [1.0], lambda xs: np.zeros(len(xs)),
                             flaky_grad_many)
     prob = isb.ProblemInstance(family, isb.Box([-1.0], [1.0]),
-                               isb.OptimumCertificate(None, None, "unknown"))
+                               isb.OptimumCertificate(0.0, np.array([0.0]),
+                                                      "closed_form"))
     with pytest.raises(NonFiniteError, match="cycle 4") as info:
         run_one(prob, isb.NoNoise(), isb.Constant(0.1), isb.RingOrder(prob.m),
                 np.array([0.5]), 10, 0, stride=1)

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import incsub.config as cf
 import incsub.harness as hz
 from incsub import (EqualProbability, ExperimentConfig, RateConstants,
                     build_transition, rate_constants, topology_eta)
 from incsub.cli import main as cli_main
 from incsub.config import build_problem, parse_config_text
 from incsub.errors import ConfigError, NonFiniteError, SchemeViolationError
-from incsub.harness import (_supremum, bound_inputs, bound_reports, build_run,
+from incsub.harness import (_supremum, bound_inputs, bound_reports,
                             compare_bounds, run_experiment, validate_only)
 from incsub.noise import BiasedGaussianNoise, GaussianNoise
 from helpers import trace_state
@@ -178,8 +179,7 @@ class TestRunExperiment:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         flat = parse_config_text(MARKOV_CFG)
         flat["horizon"] = 200
-        run = build_run(ExperimentConfig.from_flat(flat))
-        traces = hz._run_all(run, [5, 6, 7, 8], 64)
+        traces = hz._run_all(ExperimentConfig.from_flat(flat), [5, 6, 7, 8], 64)
         assert sizes == [4]
         assert [tr.seed for tr in traces] == [5, 6, 7, 8]
 
@@ -195,16 +195,15 @@ class TestRunExperiment:
          "topology.phases": [[[0, 1], [2, 3], [4, 0]], [[1, 2], [3, 4]]]},
     ], ids=["ring", "periodic"])
     def test_pickled_run_gives_the_serial_traces(self, tmp_path, topology):
-        # a --jobs worker receives the Run pickled, its chain's lookup table
-        # with it
+        # a --jobs worker receives the config pickled, its chain's lookup
+        # table with it
         flat = parse_config_text(MARKOV_CFG)
         flat.update(topology, out=str(tmp_path / "out"))
         config = ExperimentConfig.from_flat(flat)
-        run = build_run(config)
-        assert run.order._table is not None
+        assert config.order._table is not None
         seeds = [config.seed + r for r in range(config.replications)]
-        serial = [trace_state(tr) for tr in hz._run_seeds(run, seeds)]
-        clone = pickle.loads(pickle.dumps(run))
+        serial = [trace_state(tr) for tr in hz._run_seeds(config, seeds)]
+        clone = pickle.loads(pickle.dumps(config))
         assert [trace_state(tr) for tr in hz._run_seeds(clone, seeds)] == serial
         _, traces = run_experiment(config, jobs=2, write=False)
         assert [trace_state(tr) for tr in traces] == serial
@@ -222,9 +221,9 @@ class TestRunExperiment:
     def test_invalid_config_has_field_path(self):
         flat = parse_config_text(MARKOV_CFG)
         flat["scheme.kind"] = "mystery"
-        config = ExperimentConfig.from_flat(flat)
-        with pytest.raises(Exception, match="mystery"):
-            run_experiment(config, write=False)
+        with pytest.raises(ConfigError, match="mystery") as info:
+            ExperimentConfig.from_flat(flat)
+        assert info.value.field == "scheme.kind"
 
     def test_uniform_chain_gets_beta_zero_bound(self, tmp_path):
         # complete graph + equal weights build exactly uniform rows, which
@@ -256,12 +255,12 @@ class TestRunExperiment:
         # tolerance of 1e-5, outside the absolute 1e-12 of a uniform chain
         flat = parse_config_text(MARKOV_CFG)
         flat.update({"topology.kind": "complete", **scheme})
-        run = build_run(ExperimentConfig.from_flat(flat))
-        deviation = np.abs(run.order.matrices[0] - 0.2).max()
+        config = ExperimentConfig.from_flat(flat)
+        deviation = np.abs(config.order.matrices[0] - 0.2).max()
         assert (deviation <= 1e-12) == uniform
         expected = (RateConstants.uniform() if uniform else rate_constants(
-            topology_eta(run.order.scheme, run.order.topology), 5, 1))
-        assert bound_inputs(run).rate == expected
+            topology_eta(config.order.scheme, config.order.topology), 5, 1))
+        assert bound_inputs(config).rate == expected
 
     def test_partial_outputs_written_on_abort(self, tmp_path, monkeypatch):
         import incsub.harness as hz
@@ -272,7 +271,7 @@ class TestRunExperiment:
         stub = RunTrace(np.array([0]), np.array([1.0]), np.array([1.0]),
                         np.array([np.nan]), None, None, seed=0)
 
-        def exploding(run, seeds):
+        def exploding(config, seeds):
             err = NonFiniteError("tick 3: boom; last finite state at tick 2")
             err.partial_traces = [stub]
             raise err
@@ -291,11 +290,10 @@ class TestRunExperiment:
         flat["topology.kind"] = "static"
         flat["topology.edges"] = [[0, 1], [2, 3]]
         flat["out"] = str(tmp_path / "bad")
-        config = ExperimentConfig.from_flat(flat)
         from incsub.errors import TopologyError
         with pytest.raises(TopologyError):
-            run_experiment(config)
-        assert not os.path.exists(tmp_path / "bad" / "summary.json")
+            ExperimentConfig.from_flat(flat)
+        assert not os.path.exists(tmp_path / "bad")
 
 
 @pytest.mark.parametrize("problem, m", [(WIDE_REGRESSION_PROBLEM, 8),
@@ -305,11 +303,11 @@ def test_bracketed_fixtures_get_per_seed_verdicts(tmp_path, problem, m):
     flat = {key: value for key, value in parse_config_text(MARKOV_CFG).items()
             if not key.startswith("problem.")}
     flat.update(problem, out=str(tmp_path / "out"))
-    run = build_run(ExperimentConfig.from_flat(flat))
-    cert = run.problem.optimum
-    assert (run.problem.m, cert.method) == (m, "duality")
+    config = ExperimentConfig.from_flat(flat)
+    cert = config.problem.optimum
+    assert (config.problem.m, cert.method) == (m, "duality")
     assert cert.tolerance <= 1e-9 * (1.0 + abs(cert.f_star))  # the width
-    summary, _ = run_experiment(run.config)
+    summary, _ = run_experiment(config)
     assert summary["f_star"] == cert.f_star
     assert len(summary["bounds"]) == 4
     for row in summary["bounds"]:
@@ -468,7 +466,7 @@ class TestValidateRandomEdges:
         config = self.config(horizon=horizon)
         validate_only(config)
         assert len(calls) == 1
-        topology = build_run(config).order.topology
+        topology = config.order.topology
         assert np.array_equal(calls[0], topology.adjacencies(0, ticks))
 
     def test_first_failing_tick_gives_its_own_message(self, monkeypatch):
@@ -482,9 +480,9 @@ class TestValidateRandomEdges:
                     p[..., 0, 0] -= np.where(adj[..., 0, 2], 0.01 * deg[..., 0], 0.0)
                 return p
 
-        monkeypatch.setattr(hz, "build_scheme", lambda spec: BreaksOnChord())
+        monkeypatch.setattr(cf, "build_scheme", lambda spec: BreaksOnChord())
         config = self.config()
-        topology = build_run(config).order.topology
+        topology = config.order.topology
         failures = []  # (tick, message) of every failing tick, built alone
         for k in range(8):
             try:
@@ -661,7 +659,7 @@ class TestFailFast:
         # unknown entry
         ("scheme.weights", 0.3, "scheme.weights"),
         # a constructor's range check names its entry; a whole section
-        # replaces the example's, kind included
+        # stands in place of the example's, kind included
         ("scheme", {"kind": "weighted_mh", "weight": 1.5}, "scheme.weight"),
         ("scheme", {"kind": "weighted_mh", "weights": [0.5, 0.5]},
          "scheme.weights"),
@@ -692,6 +690,8 @@ class TestFailFast:
     ])
     def test_bad_run_entries(self, tmp_path, capsys, verb, entry, value, field):
         flat = parse_config_text(MARKOV_CFG)
+        if "." not in entry:  # a whole section in place of the example's
+            flat = {k: v for k, v in flat.items() if not k.startswith(f"{entry}.")}
         flat[entry] = value
         flat.update(self.ALONGSIDE.get((entry, field), {}))
         cfg = write_config(tmp_path / "exp.cfg", flat)
@@ -716,8 +716,9 @@ class TestFailFast:
 
     @pytest.mark.parametrize("verb", ["run", "validate"])
     def test_problem_section_must_be_an_object(self, tmp_path, capsys, verb):
-        flat = parse_config_text(MARKOV_CFG)
-        flat["problem"] = 3  # after the problem.* entries, so it replaces them
+        flat = {k: v for k, v in parse_config_text(MARKOV_CFG).items()
+                if not k.startswith("problem.")}
+        flat["problem"] = 3
         cfg = write_config(tmp_path / "exp.cfg", flat)
         out = tmp_path / "out"
         assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
@@ -918,9 +919,9 @@ def test_jobs_abort_matches_serial(tmp_path, capsys):
 
 def test_jobs_abort_is_the_serial_abort(monkeypatch):
     # the in-memory error too: same message, same partial traces in every
-    # column and field; the serial replay reuses the built run
+    # column and field; the serial replay reuses the built config
     builds = []
-    monkeypatch.setattr(hz, "build_problem",
+    monkeypatch.setattr(cf, "build_problem",
                         lambda spec: builds.append(spec) or build_problem(spec))
     config = ExperimentConfig.from_flat(parse_config_text(OVERFLOW_CFG))
     errors = []
@@ -928,7 +929,7 @@ def test_jobs_abort_is_the_serial_abort(monkeypatch):
         with pytest.raises(NonFiniteError) as info:
             run_experiment(config, jobs=jobs, write=False)
         errors.append(info.value)
-    assert len(builds) == 2  # one per run_experiment call
+    assert len(builds) == 1  # by from_flat, none by either run
     serial, jobs = errors
     assert str(jobs) == str(serial)
     assert len(serial.partial_traces) == 8
@@ -937,13 +938,12 @@ def test_jobs_abort_is_the_serial_abort(monkeypatch):
 
 
 class TestSingleBuild:
-    """Each verb builds the problem and the topology once and validates the
-    topology once; ``--jobs`` workers receive the built run and rebuild
-    nothing."""
+    """``from_flat`` builds the problem and the topology once and validates
+    the topology once; each verb builds nothing more, and ``--jobs``
+    workers receive the built config and rebuild nothing."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        import incsub.harness as hz
         import incsub.markov as mk
 
         parent = os.getpid()
@@ -957,7 +957,7 @@ class TestSingleBuild:
             return counted
 
         for name in ("build_problem", "build_topology"):
-            monkeypatch.setattr(hz, name, counting(name, getattr(hz, name)))
+            monkeypatch.setattr(cf, name, counting(name, getattr(cf, name)))
         # a topology checks its connectivity when it is built
         monkeypatch.setattr(mk, "_connected", counting("_connected", mk._connected))
         return counts
@@ -966,15 +966,18 @@ class TestSingleBuild:
         lambda config: run_experiment(config, write=False),
         lambda config: run_experiment(config, jobs=2, write=False),
         validate_only,
-        lambda config: bound_reports(build_run(config)),
+        bound_reports,
         lambda config: compare_bounds(config, write=False),
     ], ids=["run", "run_jobs2", "validate", "bounds", "compare"])
     def test_verb_builds_once(self, counts, verb):
         flat = parse_config_text(MARKOV_CFG)
         flat.update({"horizon": 200, "replications": 2,
                      "compare.alphas": [0.05, 0.02]})
-        verb(ExperimentConfig.from_flat(flat))
-        assert counts == {"build_problem": 1, "build_topology": 1, "_connected": 1}
+        config = ExperimentConfig.from_flat(flat)
+        once = {"build_problem": 1, "build_topology": 1, "_connected": 1}
+        assert counts == once
+        verb(config)
+        assert counts == once
 
 
 class TestSupremum:

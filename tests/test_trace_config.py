@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,8 @@ from incsub.config import (build_noise, build_problem, build_schedule,
                            load_config_file, parse_config_text)
 from incsub.errors import ConfigError
 from reference import trace_csv, trace_from_csv
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "markov_ring_m5.cfg"
 
 
 def sample_trace():
@@ -202,6 +205,46 @@ class TestConfig:
         with pytest.raises(ConfigError, match="algorithm"):
             ExperimentConfig.from_flat(flat)
 
+    def test_section_after_its_dotted_entries_is_rejected(self):
+        # the later section would drop the earlier entry and so loosen
+        # every verdict back to the default slack
+        flat = parse_config_text(EXAMPLE.read_text()
+                                 + "verify.slack_rel = 0.0\nverify = {}\n")
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_flat(flat)
+        assert info.value.field == "verify"
+        assert str(info.value) == ("verify: conflicts with verify.slack_rel; "
+                                   "give one of them")
+
+    @staticmethod
+    def section_then_entry():
+        """A dotted entry after its whole section."""
+        return {"algorithm": "cyclic", "problem": {"fixture": "quadratic"},
+                "problem.m": 3, "schedule.kind": "constant",
+                "schedule.alpha": 0.1, "horizon": 10}
+
+    def test_dotted_entry_after_its_section_is_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_flat(self.section_then_entry())
+        assert info.value.field == "problem.m"
+        assert str(info.value) == "problem.m: conflicts with problem; give one of them"
+
+    def test_input_is_not_written_into(self):
+        flat = self.section_then_entry()
+        try:
+            ExperimentConfig.from_flat(flat)
+        except ConfigError:
+            pass
+        assert flat == self.section_then_entry()
+
+    def test_whole_sections_load(self):
+        flat = {"algorithm": "cyclic", "problem": {"fixture": "quadratic", "m": 3},
+                "schedule": {"kind": "constant", "alpha": 0.1}, "horizon": 10,
+                "verify": {"slack_rel": 0.0}}
+        cfg = ExperimentConfig.from_flat(flat)
+        assert cfg.problem.m == 3 and cfg.schedule.alpha == 0.1
+        assert cfg.verify["slack_rel"] == 0.0 and cfg.flat == flat
+
     def test_overrides_apply(self):
         cfg = ExperimentConfig.from_flat(parse_config_text(MINIMAL),
                                          overrides={"seed": 99, "out": "elsewhere"})
@@ -211,10 +254,13 @@ class TestConfig:
 
 class TestBuilders:
     def test_build_problem_matches_direct_construction(self):
-        cfg = ExperimentConfig.from_flat(parse_config_text(MINIMAL))
-        prob = build_problem(cfg.problem)
-        assert prob.m == 2 and prob.n == 1
-        assert prob.optimum.f_star == pytest.approx(2.0)
+        flat = parse_config_text(MINIMAL)
+        prob = ExperimentConfig.from_flat(flat).problem
+        direct = build_problem({key.split(".", 1)[1]: value
+                                for key, value in flat.items()
+                                if key.startswith("problem.")})
+        assert prob.m == direct.m == 2 and prob.n == direct.n == 1
+        assert prob.optimum.f_star == direct.optimum.f_star == pytest.approx(2.0)
 
     def test_build_set_variants(self):
         assert build_set({"kind": "box", "lower": -1.0, "upper": 1.0}, 3).dim == 3
