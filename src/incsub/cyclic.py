@@ -13,19 +13,16 @@ from .errors import DimensionMismatchError
 
 
 class RingOrder:
-    """m sub-steps per cycle, agent i passed as the Python int i."""
+    """m sub-steps per cycle, sub-step i by agent i; no agents are drawn
+    or recorded."""
 
     engine = "cyclic"
 
     def __init__(self, m):
         self.m = self.width = int(m)
-        self._cycle = tuple(range(self.m))
 
     def start(self, m, seeds):
         if m != self.m:
             raise DimensionMismatchError(
                 f"ring has {self.m} agents but problem has {m}")
         return None  # no agent column, no visit counts
-
-    def block(self, b, count, seeds, agents):
-        return [self._cycle] * count, None

@@ -9,6 +9,14 @@ each fixture's family provides them for every agent at once:
   f_{agents[r]} at X[r]; ``agents`` is an index array of length N, or one
   int for all rows.
 
+The second is the composition of a two-method row protocol, which the step
+loop calls directly so that it gathers once per run of steps:
+``gather(agents)`` stacks the agents' parameters for an index array of
+any shape (or one int) as a tuple of arrays whose leading axes are
+``agents``' shape, and ``subgradient_rows(X, *rows)`` computes the
+subgradients from one step's rows.  Each formula is written once, in
+``subgradient_rows``.
+
 Each family also has ``m``, ``n``, ``bounds``, the array of
 C_i >= sup_{x in X} ||g_i(x)|| over the feasible set it was built for,
 exact on the bounded set variants, and ``eval_width``, how many floats wide
@@ -42,7 +50,14 @@ def _dot(xs, p):
     return total
 
 
-class QuadraticFamily:
+class _Rows:
+    """``subgradient_many`` of every family: its rows, gathered and used."""
+
+    def subgradient_many(self, xs, agents):
+        return self.subgradient_rows(xs, *self.gather(agents))
+
+
+class QuadraticFamily(_Rows):
     """f_i(x) = ||x - c_i||^2 with gradient 2 (x - c_i); centers stacked (m, n).
 
     The sum is evaluated in closed form, m ||x - cbar||^2 plus the centers'
@@ -63,11 +78,16 @@ class QuadraticFamily:
         d = xs - self.centroid
         return self.m * np.einsum("ij,ij->i", d, d) + self.offset
 
-    def subgradient_many(self, xs, agents):
-        return 2.0 * (xs - self.centers[agents])
+    def gather(self, agents):
+        return (self.centers[agents],)
+
+    def subgradient_rows(self, xs, centers):
+        g = xs - centers
+        g *= 2.0
+        return g
 
 
-class RegressionFamily:
+class RegressionFamily(_Rows):
     """f_i(x) = (phi_i @ x - rbar_i)^2 + var_i, sensor i's mean squared residual.
 
     ``features`` stacks the rows phi_i (m, n); ``rbar`` and ``var`` are the
@@ -93,9 +113,11 @@ class RegressionFamily:
         t = _dot(xs[:, None, :], self.features) - self.rbar
         return (t * t + self.var).sum(axis=1)
 
-    def subgradient_many(self, xs, agents):
-        phi = self.features[agents]
-        t = _dot(xs, phi) - self.rbar[agents]
+    def gather(self, agents):
+        return self.features[agents], self.rbar[agents]
+
+    def subgradient_rows(self, xs, phi, rbar):
+        t = _dot(xs, phi) - rbar
         return 2.0 * t[:, None] * phi
 
 
@@ -181,7 +203,7 @@ class LinearUtility:
         return float(self.slope_value)
 
 
-class UtilityFamily:
+class UtilityFamily(_Rows):
     """f_i(x) = -U_i(x_i) for a concave utility U_i of coordinate i (n = m).
 
     C_i is the largest slope of U_i over coordinate i's range on the set.
@@ -203,8 +225,10 @@ class UtilityFamily:
             total -= np.asarray(self.utilities[j].value(xs[:, j]), dtype=float)
         return total
 
-    def subgradient_many(self, xs, agents):
-        agents = np.asarray(agents)
+    def gather(self, agents):
+        return (np.asarray(agents),)
+
+    def subgradient_rows(self, xs, agents):
         if agents.ndim == 0:
             a = int(agents)
             slopes = self.utilities[a].slope(xs[:, a])

@@ -49,8 +49,10 @@ class OptimumCertificate:
 class ProblemInstance:
     """An objective family's sum over a feasible set, plus an optimum certificate.
 
-    ``f_many`` and ``subgradient_for_agents`` are the engines' two entry
-    points; both delegate to the family.
+    ``f_many`` and ``subgradient_for_agents`` delegate to the family's
+    ``evaluate_many`` and ``subgradient_many``.  The recorder evaluates
+    through ``f_many``; the step loop calls the family's row protocol
+    directly (see :mod:`incsub.objectives`).
     """
 
     family: object

@@ -9,6 +9,13 @@ All projection code is written row-wise on ``(N, n)`` arrays so that
 projecting a batch gives bit-identical results to projecting each row
 alone; the engines rely on this for reproducibility across batched and
 serial execution.
+
+Each set projects in two ways.  ``project_into(x, out)`` writes the
+projection of the finite ``(N, n)`` float batch ``x`` into ``out`` and
+checks nothing: it is the step loop's, which checks each point's
+finiteness itself and raises :func:`nonfinite_input` for a bad one.
+``project_many(x)`` takes one point or a batch of anything array-like,
+checks its shape and finiteness, and returns a new array.
 """
 
 from __future__ import annotations
@@ -29,6 +36,11 @@ except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
 
+def nonfinite_input(who):
+    """The error for a NaN or infinite point handed to ``who``."""
+    return NonFiniteError(f"{who}: input contains NaN or infinity")
+
+
 def _as_batch(x, dim, who):
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -38,12 +50,22 @@ def _as_batch(x, dim, who):
         raise DimensionMismatchError(
             f"{who}: expected points of dimension {dim}, got array of shape {x.shape}")
     if not np.isfinite(x).all():
-        raise NonFiniteError(f"{who}: input contains NaN or infinity")
+        raise nonfinite_input(who)
     return x, squeeze
 
 
+class _Projection:
+    """``project_many`` of every set: the checked form of ``project_into``."""
+
+    def project_many(self, x):
+        x, squeeze = _as_batch(x, self.dim, f"{type(self).__name__}.project")
+        out = np.empty_like(x)
+        self.project_into(x, out)
+        return out[0] if squeeze else out
+
+
 @dataclass(frozen=True)
-class Box:
+class Box(_Projection):
     """Axis-aligned box { x : lower <= x <= upper } (componentwise)."""
 
     lower: np.ndarray
@@ -60,15 +82,19 @@ class Box:
             raise ValueError("box is empty: some lower bound exceeds its upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+        object.__setattr__(self, "_batch_bounds", (lo, up))
 
     @property
     def dim(self):
         return self.lower.shape[0]
 
-    def project_many(self, x):
-        x, squeeze = _as_batch(x, self.dim, "Box.project")
-        out = _clip(x, self.lower, self.upper)
-        return out[0] if squeeze else out
+    def project_into(self, x, out):
+        # clip is fastest on bounds of the batch's own shape, so the bounds
+        # of the last batch shape are kept
+        if self._batch_bounds[0].shape != x.shape:
+            object.__setattr__(self, "_batch_bounds", tuple(
+                np.broadcast_to(b, x.shape).copy() for b in (self.lower, self.upper)))
+        _clip(x, *self._batch_bounds, out=out)
 
     def contains(self, x):
         x, _ = _as_batch(x, self.dim, "Box.contains")
@@ -100,7 +126,7 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Projection):
     """Euclidean ball { x : ||x - center|| <= radius }."""
 
     center: np.ndarray
@@ -119,16 +145,15 @@ class Ball:
     def dim(self):
         return self.center.shape[0]
 
-    def project_many(self, x):
-        x, squeeze = _as_batch(x, self.dim, "Ball.project")
+    def project_into(self, x, out):
         d = x - self.center
         norms = np.linalg.norm(d, axis=1)
         # Scale only rows strictly outside; interior rows pass through exactly.
         scale = np.ones_like(norms)
         outside = norms > self.radius
         scale[outside] = self.radius / norms[outside]
-        out = self.center + d * scale[:, None]
-        return out[0] if squeeze else out
+        d *= scale[:, None]
+        np.add(self.center, d, out=out)
 
     def contains(self, x):
         x, _ = _as_batch(x, self.dim, "Ball.contains")
@@ -160,7 +185,7 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class Simplex:
+class Simplex(_Projection):
     """Scaled probability simplex { x : x >= 0, sum(x) = scale }."""
 
     scale: float
@@ -174,9 +199,8 @@ class Simplex:
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "dim", int(self.dim))
 
-    def project_many(self, x):
+    def project_into(self, x, out):
         # Sort-and-threshold projection onto the scaled simplex (exact).
-        x, squeeze = _as_batch(x, self.dim, "Simplex.project")
         n = self.dim
         u = np.sort(x, axis=1)[:, ::-1]
         css = np.cumsum(u, axis=1) - self.scale
@@ -184,8 +208,8 @@ class Simplex:
         cond = u * scope > css
         rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
         theta = css[np.arange(x.shape[0]), rho] / (rho + 1.0)
-        out = np.maximum(x - theta[:, None], 0.0)
-        return out[0] if squeeze else out
+        np.subtract(x, theta[:, None], out=out)
+        np.maximum(out, 0.0, out=out)
 
     def contains(self, x):
         x, _ = _as_batch(x, self.dim, "Simplex.contains")

@@ -6,17 +6,20 @@ value, distance to the certified witness, the running
 minimum of the objective over *all* iterations so far (not just at
 recorded rows), and the step-size that produced the iterate.
 
-The engines only iterate; a :class:`Recorder` observes.  Each step's
-iterate batch is pushed to it, and it evaluates f, the minima, distances
-and visit counts in flushes over the buffered steps, builds the traces,
-and turns a non-finite step into a :class:`NonFiniteError`.
+The engines only iterate; a :class:`Recorder` observes.  The engine
+writes the iterates straight into the recorder's buffer and hands them
+over a run of steps at a time, and the recorder evaluates f, the minima,
+distances and visit counts in flushes over the buffered steps, builds the
+traces, and turns a non-finite step into a :class:`NonFiniteError`.
 
 The CSV schema is fixed: header row, RFC-4180 quoting, '.' decimal
 separator, floats at 17 significant digits so that values round-trip.
 Each row is rendered with one ``%`` format (``%d`` for the iteration and
 the agent, ``%.17g`` for the floats; an absent agent or distance column
-and a NaN step-size are empty fields).  Every field is a number or empty,
-so none needs quoting, and the bytes are those the csv module writes.
+and a NaN step-size are empty fields); the running minimum and the
+step-size are formatted once per run of bit-equal values.  Every field is
+a number or empty, so none needs quoting, and the bytes are those the csv
+module writes.
 Rows are rendered ``CSV_ROWS`` at a time, so writing a trace holds one
 chunk of its text, however long the trace.
 """
@@ -38,6 +41,20 @@ CSV_ROWS = 1 << 10  # rows rendered per chunk of CSV text
 def fmt_float(x):
     """Round-trip-safe decimal rendering of a float."""
     return format(float(x), ".17g")
+
+
+def _runs_formatted(col, nan=None):
+    """``%.17g`` of each value of the non-empty float column ``col``, or
+    ``nan`` for a NaN when given.  A run of bit-equal values is formatted
+    once: the running minimum and the step-size repeat for long stretches."""
+    col = np.asarray(col, dtype=float)
+    bits = col.view(np.uint64)
+    ends = [*((bits[1:] != bits[:-1]).nonzero()[0] + 1).tolist(), len(col)]
+    texts, start = [], 0
+    for end, v in zip(ends, col[[0, *ends[:-1]]].tolist()):
+        texts += [nan if nan is not None and v != v else "%.17g" % v] * (end - start)
+        start = end
+    return texts
 
 
 @dataclass
@@ -77,16 +94,18 @@ class RunTrace:
 
     def _csv_chunks(self):
         """The CSV text: the header, then ``CSV_ROWS`` rows per string."""
-        cols = (self.ks, self.agents, self.f_vals, self.dists, self.running_inf)
-        specs = ("%d", "%d", "%.17g", "%.17g", "%.17g")
+        cols = (self.ks, self.agents, self.f_vals, self.dists)
+        specs = ("%d", "%d", "%.17g", "%.17g")
         fmt = ",".join("" if col is None else spec for col, spec in zip(cols, specs))
-        with_alpha, without_alpha = fmt + ",%.17g\n", fmt + ",\n"
-        cols = [col for col in cols if col is not None] + [self.alphas]
+        fmt += ",%s,%s\n"
+        cols = [col for col in cols if col is not None]
         yield ",".join(COLUMNS) + "\n"
         for lo in range(0, len(self.ks), CSV_ROWS):
-            rows = zip(*(col[lo:lo + CSV_ROWS].tolist() for col in cols))
-            yield "".join([with_alpha % row if row[-1] == row[-1]  # a NaN alpha is empty
-                           else without_alpha % row[:-1] for row in rows])
+            part = slice(lo, lo + CSV_ROWS)
+            rows = zip(*(col[part].tolist() for col in cols),
+                       _runs_formatted(self.running_inf[part]),
+                       _runs_formatted(self.alphas[part], nan=""))
+            yield "".join([fmt % row for row in rows])
 
     def to_csv(self):
         return "".join(self._csv_chunks())
@@ -131,19 +150,25 @@ class Recorder:
 
     ``x0`` is the run's ``(R, n)`` start batch and ``agents`` the initial
     agents of a markov run (None for the ring order, which has no agent
-    column and no visit counts).  The engine steps; after each step it
-    pushes the ``(R, n)`` iterate batch with :meth:`push`, and a markov
-    engine first hands over each block's ``(count, R)`` updating agents
-    with :meth:`walked`.
-    The engine's loop runs inside ``with recorder:``; on exit the recorder
-    flushes the last steps, and a :class:`NonFiniteError` raised by a step
-    (the projection of a non-finite point) becomes the run's abort there.
+    column and no visit counts).  The recorder holds the run's one iterate
+    buffer, ``flush_steps + 1`` steps long.  The engine asks for
+    :meth:`slots`, a view of the buffer whose row 0 is the iterate before
+    the next steps, projects each step straight into the next row, and
+    hands the finished steps over with :meth:`filled`; a markov engine
+    first hands over each block's ``(count, R)`` updating agents with
+    :meth:`walked`.  The engine's loop runs inside ``with recorder:``; on
+    exit the recorder flushes the last steps, and a
+    :class:`NonFiniteError` raised by a step (a non-finite point before its
+    projection) becomes the run's abort there.  The engine hands over the
+    steps finished before such a step first.
 
-    A flush evaluates f once over all buffered rows, updates the running
-    minimum and the minimum over the tail ``k >= tail_start`` step by step,
-    fills the recorded rows (f, running minimum, agent, distance to the
-    witness) and counts visits.  The first step whose f is not finite aborts
-    the run.  An abort at step k raises :class:`NonFiniteError` with
+    A flush evaluates f once over ``flush_steps`` steps, a view of the
+    buffer, updates the running minimum and the minimum over the tail
+    ``k >= tail_start`` step by step, fills the recorded rows (f, running
+    minimum, agent, distance to the witness) and counts visits.  When the
+    buffer is full, the steps not yet flushed and the one before them move
+    to its front.  The first step whose f is not finite aborts the run.
+    An abort at step k raises :class:`NonFiniteError` with
     ``partial_traces``: the rows recorded before k, ``aborted_at = k``,
     ``final_x`` the iterate of step k - 1, and visit counts that include
     step k's agents.  A non-finite f(x_0) aborts at step 0 with no rows and
@@ -167,7 +192,7 @@ class Recorder:
         self.rows_dist = np.empty_like(self.rows_f)
         self.rows_agent = None if agents is None else np.empty(self.rows_f.shape, dtype=int)
         self.visits = None if agents is None else np.zeros((reps, m), dtype=np.int64)
-        self.filled = 0
+        self.recorded = 0  # trace rows filled
         self.tail_start = None
         if tail_fraction is not None:
             self.tail_start = horizon - int(np.floor(horizon * tail_fraction))
@@ -175,11 +200,11 @@ class Recorder:
         self.tail_min = np.full(reps, np.inf)
         self.done = -1        # last step whose f has been evaluated
         self.last_x = x0      # iterate of step `done`, or x0
-        # the iterates of steps done + 1, ..., done + held, and their agents
-        # (one more once the next step has reported its agents)
-        self.xs = np.empty((self.flush_steps,) + x0.shape)
+        # the iterates of steps done + 1, ... are xs[start:end]; the one
+        # before them is xs[start - 1] once start > 0
+        self.xs = np.empty((min(self.flush_steps, horizon) + 1,) + x0.shape)
         self.xs[0] = x0
-        self.held = 1
+        self.start, self.end = 0, 1
         # the agents of steps done + 1, ... up to the last one handed over
         self.agents = None if agents is None else np.asarray(agents)[None]
         self.abort = None
@@ -188,11 +213,23 @@ class Recorder:
         """Take the ``(count, R)`` agents of the next ``count`` steps."""
         self.agents = np.concatenate([self.agents, agents])
 
-    def push(self, x):
-        if self.held == self.flush_steps:
-            self._flush()
-        self.xs[self.held] = x
-        self.held += 1
+    def slots(self, count):
+        """A ``(k + 1, R, n)`` view of the buffer, 1 <= k <= ``count``: row
+        0 holds the iterate before the next k steps, which go into rows
+        1 to k."""
+        if self.end == len(self.xs):
+            # move the unevaluated steps and the one before them to the front
+            keep = self.end - self.start + 1
+            self.xs[:keep] = self.xs[self.start - 1:self.end]
+            self.start, self.end = 1, keep
+        return self.xs[self.end - 1:self.end + count]
+
+    def filled(self, steps):
+        """Take the next ``steps`` steps, written into :meth:`slots`, and
+        flush every whole ``flush_steps`` of them."""
+        self.end += steps
+        while self.end - self.start >= self.flush_steps:
+            self._flush(self.start + self.flush_steps)
 
     def __enter__(self):
         return self
@@ -200,7 +237,7 @@ class Recorder:
     def __exit__(self, kind, exc, tb):
         if exc is not None and (exc is self.abort or not isinstance(exc, Exception)):
             return False
-        self._flush()  # a buffered step with non-finite f aborts first
+        self._flush(self.end)  # a buffered step with non-finite f aborts first
         if isinstance(exc, NonFiniteError):
             self._count(1)  # the failing step's agents
             raise self._abort(str(exc)) from exc
@@ -210,11 +247,12 @@ class Recorder:
         """One :class:`RunTrace` per seed for the completed run."""
         return self._traces()
 
-    def _flush(self):
-        if not self.held:
+    def _flush(self, stop):
+        """Evaluate the buffered steps up to buffer row ``stop``."""
+        if stop == self.start:
             return
-        xs = self.xs[:self.held]
-        self.held = 0
+        xs = self.xs[self.start:stop]
+        self.start = stop
         steps, reps, n = xs.shape
         with np.errstate(over="ignore", invalid="ignore"):  # aborts below
             f = self.problem.f_many(xs.reshape(steps * reps, n)).reshape(steps, reps)
@@ -241,7 +279,7 @@ class Recorder:
             self.tail_min = np.minimum.accumulate(
                 np.vstack([self.tail_min, tail]), axis=0)[-1]
         stop = bisect.bisect_left(self.recs, first + steps)
-        cols = slice(self.filled, stop)
+        cols = slice(self.recorded, stop)
         at = np.array(self.recs[cols], dtype=int) - first
         self.rows_f[:, cols] = f[at].T
         self.rows_inf[:, cols] = run[at].T
@@ -251,7 +289,7 @@ class Recorder:
         if self.rows_agent is not None:
             self.rows_agent[:, cols] = self.agents[at].T
         self._count(steps)
-        self.filled = stop
+        self.recorded = stop
         self.done += steps
         self.last_x = xs[-1].copy()  # the buffer is refilled
 
@@ -280,13 +318,13 @@ class Recorder:
         """Traces of the recorded rows; ``final_x`` is the last recorded step.
         Every column is a read-only view: one ``ks`` and one ``alphas`` for
         the batch, and each trace's row of the recorder's columns."""
-        ks = _read_only(np.array(self.recs[:self.filled], dtype=int))
+        ks = _read_only(np.array(self.recs[:self.recorded], dtype=int))
         alphas = _read_only(np.array([np.nan if k == 0 else self.schedule.step(k)
-                                      for k in self.recs[:self.filled]]))
+                                      for k in self.recs[:self.recorded]]))
         tail = aborted_at is None and self.tail_start is not None
 
         def row(cols, r):
-            return None if cols is None else _read_only(cols[r, :self.filled])
+            return None if cols is None else _read_only(cols[r, :self.recorded])
 
         return [RunTrace(ks, row(self.rows_f, r), row(self.rows_inf, r),
                          alphas, row(self.rows_agent, r),

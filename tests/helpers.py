@@ -130,8 +130,11 @@ class CallbackFamily:
 
     ``evaluate(xs)`` gives f at each row of ``xs``; ``subgradient(xs,
     agents)`` gives row r's subgradient of f_{agents[r]}, as the shipped
-    families' ``evaluate_many``/``subgradient_many`` do.  ``eval_width``
-    is the width of ``evaluate``'s per-row temporaries, n unless given.
+    families' ``evaluate_many``/``subgradient_many`` do.  Its rows are the
+    agents themselves, so the step loop calls ``subgradient`` once per
+    sub-step with that sub-step's agents: a (R,) index array for a chain, a
+    numpy integer for the ring order.  ``eval_width`` is the width of
+    ``evaluate``'s per-row temporaries, n unless given.
     """
 
     def __init__(self, n, bounds, evaluate, subgradient, eval_width=None):
@@ -140,7 +143,16 @@ class CallbackFamily:
         self.m = len(self.bounds)
         self.eval_width = n if eval_width is None else eval_width
         self.evaluate_many = evaluate
-        self.subgradient_many = subgradient
+        self.subgradient = subgradient
+
+    def gather(self, agents):
+        return (agents,)
+
+    def subgradient_rows(self, xs, agents):
+        return self.subgradient(xs, agents)
+
+    def subgradient_many(self, xs, agents):
+        return self.subgradient_rows(xs, *self.gather(agents))
 
 
 def absolute_value():
@@ -162,6 +174,16 @@ STEP_SETS = {
     "ball": isb.Ball([0.2, -0.1], 0.6),
     "simplex": isb.Simplex(1.0, 2),
 }
+# one problem of each family on a step set, for the engines' draw-for-draw
+# checks across a block boundary
+STEP_FAMILIES = {
+    "quadratic": lambda fset: isb.make_quadratic_suite(5, 2, 1.0, fset, seed=42),
+    "regression": lambda fset: isb.make_regression(
+        [[1.0, 0.5], [-0.3, 1.2], [0.8, -0.7]], [[0.2, 0.4], [1.0], [-0.5, 0.1, 0.3]],
+        fset),
+    "allocation": lambda fset: isb.make_allocation(
+        [isb.LinearUtility(1.0), isb.SqrtUtility(0.04)], fset),
+}
 STEP_NOISES = {
     "none": isb.NoNoise(),
     "gaussian": isb.GaussianNoise(0.3),
@@ -170,19 +192,31 @@ STEP_NOISES = {
 }
 
 
+class _LoggingFamily(CallbackFamily):
+    """``inner``'s rows behind the agents that gathered them; each
+    sub-step appends a copy of its (xs, agents) to ``log``, then calls
+    ``inner.subgradient_rows``."""
+
+    def __init__(self, inner, log):
+        super().__init__(inner.n, inner.bounds, inner.evaluate_many, None,
+                         inner.eval_width)
+        self.inner, self.log = inner, log
+
+    def gather(self, agents):
+        return (agents,) + tuple(self.inner.gather(agents))
+
+    def subgradient_rows(self, xs, agents, *rows):
+        self.log.append((xs.copy(), np.array(agents, copy=True)))
+        return self.inner.subgradient_rows(xs, *rows)
+
+
 def logging_problem(problem, log):
-    """``problem`` with a copy of every subgradient call's (xs, agents)
-    appended to ``log``; the family's own arrays are returned as they are."""
-    inner = problem.family
-
-    def logged(xs, agents):
-        log.append((xs.copy(), np.array(agents, copy=True)))
-        return inner.subgradient_many(xs, agents)
-
-    return isb.ProblemInstance(
-        CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, logged,
-                       inner.eval_width),
-        problem.feasible_set, problem.optimum, problem.name)
+    """``problem`` with a copy of every sub-step's (xs, agents) appended to
+    ``log``.  It runs the family's own row protocol, a gather per block and
+    ``subgradient_rows`` per sub-step, and the family's own arrays are
+    returned as they are."""
+    return isb.ProblemInstance(_LoggingFamily(problem.family, log),
+                               problem.feasible_set, problem.optimum, problem.name)
 
 
 def trace_state(tr):
