@@ -97,9 +97,10 @@ def optimal_window(alpha, c_effective, c0, beta):
 
     The exact integer minimizer is returned, ties resolved toward smaller
     T; the closed-form continuous minimizer is only where the search starts.
-    beta = 0 is the uniform chain: the mixing term vanishes and T = 0.
+    beta = 0 is the uniform chain, and c0 = 0 a one-point set (c_effective
+    = 0 implies c0 = 0): either way the mixing term vanishes and T = 0.
     """
-    if beta == 0.0:
+    if beta == 0.0 or c0 == 0.0:
         return 0
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be 0 or in (0, 1), got {beta}")

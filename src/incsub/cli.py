@@ -24,7 +24,7 @@ from .harness import (bound_reports, compare_bounds, run_experiment,
 
 
 def _common(parser):
-    parser.add_argument("--config", required=True, help="config file (text or .json)")
+    parser.add_argument("--config", required=True, help="config file (key = value text)")
     parser.add_argument("--seed", type=int, default=None, help="override base seed")
     parser.add_argument("--reps", type=int, default=None,
                         help="override replication count")

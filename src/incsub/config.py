@@ -1,6 +1,6 @@
-"""Experiment configuration: flat key = value text with a JSON mirror.
+"""Experiment configuration: flat key = value text.
 
-The on-disk format is diff-friendly flat text, one dotted key per line::
+The one on-disk format is diff-friendly flat text, one dotted key per line::
 
     algorithm = markov
     problem.fixture = quadratic
@@ -9,9 +9,8 @@ The on-disk format is diff-friendly flat text, one dotted key per line::
     schedule.a = 1.0
 
 Values are JSON fragments (numbers, strings, lists, objects); bare words
-parse as strings.  A ``.json`` file holding one object with the same
-dotted keys is accepted interchangeably.  Canonical form sorts keys and
-renders values as JSON, so serialize(parse(text)) is idempotent.
+parse as strings.  Canonical form sorts keys and renders values as JSON,
+so serialize(parse(text)) is idempotent.
 """
 
 from __future__ import annotations
@@ -75,13 +74,7 @@ def config_hash(flat):
 
 def load_config_file(path):
     with open(path) as fh:
-        text = fh.read()
-    if str(path).endswith(".json"):
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ConfigError("JSON config must be a single object of dotted keys")
-        return dict(data)
-    return parse_config_text(text)
+        return parse_config_text(fh.read())
 
 
 def _nest(flat):
@@ -456,9 +449,8 @@ _NOISE_KEYS = {"none": {"kind"}, "gaussian": {"kind", "sigma"},
 _GRAPHS = {"ring": ring_edges, "path": path_edges, "complete": complete_edges}
 _TOPOLOGY_KEYS = {
     **{graph: {"kind"} for graph in _GRAPHS},
-    "static": {"kind", "graph", "edges"},
     "periodic": {"kind", "phases", "window"},
-    "random_edges": {"kind", "base", "graph", "inclusion_prob", "window", "seed"},
+    "random_edges": {"kind", "graph", "inclusion_prob", "window", "seed"},
 }
 _SCHEME_KEYS = {"equal": {"kind"}, "min_equal": {"kind"},
                 "weighted_mh": {"kind", "weight"}}
@@ -488,19 +480,6 @@ def build_noise(spec):
     return BoundedUniformNoise(level("radius"))
 
 
-def _either(spec, section, key, alias, default=_MISSING):
-    """``spec[key]``, or else ``spec[alias]``, or else ``default``, with the
-    field it came from; giving both entries is a ConfigError."""
-    if key in spec and alias in spec:
-        raise ConfigError(f"conflicts with {section}.{alias}; give one of them",
-                          field=f"{section}.{key}")
-    name = alias if alias in spec else key
-    if name not in spec and default is _MISSING:
-        raise ConfigError(f"missing required entry (or {section}.{alias})",
-                          field=f"{section}.{key}")
-    return spec.get(name, default), f"{section}.{name}"
-
-
 def _edge_list(raw, field, m):
     """The edges of a graph name, or of a list of [i, j] pairs of agent
     indices: integral numbers (not booleans) in [0, m), with i != j."""
@@ -525,9 +504,6 @@ def build_topology(spec, m):
     kind = _kind(spec, "topology", _TOPOLOGY_KEYS, "topology kind")
     if kind in _GRAPHS:
         return PeriodicTopology(m, [_GRAPHS[kind](m)], 1)
-    if kind == "static":
-        return PeriodicTopology(
-            m, [_edge_list(*_either(spec, "topology", "edges", "graph"), m)], 1)
     if kind == "periodic":
         phases = spec.get("phases")
         if not isinstance(phases, list) or not phases:
@@ -541,9 +517,9 @@ def build_topology(spec, m):
     if not 0.0 <= inclusion <= 1.0:
         raise ConfigError(f"must be in [0, 1], got {inclusion}",
                           field="topology.inclusion_prob")
-    raw, field = _either(spec, "topology", "base", "graph", "complete")
-    return _construct(  # the base must hold the agent ring
-        field, RandomEdgeTopology, m, _edge_list(raw, field, m), inclusion,
+    return _construct(  # the base graph must hold the agent ring
+        "topology.graph", RandomEdgeTopology, m,
+        _edge_list(spec.get("graph", "complete"), "topology.graph", m), inclusion,
         _number(spec, "topology", "window", 1, minimum=1, kind=int),
         _construct("topology.seed", check_seed,
                    _number(spec, "topology", "seed", 0, minimum=0, kind=int)))

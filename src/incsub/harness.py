@@ -65,11 +65,12 @@ def _run_all(config, seeds, jobs):
         return _run_seeds(config, seeds)
     from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
 
-    chunks = np.array_split(np.asarray(seeds), min(jobs, len(seeds)))
+    # split by position: an array of seeds straddling 2^63 would be float64
+    n = min(jobs, len(seeds))
+    chunks = [seeds[len(seeds) * i // n:len(seeds) * (i + 1) // n] for i in range(n)]
     # a forked pool starts all its workers at the first submit
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [pool.submit(_run_seeds, config, [int(s) for s in chunk])
-                   for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=n) as pool:
+        futures = [pool.submit(_run_seeds, config, chunk) for chunk in chunks]
         try:  # submission order == replication order
             return [tr for fut in futures for tr in fut.result()]
         except NonFiniteError:

@@ -450,7 +450,8 @@ class ChainOrder:
     m - 1, bit for bit, also when a row's total rounds below 1 and the
     uniform lies above it.  A chain with a period whose lookup table (see
     :func:`_lookup_table`) fits the entry budget walks by one table lookup
-    per tick; any other counts over a C-contiguous copy of the columns."""
+    per tick; any other counts over C-contiguous columns: a read-only
+    (period, m, m - 1) stack for a period, one new stack per random chunk."""
 
     engine = "markov"
     width = 1
@@ -465,7 +466,7 @@ class ChainOrder:
         self.scheme = scheme
         self.s0 = s0
         self.matrices = None
-        self._walk = None  # the count walk's columns of each tick of one period
+        self._columns = None  # the count walk's (period, m, m - 1) columns
         self._table = None  # (U, flat lookup table) of a tabulated period
         if topology.period:
             self.matrices = _frozen(build_transition(
@@ -473,13 +474,13 @@ class ChainOrder:
             cumw = _cumulative_columns(self.matrices)
             self._table = _lookup_table(cumw)
             if self._table is None:
-                self._walk = list(_frozen(cumw))
+                self._columns = _frozen(cumw)
 
     def _walk_columns(self, start, count):
         """The walk's columns of each tick start, ..., start + count - 1."""
-        if self._walk is not None:
+        if self._columns is not None:
             period = self.topology.period
-            return [self._walk[k % period] for k in range(start, start + count)]
+            return [self._columns[k % period] for k in range(start, start + count)]
         return _cumulative_columns(build_transition(
             self.scheme, self.topology.adjacencies(start, count)))
 
@@ -511,8 +512,7 @@ class ChainOrder:
                 agents = table.take(row, out=row)
             return walk, agents
         walk = np.empty((count, len(seeds)), dtype=int)
-        chunk = (BLOCK if self._walk is not None
-                 else max(1, _CHUNK_ENTRIES // self.topology.m**2))
+        chunk = max(1, _CHUNK_ENTRIES // self.topology.m**2)
         count_at_or_below, at_or_below = np.add.reduce, np.greater_equal
         for lo in range(0, count, chunk):
             walks = self._walk_columns(b * BLOCK + lo, min(chunk, count - lo))

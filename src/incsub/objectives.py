@@ -1,20 +1,18 @@
 """Objective families: all m agents' convex components as stacked parameters.
 
 The problem is min_x f(x) = f_1(x) + ... + f_m(x) over a convex set, where
-agent i knows only f_i.  The engines need two operations on that sum, and
-each fixture's family provides them for every agent at once:
+agent i knows only f_i.  Each fixture's family gives, for every agent at
+once, f and the agents' subgradients:
 
 - ``evaluate_many(X)``: f at each row of an ``(N, n)`` batch;
-- ``subgradient_many(X, agents)``: row r is a subgradient of
-  f_{agents[r]} at X[r]; ``agents`` is an index array of length N, or one
-  int for all rows.
+- ``gather(agents)``: the agents' parameters stacked for an index array of
+  any shape (or one int), as a tuple of arrays whose leading axes are
+  ``agents``' shape;
+- ``subgradient_rows(X, *rows)``: with ``rows = gather(agents)``, row r is
+  a subgradient of f_{agents[r]} at X[r] (of f_agents for one int).
 
-The second is the composition of a two-method row protocol, which the step
-loop calls directly so that it gathers once per run of steps:
-``gather(agents)`` stacks the agents' parameters for an index array of
-any shape (or one int) as a tuple of arrays whose leading axes are
-``agents``' shape, and ``subgradient_rows(X, *rows)`` computes the
-subgradients from one step's rows.  Each formula is written once, in
+The step loop gathers once per run of steps and calls
+``subgradient_rows`` once per step; each formula is written once, in
 ``subgradient_rows``.
 
 Each family also has ``m``, ``n``, ``bounds``, the array of
@@ -50,14 +48,7 @@ def _dot(xs, p):
     return total
 
 
-class _Rows:
-    """``subgradient_many`` of every family: its rows, gathered and used."""
-
-    def subgradient_many(self, xs, agents):
-        return self.subgradient_rows(xs, *self.gather(agents))
-
-
-class QuadraticFamily(_Rows):
+class QuadraticFamily:
     """f_i(x) = ||x - c_i||^2 with gradient 2 (x - c_i); centers stacked (m, n).
 
     The sum is evaluated in closed form, m ||x - cbar||^2 plus the centers'
@@ -87,7 +78,7 @@ class QuadraticFamily(_Rows):
         return g
 
 
-class RegressionFamily(_Rows):
+class RegressionFamily:
     """f_i(x) = (phi_i @ x - rbar_i)^2 + var_i, sensor i's mean squared residual.
 
     ``features`` stacks the rows phi_i (m, n); ``rbar`` and ``var`` are the
@@ -203,7 +194,7 @@ class LinearUtility:
         return float(self.slope_value)
 
 
-class UtilityFamily(_Rows):
+class UtilityFamily:
     """f_i(x) = -U_i(x_i) for a concave utility U_i of coordinate i (n = m).
 
     C_i is the largest slope of U_i over coordinate i's range on the set.

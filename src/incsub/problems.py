@@ -49,9 +49,8 @@ class OptimumCertificate:
 class ProblemInstance:
     """An objective family's sum over a feasible set, plus an optimum certificate.
 
-    ``f_many`` and ``subgradient_for_agents`` delegate to the family's
-    ``evaluate_many`` and ``subgradient_many``.  The recorder evaluates
-    through ``f_many``; the step loop calls the family's row protocol
+    ``f_many`` delegates to the family's ``evaluate_many``; the recorder
+    evaluates through it.  The step loop calls the family's row protocol
     directly (see :mod:`incsub.objectives`).
     """
 
@@ -91,11 +90,6 @@ class ProblemInstance:
     def f(self, x):
         return self.f_many(x)
 
-    def subgradient_for_agents(self, xs, agents):
-        """Row r is a subgradient of f_{agents[r]} at xs[r]; one int ``agents``
-        serves every row."""
-        return self.family.subgradient_many(xs, agents)
-
     def check_certificate(self):
         """Re-verify f(witness) ~ f_star; raises CertificateError on drift."""
         cert = self.optimum
@@ -133,15 +127,15 @@ def _bracket(family, feasible_set, start, notes=None):
     stop once the width is at most BRACKET_RTOL (1 + |f_star|), or after
     BRACKET_STEPS; ``tolerance`` is the width either way.
     """
-    agents = np.arange(family.m)
+    rows = family.gather(np.arange(family.m))
     diameter, c_sum = feasible_set.diameter(), float(family.bounds.sum())
     x = feasible_set.project_many(start)
     best_f, best_x, lower = np.inf, x, -np.inf
     weight, offset, slope = 0.0, 0.0, np.zeros(family.n)
     for t in range(1, BRACKET_STEPS + 1):
         f = float(family.evaluate_many(x[None, :])[0])
-        g = family.subgradient_many(np.broadcast_to(x, (family.m, family.n)),
-                                    agents).sum(axis=0)
+        g = family.subgradient_rows(np.broadcast_to(x, (family.m, family.n)),
+                                    *rows).sum(axis=0)
         if f < best_f:
             best_f, best_x = f, x
         intercept = f - float(g @ x)  # the minorant is intercept + <g, .>

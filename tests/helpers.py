@@ -130,7 +130,7 @@ class CallbackFamily:
 
     ``evaluate(xs)`` gives f at each row of ``xs``; ``subgradient(xs,
     agents)`` gives row r's subgradient of f_{agents[r]}, as the shipped
-    families' ``evaluate_many``/``subgradient_many`` do.  Its rows are the
+    families' ``evaluate_many`` and row protocol do.  Its rows are the
     agents themselves, so the step loop calls ``subgradient`` once per
     sub-step with that sub-step's agents: a (R,) index array for a chain, a
     numpy integer for the ring order.  ``eval_width`` is the width of
@@ -150,9 +150,6 @@ class CallbackFamily:
 
     def subgradient_rows(self, xs, agents):
         return self.subgradient(xs, agents)
-
-    def subgradient_many(self, xs, agents):
-        return self.subgradient_rows(xs, *self.gather(agents))
 
 
 def absolute_value():

@@ -106,10 +106,16 @@ def make_cyclic_noise_stream(noise, problem, seed):
     return NoiseStream(noise, seed, problem.m, problem.n)
 
 
+def subgradients(family, xs, agents):
+    """Row r is a subgradient of f_{agents[r]} at xs[r] (one int ``agents``
+    serves every row), through the family's row protocol."""
+    return family.subgradient_rows(xs, *family.gather(agents))
+
+
 def sub_step(problem, z, agent, alpha, eps):
     """One projected noisy subgradient step of the (1, n) point ``z`` by
     ``agent``; ``eps`` is the (n,) error, or None for error-free steps."""
-    g = problem.subgradient_for_agents(z, agent)
+    g = subgradients(problem.family, z, agent)
     if eps is not None:
         g = g + eps[None, :]
     return problem.feasible_set.project_many(z - alpha * g)

@@ -211,6 +211,12 @@ class TestOptimalWindow:
     def test_uniform_chain_convention(self):
         assert isb.optimal_window(0.01, 1.0, 5.0, 0.0) == 0
 
+    @pytest.mark.parametrize("c", [1.0, 0.0])
+    def test_no_mixing_term_gives_zero(self, c):
+        # c0 = 0 (a one-point set, or C = 0) leaves alpha C^2 T, least at T = 0
+        assert isb.optimal_window(0.01, c, 0.0, 0.9) == 0
+        assert brute_force_window(0.01, c, 0.0, 0.9) == 0
+
     def test_worked_example_against_brute_force(self):
         alpha, c, c0, beta = 1e-6, 1.0, 10.0, 0.9
         expect = brute_force_window(alpha, c, c0, beta)

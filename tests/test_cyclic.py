@@ -7,7 +7,8 @@ import incsub as isb
 from helpers import (STEP_NOISES, STEP_SETS, CallbackFamily, absolute_value,
                      logging_problem, run_one)
 from incsub.errors import NonFiniteError
-from reference import CyclicState, cyclic_cycle, make_cyclic_noise_stream
+from reference import (CyclicState, cyclic_cycle, make_cyclic_noise_stream,
+                       subgradients)
 
 
 class ZeroStep:
@@ -131,7 +132,7 @@ def test_ring_order_is_respected(quad_m5_box):
 
     def recorded(xs, agent):
         calls.append(agent)
-        return inner.subgradient_many(xs, agent)
+        return subgradients(inner, xs, agent)
 
     prob = isb.ProblemInstance(
         CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, recorded),
@@ -148,7 +149,7 @@ def test_hand_off_points_feed_next_agent(quad_m2_line):
 
     def recorded(xs, agent):
         seen.append(xs[0].copy())
-        return inner.subgradient_many(xs, agent)
+        return subgradients(inner, xs, agent)
 
     prob = isb.ProblemInstance(
         CallbackFamily(inner.n, inner.bounds, inner.evaluate_many, recorded),

@@ -18,7 +18,7 @@ from helpers import (STEP_FAMILIES, STEP_NOISES, STEP_SETS, CallbackFamily, logg
 from incsub.errors import NonFiniteError
 from incsub.streams import BLOCK
 from reference import (CyclicState, NoiseStream, cyclic_cycle, make_cyclic_noise_stream,
-                       sub_step)
+                       sub_step, subgradients)
 
 STEPS = BLOCK + 6
 SEEDS = [11, 12]
@@ -98,7 +98,7 @@ def failing(problem, engine, at, bad):
 
     def subgradient(xs, agents):
         calls.append(None)
-        g = problem.family.subgradient_many(xs, agents)
+        g = subgradients(problem.family, xs, agents)
         if len(calls) - 1 == fatal:
             g[1] = bad
         return g

@@ -147,7 +147,10 @@ class TestRunExperiment:
             assert (tmp_path / "rep" / name).read_bytes() == blob
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        for name, text in (("quad", MARKOV_CFG), ("regr", REGRESSION_CFG)):
+        # the third case's seeds straddle 2^63, past int64
+        for name, text in (("quad", MARKOV_CFG), ("regr", REGRESSION_CFG),
+                           ("straddle", MARKOV_CFG.replace("seed = 77",
+                                                           f"seed = {2**63 - 1}"))):
             config = make_config(text, tmp_path, f"{name}_ser")
             s1, t1 = run_experiment(config, jobs=1)
             config2 = make_config(text, tmp_path, f"{name}_par")
@@ -207,6 +210,17 @@ class TestRunExperiment:
         assert [trace_state(tr) for tr in hz._run_seeds(clone, seeds)] == serial
         _, traces = run_experiment(config, jobs=2, write=False)
         assert [trace_state(tr) for tr in traces] == serial
+
+    def test_ring_is_the_one_phase_periodic_ring(self, tmp_path):
+        outputs = []
+        for name, topology in (("ring", {}), ("periodic", {
+                "topology.kind": "periodic", "topology.phases": ["ring"]})):
+            flat = parse_config_text(MARKOV_CFG)
+            flat.update(topology, out=str(tmp_path / name))
+            run_experiment(ExperimentConfig.from_flat(flat))
+            outputs.append([(tmp_path / name / f"trace_{r}.csv").read_bytes()
+                            for r in range(3)])
+        assert outputs[0] == outputs[1]
 
     def test_constant_step_bounds_verified(self, tmp_path):
         config = make_config(MARKOV_CFG, tmp_path, "bnd")
@@ -287,8 +301,8 @@ class TestRunExperiment:
 
     def test_disconnected_topology_aborts_before_running(self, tmp_path):
         flat = parse_config_text(MARKOV_CFG)
-        flat["topology.kind"] = "static"
-        flat["topology.edges"] = [[0, 1], [2, 3]]
+        flat["topology.kind"] = "periodic"
+        flat["topology.phases"] = [[[0, 1], [2, 3]]]
         flat["out"] = str(tmp_path / "bad")
         from incsub.errors import TopologyError
         with pytest.raises(TopologyError):
@@ -507,16 +521,15 @@ class TestFailFast:
     """Bad builder inputs stop with exit code 2 before any tick runs."""
 
     # the other entries a case of test_bad_run_entries needs, by (entry,
-    # field): the kind that reads the entry, and the other half of an alias
-    # pair
+    # field): the kind that reads the entry, and the kept spelling that a
+    # retired one stands next to
     ALONGSIDE = {
         ("topology.window", "topology.window"): {"topology.kind": "random_edges"},
         ("topology.graph", "topology.graph"): {"topology.kind": "random_edges"},
         ("topology.phases", "topology.phases[1]"): {"topology.kind": "periodic"},
         ("topology.phases", "topology.phases"): {"topology.kind": "periodic"},
-        ("topology.edges", "topology.edges"): {"topology.kind": "static"},
         ("topology.graph", "topology.edges"): {
-            "topology.kind": "static",
+            "topology.kind": "random_edges",
             "topology.edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]},
         ("topology.base", "topology.base"): {"topology.kind": "random_edges",
                                              "topology.graph": "ring"},
@@ -645,11 +658,14 @@ class TestFailFast:
         ("verify.slack_rel", True, "verify.slack_rel"),
         ("problem.set", {"kind": "box", "lower": [True, 0], "upper": [1.0, 1.0]},
          "problem.set.lower"),
-        # edge lists hold [i, j] pairs of integral agent indices, phase lists
-        # are nonempty, and each entry of an alias pair excludes the other
+        # phase lists are nonempty lists of edge lists (more edge lists at
+        # the end)
         ("topology.phases", ["ring", "bogus"], "topology.phases[1]"),
         ("topology.phases", [], "topology.phases"),
-        ("topology.edges", [[0, 1.5], [1, 2], [2, 3], [3, 4], [4, 0]],
+        # the retired spellings of a graph, topology.edges (of the retired
+        # static kind) and topology.base (of random edges), are unknown
+        # entries whatever they hold, also next to topology.graph
+        ("topology.edges", [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]],
          "topology.edges"),
         ("topology.edges", [[0, True], [1, 2], [2, 3], [3, 4], [4, 0]],
          "topology.edges"),
@@ -666,10 +682,10 @@ class TestFailFast:
         ("topology", {"kind": "random_edges", "inclusion_prob": 2},
          "topology.inclusion_prob"),
         ("topology.edges", [[0, 0], [0, 1], [1, 2], [2, 3], [3, 4], [4, 0]],
-         "topology.edges"),
+         "topology.edges"),  # retired
         ("topology", {"kind": "random_edges", "base": [[1, 1], [0, 1], [1, 2],
                                                        [2, 3], [3, 4], [4, 0]]},
-         "topology.base"),
+         "topology.base"),  # retired
         ("topology", {"kind": "periodic", "phases": ["ring", [[0, 1], [2, 2]]]},
          "topology.phases[1]"),
         # a JSON string is not a number, even when it reads as one
@@ -679,7 +695,7 @@ class TestFailFast:
         ("problem.set", {"kind": "box", "lower": "-1", "upper": 1.0},
          "problem.set.lower"),
         # a random-edge base must hold the agent ring 0-1-...-0
-        ("topology", {"kind": "random_edges",
+        ("topology", {"kind": "random_edges",  # retired
                       "base": [[0, 1], [1, 2], [2, 3], [3, 4]]}, "topology.base"),
         ("topology", {"kind": "random_edges",
                       "graph": [[0, 1], [1, 2], [2, 3], [3, 4]]}, "topology.graph"),
@@ -687,6 +703,16 @@ class TestFailFast:
         # topology's seed are Philox keys below 2^64
         ("seed", 2**64 - 1, "seed"),
         ("topology", {"kind": "random_edges", "seed": 2**64}, "topology.seed"),
+        # the retired static kind; an edge list holds [i, j] pairs of
+        # distinct integral agent indices
+        ("topology.kind", "static", "topology.kind"),
+        ("topology.graph", [[0, 1.5], [1, 2], [2, 3], [3, 4], [4, 0]],
+         "topology.graph"),
+        ("topology.graph", [[0, True], [1, 2], [2, 3], [3, 4], [4, 0]],
+         "topology.graph"),
+        ("topology", {"kind": "random_edges", "graph": [[1, 1], [0, 1], [1, 2],
+                                                        [2, 3], [3, 4], [4, 0]]},
+         "topology.graph"),
     ])
     def test_bad_run_entries(self, tmp_path, capsys, verb, entry, value, field):
         flat = parse_config_text(MARKOV_CFG)
@@ -872,6 +898,17 @@ class TestFailFast:
         assert cli_main([verb, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
+
+    def test_one_point_set_validates(self, capsys, tmp_path):
+        # a one-point box has diameter 0, so c0 = b C_sum D = 0: no mixing
+        # term at any window, and the optimal window is T = 0
+        flat = parse_config_text(MARKOV_CFG)
+        flat["problem.set"] = {"kind": "box", "lower": 0.5, "upper": 0.5}
+        cfg = write_config(tmp_path / "exp.cfg", flat)
+        assert cli_main(["validate", "--config", cfg]) == 0
+        reports = bound_reports(ExperimentConfig.from_flat(flat))
+        assert [r.params["T"] for r in reports
+                if r.params.get("label") == "optimal"] == [0]
 
     def test_allocation_config_validates(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "exp.cfg", parse_config_text(ALLOCATION_CFG))

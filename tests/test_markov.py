@@ -8,7 +8,8 @@ from incsub.errors import SchemeViolationError, TopologyError
 from incsub.markov import (adjacency_from_edges, complete_edges,
                            path_edges, ring_edges)
 from incsub.streams import init_generator
-from reference import NoiseStream, next_from_uniform, sample_next_agent, sub_step
+from reference import (NoiseStream, next_from_uniform, sample_next_agent, sub_step,
+                       subgradients)
 
 
 class ZeroStep:
@@ -212,7 +213,7 @@ class TestMarkovEngine:
             agent = next_from_uniform(cum[agent], u)
             assert agents_seen[0] == agent == tr.agents[step + 1]
             assert np.array_equal(xs_seen, xs_prev)  # gradient at x_k
-            g = quad_m5_box.subgradient_for_agents(xs_prev, agents_seen)
+            g = subgradients(quad_m5_box.family, xs_prev, agents_seen)
             xs_prev = quad_m5_box.feasible_set.project_many(xs_prev - 0.05 * g)
 
     @pytest.mark.parametrize("noise", sorted(STEP_NOISES))

@@ -8,12 +8,14 @@ step and the finite prefix.  The horizons span several flushes and several
 noise blocks.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 import incsub as isb
 from helpers import CallbackFamily, trace_state
-from reference import trace_csv
+from reference import subgradients, trace_csv
 from incsub import trace
 from incsub.streams import init_generator
 from incsub.trace import record_indices
@@ -29,7 +31,7 @@ NAN_AT = 1300  # the step whose subgradient is NaN in the abort cases
 def instrumented(problem, log, evaluate=None, subgradient=None):
     """``problem`` with every subgradient call's (xs, agents) appended to log."""
     inner = problem.family
-    grad = subgradient or inner.subgradient_many
+    grad = subgradient or functools.partial(subgradients, inner)
 
     def logged(xs, agents):
         log.append((xs.copy(), np.array(agents, copy=True)))
@@ -48,7 +50,7 @@ def nan_at_step(problem, engine, at):
 
     def subgradient(rows, agents_):
         calls.append(None)
-        g = problem.family.subgradient_many(rows, agents_)
+        g = subgradients(problem.family, rows, agents_)
         if len(calls) - 1 == fatal:
             g[2] = np.nan
         return g

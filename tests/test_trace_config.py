@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incsub import ExperimentConfig, RunTrace, record_indices, trace
+from incsub.cli import main as cli_main
 from incsub.config import (build_noise, build_problem, build_schedule,
                            build_set, canonical_config_text, config_hash,
                            load_config_file, parse_config_text)
@@ -171,11 +172,14 @@ class TestConfig:
         assert canonical_config_text(parse_config_text(canon)) == canon
         assert config_hash(flat) == config_hash(parse_config_text(canon))
 
-    def test_json_mirror(self, tmp_path):
-        flat = parse_config_text(MINIMAL)
+    def test_json_file_is_a_parse_error(self, tmp_path, capsys):
+        # key = value text is the one config format
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(flat))
-        assert load_config_file(path) == flat
+        path.write_text(json.dumps(parse_config_text(MINIMAL)))
+        with pytest.raises(ConfigError, match="^line 1: expected 'key = value'"):
+            load_config_file(path)
+        assert cli_main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: line 1: ")
 
     def test_typed_validation(self):
         cfg = ExperimentConfig.from_flat(parse_config_text(MINIMAL))
