@@ -4,7 +4,8 @@ Verbs:
   run       execute seeded replications, write traces and a summary
   validate  run topology/scheme/problem pre-flight checks only
   bounds    print the analytic gap reports for the config, no simulation
-  compare   analytic-vs-empirical gap table over an (alpha, T) grid
+  compare   one run per compare.alphas[i] under <out>/alpha_<i>/, indexed
+            by <out>/bounds.csv
 
 Exit codes: 0 ok, 1 bound verification failed under --assert-bounds,
 2 invalid configuration, 3 runtime abort (non-finite iterate).
@@ -65,9 +66,9 @@ def main(argv=None):
     p_bounds = sub.add_parser("bounds", help="analytic bounds, no simulation")
     _common(p_bounds)
 
-    p_cmp = sub.add_parser("compare", help="grid study of analytic vs empirical gaps")
+    p_cmp = sub.add_parser("compare", help="a run per compare.alphas[i], and bounds.csv")
     _common(p_cmp)
-    p_cmp.add_argument("--jobs", type=int, default=1)
+    p_cmp.add_argument("--jobs", type=int, default=1, help="workers per run")
 
     args = parser.parse_args(argv)
     try:

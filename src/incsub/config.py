@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -112,8 +111,9 @@ _VERIFY_DEFAULTS = {"slack_rel": 0.02, "slack_abs": 0.0, "min_pass_fraction": 1.
 class ExperimentConfig:
     """Validated experiment, built once into its runnable parts (see the
     module docstring for the format): the problem, step schedule, noise,
-    order and start point ``x0``.  ``--jobs`` workers receive it pickled,
-    with their seeds."""
+    order and start point ``x0``, and the step sizes ``compare_alphas`` of
+    the verb ``compare``.  ``--jobs`` workers receive it pickled, with
+    their seeds."""
 
     algorithm: str
     problem: object
@@ -128,7 +128,7 @@ class ExperimentConfig:
     stride: int
     tail_fraction: float = 0.1
     verify: dict = field(default_factory=lambda: dict(_VERIFY_DEFAULTS))
-    compare: Optional[dict] = None
+    compare_alphas: tuple = ()
     flat: dict = field(default_factory=dict)
 
     @classmethod
@@ -182,7 +182,7 @@ class ExperimentConfig:
             raise ConfigError("missing problem.fixture", field="problem.fixture")
         if "schedule" not in nested:
             raise ConfigError("missing schedule section", field="schedule")
-        compare = _compare(nested.get("compare"))
+        compare_alphas = _step_sizes(nested.get("compare", {}))
 
         problem = build_problem(problem)
         schedule = build_schedule(nested["schedule"])
@@ -197,7 +197,7 @@ class ExperimentConfig:
                    noise=noise, order=order, x0=x0, horizon=horizon,
                    replications=replications, seed=seed, out_dir=out_dir,
                    stride=stride, tail_fraction=tail, verify=verify,
-                   compare=compare, flat=flat)
+                   compare_alphas=compare_alphas, flat=flat)
 
     def hash(self):
         return config_hash(self.flat)
@@ -238,25 +238,17 @@ def _number(spec, section, key, default=_MISSING, minimum=None, kind=float,
     return value
 
 
-def _each(spec, section, key, **number):
-    """The list ``spec[key]`` (empty when absent), each item read by
-    :func:`_number` on the field ``section.key[i]``."""
-    raw = spec.get(key, [])
+def _step_sizes(spec):
+    """The ``compare`` section's step sizes ``alphas`` (none when absent):
+    each a number on its field ``compare.alphas[i]``, and a constant step
+    on ``compare.alphas``."""
+    _check_keys(spec, "compare", {"alphas"})
+    raw = spec.get("alphas", [])
     if not isinstance(raw, list):
-        raise ConfigError(f"expected a list, got {raw!r}", field=f"{section}.{key}")
-    return [_number({f"{key}[{i}]": x}, section, f"{key}[{i}]", **number)
-            for i, x in enumerate(raw)]
-
-
-def _compare(spec):
-    """The ``compare`` section, if given: its constant step sizes ``alphas``
-    and its nonnegative windows ``Ts``."""
-    if spec is None:
-        return None
-    _check_keys(spec, "compare", {"alphas", "Ts"})
-    return {"alphas": [_construct("compare.alphas", Constant, alpha).alpha
-                       for alpha in _each(spec, "compare", "alphas", finite=False)],
-            "Ts": _each(spec, "compare", "Ts", kind=int, minimum=0)}
+        raise ConfigError(f"expected a list, got {raw!r}", field="compare.alphas")
+    return tuple(_construct("compare.alphas", Constant, _number(
+        {f"alphas[{i}]": x}, "compare", f"alphas[{i}]", finite=False)).alpha
+        for i, x in enumerate(raw))
 
 
 def _has_non_number(raw):
@@ -503,13 +495,14 @@ def build_topology(spec, m):
     """The configured topology; building it checks its connectivity."""
     kind = _kind(spec, "topology", _TOPOLOGY_KEYS, "topology kind")
     if kind in _GRAPHS:
-        return PeriodicTopology(m, [_GRAPHS[kind](m)], 1)
+        return _construct("topology.kind", PeriodicTopology, m, [_GRAPHS[kind](m)], 1)
     if kind == "periodic":
         phases = spec.get("phases")
         if not isinstance(phases, list) or not phases:
             raise ConfigError(f"expected a nonempty list of phases, got {phases!r}",
                               field="topology.phases")
-        return PeriodicTopology(
+        return _construct(
+            "topology.phases", PeriodicTopology,
             m, [_edge_list(p, f"topology.phases[{i}]", m)
                 for i, p in enumerate(phases)],
             _number(spec, "topology", "window", len(phases), minimum=1, kind=int))

@@ -7,6 +7,7 @@ and verifies each replication's best value against them.  All outputs are
 byte-deterministic in the config and base seed: no timestamps, sorted JSON
 keys, fixed float rendering, and per-replication results independent of
 whether they ran serially, batched, or across processes.
+``compare_bounds`` is a loop of such experiments, one per step size.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .analysis import BoundInputs, RateConstants, rate_constants
 from .engine import run_batch
 from .errors import ConfigError, NonFiniteError
-from .markov import build_transition, topology_eta
+from .markov import _CHUNK_ENTRIES, build_transition, topology_eta
 from .schedules import Constant
 from .trace import fmt_float
 from .version import __version__
@@ -97,12 +98,6 @@ def _check_finite(terms, field="problem.set",
         raise ConfigError(f"{reason}: " + ", ".join(bad), field=field)
 
 
-def _finite(report, field):
-    _check_finite([(f"{report.kind} gap", report.gap)], field,
-                  "the bounds overflow at this step size")
-    return report
-
-
 def bound_inputs(config):
     """The :class:`BoundInputs` of a config, with the noise suprema over
     the horizon.  Each bound squares ``C_max + nu`` (markov) or ``C_sum +
@@ -124,14 +119,19 @@ def bound_inputs(config):
     return inputs
 
 
-def bound_reports(config):
+def bound_reports(config, field="schedule.alpha"):
     """Analytic gap reports applicable to a config, made before any
     simulation; a non-constant step has none.  A gap that overflows is a
-    ConfigError on ``schedule.alpha``, naming the first such report."""
+    ConfigError on ``field``, the step's entry, naming the first such
+    report."""
     if not isinstance(config.schedule, Constant):
         return []
-    return [_finite(report, "schedule.alpha")
-            for report in bound_inputs(config).reports(config.schedule.alpha)]
+    reports = []
+    for report in bound_inputs(config).reports(config.schedule.alpha):
+        _check_finite([(f"{report.kind} gap", report.gap)], field,
+                      "the bounds overflow at this step size")
+        reports.append(report)
+    return reports
 
 
 def _summarize(config, traces, reports):
@@ -221,64 +221,66 @@ def run_experiment(config, *, jobs=1, write=True):
 def validate_only(config):
     """The pre-flight checks that loading the config leaves (CLI verb
     'validate'), without simulating: the bound reports and, for a topology
-    without a period, the transitions of its first ticks."""
+    without a period, the transitions of its first ticks, in order and in
+    the chain order's chunks of ``max(1, 2**16 // m**2)`` ticks."""
     bound_reports(config)
     order = config.order
     if config.algorithm == "markov" and order.topology.period is None:
-        ticks = min(max(config.horizon, 1), 4 * order.topology.window)
-        build_transition(order.scheme, order.topology.adjacencies(0, ticks))
+        topology = order.topology
+        ticks = min(max(config.horizon, 1), 4 * topology.window)
+        chunk = max(1, _CHUNK_ENTRIES // topology.m**2)
+        for lo in range(0, ticks, chunk):
+            build_transition(order.scheme,
+                             topology.adjacencies(lo, min(chunk, ticks - lo)))
+
+
+def _cell(config, i, alpha):
+    """Cell ``i`` of a compare: ``config`` at the constant step ``alpha``,
+    writing under ``<out>/alpha_<i>``.  Its flat is the base flat with the
+    schedule replaced, so ``incsub run`` on that flat writes the same files;
+    the built problem and order are shared, not rebuilt."""
+    out = os.path.join(config.out_dir, f"alpha_{i}")
+    flat = {k: v for k, v in config.flat.items() if k.split(".")[0] != "schedule"}
+    flat.update({"schedule.kind": "constant", "schedule.alpha": alpha, "out": out})
+    return replace(config, schedule=Constant(alpha), out_dir=out, flat=flat)
 
 
 def compare_bounds(config, *, jobs=1, write=True):
-    """Analytic-vs-empirical gap table over an (alpha, T) grid.
-
-    The config must describe a markov constant-step run and carry a
-    ``compare.alphas`` list; the T columns are 0, the optimal window, the
-    delta window, plus the windows in ``compare.Ts`` (both lists are checked
-    when the config is read).  Every alpha's analytic gaps are computed
-    before the first simulation, so a bad alpha fails before any tick.  One
-    simulation of R replications runs per alpha; every T cell of that row
-    shares its empirical tail-minimum gap (T is an analysis knob, not a run
-    knob).
-    """
-    if config.algorithm != "markov":
-        raise ConfigError("bound comparison tables are markov-only",
-                          field="algorithm")
-    grid = config.compare or {"alphas": []}
-    if not grid["alphas"]:
+    """The step-size study (CLI verb 'compare'): one ordinary run per
+    ``compare.alphas[i]``, its cell (see :func:`_cell`), then a
+    ``bounds.csv`` index with one row per bound report of each cell's
+    summary, in cell order, every value read from the summary.  Every
+    cell's reports are made before the first cell runs, so a bad alpha
+    fails before any tick.  Returns the rows."""
+    if not config.compare_alphas:
         raise ConfigError("missing compare.alphas list", field="compare.alphas")
-    schedules = [Constant(alpha) for alpha in grid["alphas"]]
+    cells = [_cell(config, i, alpha) for i, alpha in enumerate(config.compare_alphas)]
+    for cell in cells:
+        bound_reports(cell, field="compare.alphas")
 
-    inputs = bound_inputs(config)
-    f_star = config.problem.optimum.f_star
-
-    extra_cols = [(f"T{t}", t) for t in grid["Ts"]]
-    analytic = [[(label, t, _finite(inputs.markov(s.alpha, t), "compare.alphas").gap)
-                 for label, t in inputs.windows(s.alpha) + extra_cols]
-                for s in schedules]  # (label, T, gap) of each row, before any run
-
-    seeds = [config.seed + r for r in range(config.replications)]
     rows = []
-    for schedule, gaps in zip(schedules, analytic):
-        traces = _run_all(replace(config, schedule=schedule), seeds, jobs)
-        tail_gaps = np.array([tr.tail_min - f_star for tr in traces])
-        inf_gaps = np.array([tr.running_inf[-1] - f_star for tr in traces])
-        for label, t, gap in gaps:
-            rows.append({
-                "alpha": schedule.alpha, "T_label": label, "T": int(t),
-                "analytic_gap": gap,
-                "empirical_tail_gap_median": float(np.median(tail_gaps)),
-                "empirical_tail_gap_max": float(np.max(tail_gaps)),
-                "empirical_inf_gap_max": float(np.max(inf_gaps)),
-            })
+    for cell in cells:
+        summary, _ = run_experiment(cell, jobs=jobs, write=write)
+        tail = [seed["tail_min_gap"] for seed in summary["per_seed"]]
+        empirical = {"empirical_tail_gap_median": float(np.median(tail)),
+                     "empirical_tail_gap_max": max(tail),
+                     "empirical_inf_gap_max": max(seed["inf_gap"]
+                                                  for seed in summary["per_seed"])}
+        for bound in summary["bounds"]:
+            report, params = bound["report"], bound["report"]["params"]
+            rows.append({"alpha": params["alpha"], "kind": report["kind"],
+                         "T_label": params.get("label", ""),
+                         "T": params.get("T", params.get("delta", "")),
+                         "analytic_gap": report["gap"], "pass": bound["pass"],
+                         **empirical})
 
     if write:
-        os.makedirs(config.out_dir, exist_ok=True)
         buf = io.StringIO(newline="")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(rows[0])  # the column names
-        for row in rows:
-            writer.writerow([v if isinstance(v, (str, int)) else fmt_float(v)
+        for row in rows:  # as summary.json spells them, floats as in the traces
+            writer.writerow([fmt_float(v) if isinstance(v, float) else
+                             v if isinstance(v, str) else json.dumps(v)
                              for v in row.values()])
         _atomic_write(os.path.join(config.out_dir, "bounds.csv"), buf.getvalue())
     return rows

@@ -304,9 +304,10 @@ class TestRunExperiment:
         flat["topology.kind"] = "periodic"
         flat["topology.phases"] = [[[0, 1], [2, 3]]]
         flat["out"] = str(tmp_path / "bad")
-        from incsub.errors import TopologyError
-        with pytest.raises(TopologyError):
+        with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_flat(flat)
+        assert str(exc.value) == ("topology.phases: union of phases over window "
+                                  "starting at 0 is not connected")
         assert not os.path.exists(tmp_path / "bad")
 
 
@@ -329,48 +330,106 @@ def test_bracketed_fixtures_get_per_seed_verdicts(tmp_path, problem, m):
     assert summary["bounds_all_pass"] is True
 
 
+def files(root):
+    """Every file under ``root`` by its relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def cell_flat(flat, alpha, out):
+    """The flat config ``incsub run`` takes for one compare cell."""
+    cell = {k: v for k, v in flat.items() if k.split(".")[0] != "schedule"}
+    cell.update({"schedule.kind": "constant", "schedule.alpha": alpha, "out": out})
+    return cell
+
+
 class TestCompare:
+    """``compare`` is one ordinary run per ``compare.alphas[i]``, written
+    under ``<out>/alpha_<i>/``, plus a ``bounds.csv`` index read from the
+    runs' summaries."""
+
+    def study(self, text, tmp_path, **entries):
+        flat = parse_config_text(text)
+        flat.update({"horizon": 300, "replications": 2,
+                     "compare.alphas": [0.05, 0.02],
+                     "out": str(tmp_path / "cmp"), **entries})
+        return flat
+
     def test_grid_table(self, tmp_path):
-        flat = parse_config_text(MARKOV_CFG)
-        flat.update({
-            "out": str(tmp_path / "cmp"),
-            "horizon": 800,
-            "replications": 2,
-            "compare.alphas": [0.05, 0.02],
-            "compare.Ts": [5],
-        })
-        config = ExperimentConfig.from_flat(flat)
-        rows = compare_bounds(config)
-        assert os.path.exists(tmp_path / "cmp" / "bounds.csv")
-        by_alpha = {}
-        for row in rows:
-            by_alpha.setdefault(row["alpha"], {})[row["T_label"]] = row
-        for alpha, cells in by_alpha.items():
-            optimal = cells["optimal"]["analytic_gap"]
-            for label, cell in cells.items():
-                assert optimal <= cell["analytic_gap"] + 1e-12
-                # empirical column is shared across T cells of the row
-                assert cell["empirical_tail_gap_median"] == \
-                    cells["T0"]["empirical_tail_gap_median"]
+        flat = self.study(MARKOV_CFG, tmp_path, horizon=800)
+        rows = compare_bounds(ExperimentConfig.from_flat(flat))
+        table = (tmp_path / "cmp" / "bounds.csv").read_text().splitlines()
+        assert table[0] == ("alpha,kind,T_label,T,analytic_gap,pass,"
+                            "empirical_tail_gap_median,empirical_tail_gap_max,"
+                            "empirical_inf_gap_max")
+        assert len(table) == 1 + len(rows) == 1 + 2 * 4
+        for i, alpha in enumerate(flat["compare.alphas"]):
+            summary = json.loads(
+                (tmp_path / "cmp" / f"alpha_{i}" / "summary.json").read_text())
+            cell_rows = rows[4 * i:4 * i + 4]
+            per_seed = summary["per_seed"]
+            tail = [seed["tail_min_gap"] for seed in per_seed]
+            assert [row["kind"] for row in cell_rows] == \
+                ["markov_constant_step"] * 3 + ["markov_simple_delta"]
+            assert [row["T_label"] for row in cell_rows] == \
+                ["T0", "optimal", "delta", ""]
+            for row, bound in zip(cell_rows, summary["bounds"]):
+                report = bound["report"]
+                params = report["params"]
+                assert row["alpha"] == params["alpha"] == alpha
+                assert row["T"] == params.get("T", params.get("delta"))
+                assert row["analytic_gap"] == report["gap"]
+                assert row["pass"] is bound["pass"] is True
+                assert row["empirical_tail_gap_median"] == np.median(tail)
+                assert row["empirical_tail_gap_max"] == max(tail)
+                assert row["empirical_inf_gap_max"] == \
+                    max(seed["inf_gap"] for seed in per_seed)
                 # simulations land inside the analytic gap (plus 2% slack)
-                assert cell["empirical_inf_gap_max"] <= \
-                    cell["analytic_gap"] * 1.02
+                assert row["empirical_inf_gap_max"] <= row["analytic_gap"] * 1.02
+            optimal = cell_rows[1]["analytic_gap"]
+            assert all(optimal <= row["analytic_gap"] + 1e-12 for row in cell_rows[:3])
+        # the file spells the rows: floats round-trip, booleans as in JSON
+        line = table[1].split(",")
+        assert float(line[0]) == rows[0]["alpha"] and line[5] == "true"
+        assert float(line[4]) == rows[0]["analytic_gap"]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
-        flat = parse_config_text(MARKOV_CFG)
-        flat.update({"horizon": 300, "replications": 3,
-                     "compare.alphas": [0.05, 0.02], "compare.Ts": [4]})
-        rows = [compare_bounds(ExperimentConfig.from_flat(
-                    dict(flat, out=str(tmp_path / f"jobs{jobs}"))), jobs=jobs)
-                for jobs in (1, 2)]
-        assert rows[0] == rows[1]
-        assert (tmp_path / "jobs1" / "bounds.csv").read_bytes() == \
-            (tmp_path / "jobs2" / "bounds.csv").read_bytes()
+        config = ExperimentConfig.from_flat(
+            self.study(MARKOV_CFG, tmp_path, replications=3))
+        serial = compare_bounds(config, jobs=1)
+        (tmp_path / "cmp").rename(tmp_path / "serial")
+        assert compare_bounds(config, jobs=2) == serial
+        assert files(tmp_path / "cmp") == files(tmp_path / "serial")
 
-    def test_compare_requires_markov(self, tmp_path):
-        config = make_config(CYCLIC_CFG, tmp_path, "x")
-        with pytest.raises(ConfigError):
-            compare_bounds(config)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("text", [MARKOV_CFG, CYCLIC_CFG], ids=["markov", "cyclic"])
+    def test_cells_are_plain_runs(self, tmp_path, text, jobs):
+        flat = self.study(text, tmp_path)
+        cfg = write_config(tmp_path / "cmp.cfg", flat)
+        for i, alpha in enumerate(flat["compare.alphas"]):
+            cell = cell_flat(flat, alpha, str(tmp_path / "cmp" / f"alpha_{i}"))
+            assert cli_main(["run", "--config", write_config(
+                tmp_path / f"cell{i}.cfg", cell)]) == 0
+        (tmp_path / "cmp").rename(tmp_path / "plain")
+        assert cli_main(["compare", "--config", cfg, "--jobs", str(jobs)]) == 0
+        compared = files(tmp_path / "cmp")
+        assert compared.pop("bounds.csv")
+        assert compared == files(tmp_path / "plain")
+
+    def test_cyclic_compare_writes_one_row_per_alpha(self, tmp_path):
+        flat = self.study(CYCLIC_CFG, tmp_path)
+        rows = compare_bounds(ExperimentConfig.from_flat(flat))
+        assert [(row["alpha"], row["kind"], row["T_label"], row["T"])
+                for row in rows] == [(0.05, "cyclic_constant_step", "", ""),
+                                     (0.02, "cyclic_constant_step", "", "")]
+        assert len((tmp_path / "cmp" / "bounds.csv").read_text().splitlines()) == 3
+
+    def test_needs_step_sizes(self, tmp_path):
+        flat = self.study(MARKOV_CFG, tmp_path)
+        del flat["compare.alphas"]
+        with pytest.raises(ConfigError, match="^compare.alphas: "):
+            compare_bounds(ExperimentConfig.from_flat(flat))
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestCli:
@@ -407,20 +466,21 @@ class TestCli:
         lines = "\n".join(f"{k} = {json.dumps(v)}" for k, v in flat.items())
         cfg_path.write_text(lines + "\n")
         assert cli_main(["compare", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out == f"{tmp_path / 'cmp_out' / 'bounds.csv'}\n"
         table = (tmp_path / "cmp_out" / "bounds.csv").read_text().splitlines()
-        assert table[0].startswith("alpha,T_label,T,analytic_gap")
-        assert len(table) > 4
+        assert table[0].startswith("alpha,kind,T_label,T,analytic_gap,pass,")
+        assert len(table) == 1 + 2 * 4  # four markov reports per alpha
+        for i in range(2):
+            assert sorted(os.listdir(tmp_path / "cmp_out" / f"alpha_{i}")) == \
+                ["summary.json", "trace_0.csv", "trace_1.csv"]
 
-    @pytest.mark.parametrize("ts, field", [
-        ([3, -1], "compare.Ts[1]"), ([1.5], "compare.Ts[0]"),
-        (["x"], "compare.Ts[0]"), (5, "compare.Ts"),
-    ], ids=["negative", "fraction", "string", "not_a_list"])
+    @pytest.mark.parametrize("ts", [[3, -1], [1.5], ["x"], 5],
+                             ids=["negative", "fraction", "string", "not_a_list"])
     def test_cli_compare_rejects_bad_window_before_simulating(self, tmp_path, capsys,
-                                                             monkeypatch, ts, field):
-        import incsub.harness as hz
-
+                                                             monkeypatch, ts):
+        # compare has no windows of its own: every run reports the same ones
         def no_simulation(*args):
-            raise AssertionError("simulated with a bad compare.Ts")
+            raise AssertionError("simulated with a compare.Ts entry")
 
         monkeypatch.setattr(hz, "_run_all", no_simulation)
         cfg_path = tmp_path / "cmp.cfg"
@@ -431,7 +491,8 @@ class TestCli:
                      "out": str(tmp_path / "cmp_out")})
         write_config(cfg_path, flat)
         assert cli_main(["compare", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert capsys.readouterr().err == \
+            "config error: compare.Ts: unknown entry; expected one of alphas\n"
         assert not (tmp_path / "cmp_out").exists()
 
     def test_cli_seed_override_changes_outputs(self, tmp_path):
@@ -460,7 +521,8 @@ class TestCli:
 
 class TestValidateRandomEdges:
     """``validate`` builds and validates the first min(max(horizon, 1),
-    4 window) ticks of a chain without a period, as one stack."""
+    4 window) ticks of a chain without a period, in order, in the chain
+    order's chunks of max(1, 2**16 // m**2) ticks."""
 
     def config(self, **entries):
         flat = parse_config_text(MARKOV_CFG)
@@ -482,6 +544,41 @@ class TestValidateRandomEdges:
         assert len(calls) == 1
         topology = config.order.topology
         assert np.array_equal(calls[0], topology.adjacencies(0, ticks))
+
+    def wide(self):
+        # 100 agents on random edges of the complete graph: 6 ticks a chunk
+        return self.config(**{"problem.m": 100, "topology.graph": "complete",
+                              "topology.inclusion_prob": 0.1, "topology.window": 100,
+                              "scheme.kind": "weighted_mh", "scheme.weight": 0.5,
+                              "horizon": 10**6})
+
+    def test_builds_the_first_ticks_in_chunks(self, monkeypatch):
+        calls = []
+
+        def recording(scheme, adj):
+            calls.append(np.array(adj))
+            return build_transition(scheme, adj)
+
+        monkeypatch.setattr(hz, "build_transition", recording)
+        config = self.wide()
+        validate_only(config)
+        assert [len(adj) for adj in calls] == [6] * 66 + [4]
+        assert np.array_equal(np.concatenate(calls),
+                              config.order.topology.adjacencies(0, 400))
+
+    def test_memory_stays_within_a_chunk(self):
+        # 400 ticks of (100, 100) float matrices would be 32 MB a stack; a
+        # chunk's stacks hold at most 2**16 entries, 0.5 MiB of floats each
+        import tracemalloc
+
+        config = self.wide()
+        tracemalloc.start()
+        try:
+            validate_only(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**16 * 8
 
     def test_first_failing_tick_gives_its_own_message(self, monkeypatch):
         class BreaksOnChord(EqualProbability):
